@@ -8,8 +8,9 @@
 //! adding a knob.
 
 use smtsim_pipeline::{FaultPlan, MachineConfig, SimError};
-use smtsim_rob2::{ExperimentSpec, Lab};
+use smtsim_rob2::{ExperimentSpec, Lab, ResultCache};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Parses an environment integer. A missing variable yields `default`;
 /// a malformed value is a typed [`SimError::InvalidConfig`] naming the
@@ -146,8 +147,8 @@ pub struct BenchEnv {
     pub fuzz_cases: u64,
     /// `FUZZ_SEED` — base seed for fresh fuzz cases.
     pub fuzz_seed: u64,
-    /// `SMTSIM_JOURNAL` — resumable sweep-journal path (unset/empty =
-    /// no journaling).
+    /// `SMTSIM_JOURNAL` — result-cache directory sweeps resume from
+    /// (unset/empty = nothing persisted).
     pub journal: Option<PathBuf>,
     /// `SMTSIM_CELL_TIMEOUT` — wall-clock watchdog per sweep cell, in
     /// milliseconds (`0` = unlimited; non-deterministic by nature).
@@ -274,8 +275,9 @@ impl BenchEnv {
     }
 
     /// Builds the experiment driver this environment describes: budgets,
-    /// warm-up, seed, job count, integrity knobs and (if any `FAULT_*`
-    /// category is on) a lab-wide fault plan.
+    /// warm-up, seed, job count, integrity knobs, (if any `FAULT_*`
+    /// category is on) a lab-wide fault plan and the resilience knobs,
+    /// including the `SMTSIM_JOURNAL` result cache.
     pub fn lab(&self) -> Lab {
         let mut lab = Lab::new(self.seed)
             .with_budgets(self.budget, self.st_budget)
@@ -287,14 +289,14 @@ impl BenchEnv {
         if let Some(plan) = &self.fault {
             lab.set_fault(None, plan.clone());
         }
-        lab = lab
-            .with_cell_wall_ms(self.cell_timeout_ms)
+        lab.with_cell_wall_ms(self.cell_timeout_ms)
             .with_cell_cycle_budget(self.cell_cycles)
-            .with_retries(self.cell_retries);
-        if let Some(path) = &self.journal {
-            lab = lab.with_journal(path.clone());
-        }
-        lab
+            .with_retries(self.cell_retries)
+            .with_cache(
+                self.journal
+                    .as_ref()
+                    .map(|dir| Arc::new(ResultCache::new(dir))),
+            )
     }
 
     /// Merges an experiment spec into this environment under the one
@@ -341,8 +343,7 @@ impl BenchEnv {
     /// Builds the lab a *merged* environment (see
     /// [`BenchEnv::with_spec`]) describes for `spec`: the usual
     /// [`BenchEnv::lab`] wiring plus the spec's machine (environment
-    /// integrity knobs re-applied on top), normalization reference and
-    /// content fingerprint (binding any journal to this exact spec).
+    /// integrity knobs re-applied on top) and normalization reference.
     #[must_use]
     pub fn lab_for_spec(&self, spec: &ExperimentSpec) -> Lab {
         let mut lab = self.lab();
@@ -350,7 +351,6 @@ impl BenchEnv {
         lab.machine.deadlock_cycles = self.deadlock_cycles;
         lab.machine.invariant_interval = self.invariant_interval;
         lab.with_norm(spec.norm)
-            .with_spec_fingerprint(Some(spec.fingerprint.clone()))
     }
 }
 

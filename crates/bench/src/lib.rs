@@ -56,11 +56,14 @@
 //!
 //! Resilience knobs (DESIGN.md §13 "Crash-tolerance model"):
 //!
-//! * `SMTSIM_JOURNAL` — resumable sweep-journal path. Completed cells
-//!   are appended durably as they finish; relaunching the same command
-//!   with the same path skips them and produces byte-identical output.
-//!   A journal recorded under different knobs (seed, budgets, machine,
-//!   faults…) is rejected with exit status 2, never silently reused.
+//! * `SMTSIM_JOURNAL` — result-cache directory, with the same layout as
+//!   `SMTSIM_SERVE_CACHE` (one journal shard per experiment universe).
+//!   Completed cells are appended durably as they finish; relaunching
+//!   the same command on the same directory skips them and produces
+//!   byte-identical output. Runs under different knobs (seed, budgets,
+//!   machine, faults…) address different shards, so a cell is never
+//!   reused across universes; a daemon started on the same directory
+//!   serves the stored cells as cache hits.
 //! * `SMTSIM_CELL_TIMEOUT` — wall-clock watchdog per sweep cell, in
 //!   milliseconds (default 0 = unlimited). A cell over budget becomes
 //!   a typed timeout rendered `n/a`; the sweep continues. Wall-clock
@@ -70,8 +73,9 @@
 //!   (default 0 = unlimited). Deterministic: fires at the exact cycle
 //!   on every machine and job count.
 //! * `SMTSIM_CELL_RETRIES` — retries per transiently-failed cell
-//!   (default 0). Retries run after all first attempts, in an order
-//!   derived from `SEED` — deterministic backoff, not wall-clock.
+//!   (default 0). A failed attempt is retried at once; the attempt
+//!   number only selects the fault plan, so retries are deterministic
+//!   and the output is byte-identical at any `SMTSIM_JOBS`.
 //!
 //! Conformance knobs (consumed by the `conform` bin, DESIGN.md §12):
 //!
@@ -116,7 +120,7 @@ pub mod spec_run;
 pub use env::{try_env_u64, BenchEnv};
 pub use spec_run::{run_named_spec, run_spec, spec_dir};
 
-use smtsim_pipeline::{FaultPlan, SimError};
+use smtsim_pipeline::SimError;
 use smtsim_rob2::{JournalError, Lab};
 
 /// A harness binary failure, classified by the workspace-wide exit
@@ -194,58 +198,6 @@ pub fn run_bin(f: impl FnOnce() -> Result<(), BinError>) -> ! {
     }
 }
 
-/// Builds the lab `env` describes and pre-validates its resilience
-/// configuration: an armed `SMTSIM_JOURNAL` is opened *here*, so a
-/// stale or damaged journal surfaces as a typed [`BinError`] (exit 2
-/// or 1) instead of a mid-sweep panic. Logs a resume note when the
-/// journal already holds completed cells.
-pub fn prepared_lab(env: &BenchEnv) -> Result<Lab, BinError> {
-    let mut lab = env.lab();
-    let resumed = lab.open_journal()?;
-    if resumed > 0 {
-        eprintln!("journal: resuming — {resumed} completed cell(s) on file");
-    }
-    Ok(lab)
-}
-
-/// Reads the environment knobs from the module header and builds the
-/// experiment driver. Thin wrapper over [`BenchEnv::from_env`] +
-/// [`BenchEnv::lab`].
-pub fn try_lab_from_env() -> Result<Lab, SimError> {
-    BenchEnv::from_env().map(|e| e.lab())
-}
-
-/// Infallible form of [`try_lab_from_env`] for the figure binaries:
-/// exits with status 2 on a malformed knob.
-pub fn lab_from_env() -> Lab {
-    BenchEnv::read().lab()
-}
-
-/// Builds a [`FaultPlan`] from the `FAULT_*` environment knobs, or
-/// `None` when every category is off. Thin wrapper over
-/// [`BenchEnv::from_env`].
-pub fn try_fault_plan_from_env() -> Result<Option<FaultPlan>, SimError> {
-    BenchEnv::from_env().map(|e| e.fault)
-}
-
-/// Infallible form of [`try_fault_plan_from_env`]: exits with status 2
-/// on a malformed knob.
-pub fn fault_plan_from_env() -> Option<FaultPlan> {
-    BenchEnv::read().fault
-}
-
-/// Reads `MIXES` from the environment (default: all 11 paper mixes).
-/// Thin wrapper over [`BenchEnv::from_env`].
-pub fn try_mixes_from_env() -> Result<Vec<usize>, SimError> {
-    BenchEnv::from_env().map(|e| e.mixes)
-}
-
-/// Infallible form of [`try_mixes_from_env`] for the figure binaries:
-/// exits with status 2 on a malformed entry.
-pub fn mixes_from_env() -> Vec<usize> {
-    BenchEnv::read().mixes
-}
-
 /// A small lab for Criterion benches: low budget, reduced warm-up.
 pub fn bench_lab(seed: u64) -> Lab {
     Lab::new(seed)
@@ -285,13 +237,17 @@ mod tests {
     fn smtsim_jobs_knob_pins_the_worker_count() {
         let _g = ENV_LOCK.lock().unwrap();
         std::env::set_var("SMTSIM_JOBS", "4");
-        let lab = lab_from_env();
+        let lab = BenchEnv::from_env().unwrap().lab();
         assert_eq!(lab.jobs, Some(4));
         assert_eq!(lab.effective_jobs(), 4);
         std::env::set_var("SMTSIM_JOBS", "0");
-        assert_eq!(lab_from_env().jobs, None, "0 means auto");
+        assert_eq!(
+            BenchEnv::from_env().unwrap().lab().jobs,
+            None,
+            "0 means auto"
+        );
         std::env::set_var("SMTSIM_JOBS", "four");
-        let Err(err) = try_lab_from_env() else {
+        let Err(err) = BenchEnv::from_env() else {
             panic!("SMTSIM_JOBS=four must be rejected")
         };
         assert_eq!(err.kind(), "invalid-config");
@@ -302,7 +258,7 @@ mod tests {
     #[test]
     fn fault_plan_from_env_is_none_by_default() {
         let _g = ENV_LOCK.lock().unwrap();
-        assert_eq!(fault_plan_from_env(), None);
+        assert_eq!(BenchEnv::from_env().unwrap().fault, None);
     }
 
     #[test]
@@ -324,7 +280,7 @@ mod tests {
     fn malformed_budget_fails_lab_construction() {
         let _g = ENV_LOCK.lock().unwrap();
         std::env::set_var("ST_BUDGET", "lots");
-        let Err(err) = try_lab_from_env() else {
+        let Err(err) = BenchEnv::from_env() else {
             panic!("ST_BUDGET=lots must be rejected")
         };
         std::env::remove_var("ST_BUDGET");
@@ -336,14 +292,14 @@ mod tests {
     fn malformed_and_out_of_range_mixes_are_typed_config_errors() {
         let _g = ENV_LOCK.lock().unwrap();
         std::env::set_var("MIXES", "1,two,3");
-        let err = try_mixes_from_env().expect_err("'two' must not parse");
+        let err = BenchEnv::from_env().expect_err("'two' must not parse");
         assert_eq!(err.kind(), "invalid-config");
         assert!(err.to_string().contains("'two'"), "{err}");
         std::env::set_var("MIXES", "1,12");
-        let err = try_mixes_from_env().expect_err("12 is out of range");
+        let err = BenchEnv::from_env().expect_err("12 is out of range");
         assert!(err.to_string().contains("out of range"), "{err}");
         std::env::set_var("MIXES", "2, 9");
-        assert_eq!(try_mixes_from_env().unwrap(), vec![2, 9]);
+        assert_eq!(BenchEnv::from_env().unwrap().mixes, vec![2, 9]);
         std::env::remove_var("MIXES");
     }
 
@@ -368,28 +324,28 @@ mod tests {
     fn resilience_knobs_arm_the_lab() {
         let _g = ENV_LOCK.lock().unwrap();
         // Defaults: everything off, no footer machinery armed.
-        let lab = lab_from_env();
+        let lab = BenchEnv::from_env().unwrap().lab();
         assert!(!lab.resilience_active());
-        std::env::set_var("SMTSIM_JOURNAL", "/tmp/j.jsonl");
+        std::env::set_var("SMTSIM_JOURNAL", "/tmp/smtsim-cache");
         std::env::set_var("SMTSIM_CELL_TIMEOUT", "1500");
         std::env::set_var("SMTSIM_CELL_CYCLES", "200000");
         std::env::set_var("SMTSIM_CELL_RETRIES", "2");
         let env = BenchEnv::from_env().unwrap();
         let lab = env.lab();
         assert_eq!(
-            lab.journal_path.as_deref(),
-            Some(std::path::Path::new("/tmp/j.jsonl"))
+            lab.cache.as_ref().map(|c| c.dir()),
+            Some(std::path::Path::new("/tmp/smtsim-cache"))
         );
         assert_eq!(lab.cell_wall_ms, Some(1_500));
         assert_eq!(lab.cell_cycle_budget, Some(200_000));
         assert_eq!(lab.retries, 2);
         assert!(lab.resilience_active());
-        // 0 means "unlimited", and an empty journal path means "off".
+        // 0 means "unlimited", and an empty cache path means "off".
         std::env::set_var("SMTSIM_JOURNAL", "  ");
         std::env::set_var("SMTSIM_CELL_TIMEOUT", "0");
         std::env::set_var("SMTSIM_CELL_CYCLES", "0");
         std::env::set_var("SMTSIM_CELL_RETRIES", "0");
-        let lab = lab_from_env();
+        let lab = BenchEnv::from_env().unwrap().lab();
         assert!(!lab.resilience_active());
         std::env::set_var("SMTSIM_CELL_RETRIES", "two");
         let err = BenchEnv::from_env().expect_err("'two' must not parse");
@@ -445,8 +401,8 @@ mod tests {
             .collect();
         stems.sort();
         assert!(
-            stems.len() >= 19,
-            "all 18 bins plus l2_partition_sweep have committed specs, got {stems:?}"
+            stems.len() >= 17,
+            "all 16 spec-backed bins plus l2_partition_sweep have committed specs, got {stems:?}"
         );
         for stem in &stems {
             let path = dir.join(format!("{stem}.toml"));

@@ -1,8 +1,8 @@
 //! Bench-layer glue for the `smtsim-serve` daemon (DESIGN.md §17):
 //! the env-to-[`ServeConfig`] funnel, the [`SpecLowering`] strategy
 //! that makes served bytes identical to the offline `spec` bin, and a
-//! minimal blocking client the `serve_bench` runner and the serve test
-//! suites speak the wire protocol with.
+//! minimal blocking client the serve test suites and the benchmark
+//! ledger speak the wire protocol with.
 //!
 //! The daemon crate itself is deliberately env-free; every
 //! `SMTSIM_SERVE_*` knob is parsed in [`BenchEnv`] like all the

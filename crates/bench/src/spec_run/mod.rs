@@ -14,17 +14,12 @@
 //! * figure / histogram / table1 / table2 / accuracy — [`figures`];
 //! * episodes (trace dump) — [`trace`];
 //! * conform / check — the differential and model-checking suites;
-//! * resume / sweep-bench / serve-bench — the resilience, sweep and
-//!   daemon-cache wall-clock benches;
 //! * suite — renders each listed sibling spec into `results/<id>.txt`.
 
 mod check;
 mod conform;
 pub(crate) mod figures;
-mod resume;
-mod serve_bench;
 mod suite;
-mod sweep_bench;
 mod trace;
 
 use crate::{BenchEnv, BinError};
@@ -61,9 +56,6 @@ pub fn run_spec(path: &Path) -> Result<(), BinError> {
         SpecKind::Episodes => trace::run(&merged, &spec),
         SpecKind::Conform => conform::run(&merged),
         SpecKind::Check => check::run(&merged),
-        SpecKind::Resume => resume::run(&merged, &spec),
-        SpecKind::SweepBench => sweep_bench::run(&merged, &spec, path),
-        SpecKind::ServeBench => serve_bench::run(&merged, &spec, path),
         SpecKind::Suite => suite::run(&merged, &spec, path),
     }
 }
@@ -75,16 +67,15 @@ fn sibling_spec(parent: &Path, id: &str) -> Result<ExperimentSpec, BinError> {
     Ok(ExperimentSpec::load(&dir.join(format!("{id}.toml")))?)
 }
 
-/// Builds the spec's lab and pre-validates its resilience
-/// configuration — the spec-layer analogue of [`crate::prepared_lab`]:
-/// an armed `SMTSIM_JOURNAL` is opened *here*, so a stale or damaged
-/// journal surfaces as a typed [`BinError`] instead of a mid-sweep
-/// panic.
+/// Builds the spec's lab and pre-validates its result cache: the
+/// shard an armed `SMTSIM_JOURNAL` directory holds for the lab's
+/// universe is opened *here*, so a damaged cache surfaces as a typed
+/// [`BinError`] instead of a mid-sweep panic.
 fn prepared_spec_lab(env: &BenchEnv, spec: &ExperimentSpec) -> Result<Lab, BinError> {
-    let mut lab = env.lab_for_spec(spec);
-    let resumed = lab.open_journal()?;
-    if resumed > 0 {
-        eprintln!("journal: resuming — {resumed} completed cell(s) on file");
+    let lab = env.lab_for_spec(spec);
+    let on_file = lab.cache_shard()?.map_or(0, |shard| shard.len());
+    if on_file > 0 {
+        eprintln!("journal: resuming — {on_file} completed cell(s) on file");
     }
     Ok(lab)
 }

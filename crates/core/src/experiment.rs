@@ -10,14 +10,18 @@
 //! precomputes every normalization run the cells need into an
 //! immutable [`NormTable`]; phase 2 fans the `mix × config` cells out
 //! across scoped worker threads (`SMTSIM_JOBS` via the figure
-//! binaries), each panic-isolated, and merges results in input order —
-//! so rendered figures are byte-identical at any job count.
+//! binaries), each through the one per-cell attempt loop
+//! ([`Lab::run_cell_with_retries`]), and merges results in input
+//! order — so rendered figures are byte-identical at any job count.
 
-use crate::journal::{self, cell_key, Journal, JournalEntry, JournalError};
+use crate::cache::ResultCache;
+use crate::journal::{self, cell_key, Journal, JournalError};
 use crate::metrics::{fair_throughput, weighted_ipc};
 use crate::twolevel::{TwoLevelConfig, TwoLevelRob, TwoLevelStats};
 use smtsim_analysis::{DodAnalysis, L1_WINDOW};
-use smtsim_obs::{Episode, EpisodeReconstructor, MetricsRegistry, TraceEvent, TraceLog, Tracer};
+use smtsim_obs::{
+    Episode, EpisodeReconstructor, MetricsRegistry, NoopTracer, TraceEvent, TraceLog, Tracer,
+};
 use smtsim_pipeline::{
     CancelToken, DodBounds, FaultPlan, FaultStats, FixedRob, MachineConfig, RobAllocator,
     RunBudget, SimError, SimStats, Simulator, StopCondition,
@@ -26,7 +30,6 @@ use smtsim_workload::{mix, Workload};
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -118,6 +121,20 @@ pub struct TracedMixRun {
     pub metrics: MetricsRegistry,
 }
 
+impl TracedMixRun {
+    /// Folds a cell's collected event log into its two standard
+    /// reductions.
+    fn fold(run: MixRun, log: TraceLog) -> TracedMixRun {
+        let events = log.into_events();
+        TracedMixRun {
+            run,
+            episodes: EpisodeReconstructor::from_events(&events),
+            metrics: MetricsRegistry::from_events(&events),
+            events,
+        }
+    }
+}
+
 /// Cache key of one memoized normalization run. Every input that can
 /// change the measured single-threaded IPC participates: the workload
 /// (`mix`, `slot`, `seed`), the run length (`st_budget`, `warmup`),
@@ -200,29 +217,19 @@ fn catch_cell<T>(f: impl FnOnce() -> T) -> Result<T, SimError> {
     })
 }
 
-/// SplitMix64 — the deterministic mixer behind the retry layer's
-/// seeded backoff ordering (wall-clock randomness would break the
-/// byte-identity guarantees of resumed sweeps).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Outcome of one sweep cell under the resilient engine
-/// ([`Lab::sweep_cells`]).
+/// Outcome of one sweep cell ([`Lab::sweep_cells`], or one cell a
+/// serve daemon streamed).
 #[derive(Clone, Debug)]
 pub struct CellOutcome {
     /// The final result, after any retries (or as loaded from the
-    /// journal).
+    /// result cache).
     pub result: Result<MixRun, SimError>,
-    /// Attempts the cell took (1 = first try). Journal hits report the
+    /// Attempts the cell took (1 = first try). Cache hits report the
     /// attempt count recorded when the cell originally completed, so
     /// this field — and everything derived from it — is identical
     /// between a resumed sweep and an uninterrupted one.
     pub attempts: u32,
-    /// True when the result was loaded from the journal instead of run.
+    /// True when the result was loaded from the cache instead of run.
     pub from_journal: bool,
 }
 
@@ -307,12 +314,19 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
+    /// A report over `outcomes` (one per cell, in input order), with
+    /// the health summary folded from them.
+    pub fn new(outcomes: Vec<CellOutcome>) -> SweepReport {
+        let health = SweepHealth::from_outcomes(&outcomes);
+        SweepReport { outcomes, health }
+    }
+
     /// Strips the report down to the classic result vector.
     pub fn results(self) -> Vec<Result<MixRun, SimError>> {
         self.outcomes.into_iter().map(|o| o.result).collect()
     }
 
-    /// Cells served from the journal instead of being re-run. (Path-
+    /// Cells served from the result cache instead of being re-run. (Path-
     /// *dependent* by nature — this is deliberately not part of
     /// [`SweepHealth`] and never rendered into figures.)
     pub fn journal_hits(&self) -> usize {
@@ -364,13 +378,12 @@ pub struct Lab {
     /// [`Lab::set_transient_fault`]); these model faults the retry
     /// layer can recover from.
     transient_faults: BTreeMap<usize, (FaultPlan, u32)>,
-    /// Resumable sweep-journal path (`SMTSIM_JOURNAL`); `None` = no
-    /// journaling. See [`crate::journal`].
-    pub journal_path: Option<PathBuf>,
-    /// The open journal (lazily created from `journal_path`, dropped
-    /// whenever the lab state — and therefore the universe
-    /// fingerprint — changes).
-    journal: Option<Arc<Journal>>,
+    /// Persistent result cache (`SMTSIM_JOURNAL` names its directory;
+    /// the serve daemon shares one across requests); `None` = nothing
+    /// persisted. Every sweep reads and appends the shard of the lab's
+    /// *current* [`Lab::journal_universe`], so a mutated lab can never
+    /// be served another universe's cells. See [`crate::cache`].
+    pub cache: Option<Arc<ResultCache>>,
     /// Simulated-cycle ceiling per sweep cell (`SMTSIM_CELL_CYCLES`);
     /// the deterministic watchdog. `None` = unlimited.
     pub cell_cycle_budget: Option<u64>,
@@ -397,13 +410,6 @@ pub struct Lab {
     /// [`Lab::jobs`]: deliberately not part of [`NormKey`] or the
     /// journal universe fingerprint.
     pub cancel: Option<CancelToken>,
-    /// Content fingerprint of the experiment spec driving this lab
-    /// (see [`crate::spec::ExperimentSpec::fingerprint`]); `None` for
-    /// labs built outside the spec layer. Part of the journal universe:
-    /// a journal resumed against an edited spec is rejected with a
-    /// typed [`JournalError::UniverseMismatch`] instead of silently
-    /// mixing universes.
-    pub spec_fingerprint: Option<String>,
 }
 
 impl Lab {
@@ -422,23 +428,26 @@ impl Lab {
             global_fault: None,
             mix_faults: BTreeMap::new(),
             transient_faults: BTreeMap::new(),
-            journal_path: None,
-            journal: None,
+            cache: None,
             cell_cycle_budget: None,
             cell_wall_ms: None,
             retries: 0,
             cycle_skip: true,
             cancel: None,
-            spec_fingerprint: None,
         }
     }
 
+    // The builders below mutate fields directly. Neither cache needs
+    // invalidating *by construction*: every field a cached value
+    // depends on is part of its key ([`NormKey`] for normalization
+    // runs, [`Lab::journal_universe`] for cells), so a changed field
+    // misses instead of hitting a stale entry (and restoring the old
+    // value legitimately re-hits the old entries).
+
     /// Overrides the commit budgets.
     pub fn with_budgets(mut self, mt: u64, st: u64) -> Self {
-        self.change_state(|lab| {
-            lab.mt_budget = mt;
-            lab.st_budget = st;
-        });
+        self.mt_budget = mt;
+        self.st_budget = st;
         self
     }
 
@@ -446,7 +455,7 @@ impl Lab {
     /// thread).
     #[must_use]
     pub fn with_warmup(mut self, insts: u64) -> Self {
-        self.change_state(|lab| lab.warmup = insts);
+        self.warmup = insts;
         self
     }
 
@@ -454,7 +463,7 @@ impl Lab {
     /// parallelism; the sweep output is byte-identical either way).
     #[must_use]
     pub fn with_jobs(mut self, jobs: Option<usize>) -> Self {
-        self.change_state(|lab| lab.jobs = jobs);
+        self.jobs = jobs;
         self
     }
 
@@ -462,17 +471,16 @@ impl Lab {
     /// normalization runs.
     #[must_use]
     pub fn with_norm(mut self, norm: RobConfig) -> Self {
-        self.change_state(|lab| lab.norm = norm);
+        self.norm = norm;
         self
     }
 
-    /// Arms the resumable on-disk journal: completed sweep cells are
-    /// appended to `path` and skipped on the next sweep over the same
-    /// experiment universe (`SMTSIM_JOURNAL`).
+    /// Arms (or clears) the persistent result cache: sweeps skip every
+    /// cell already stored under the lab's universe and append each
+    /// newly completed one (see the [`Lab::cache`] field).
     #[must_use]
-    pub fn with_journal(mut self, path: impl Into<PathBuf>) -> Self {
-        let path = path.into();
-        self.change_state(|lab| lab.journal_path = Some(path));
+    pub fn with_cache(mut self, cache: Option<Arc<ResultCache>>) -> Self {
+        self.cache = cache;
         self
     }
 
@@ -480,7 +488,7 @@ impl Lab {
     /// sweep cell (`SMTSIM_CELL_CYCLES`; `None` = unlimited).
     #[must_use]
     pub fn with_cell_cycle_budget(mut self, cycles: Option<u64>) -> Self {
-        self.change_state(|lab| lab.cell_cycle_budget = cycles);
+        self.cell_cycle_budget = cycles;
         self
     }
 
@@ -488,7 +496,7 @@ impl Lab {
     /// milliseconds (`SMTSIM_CELL_TIMEOUT`; `None` = unlimited).
     #[must_use]
     pub fn with_cell_wall_ms(mut self, ms: Option<u64>) -> Self {
-        self.change_state(|lab| lab.cell_wall_ms = ms);
+        self.cell_wall_ms = ms;
         self
     }
 
@@ -496,7 +504,7 @@ impl Lab {
     /// (`SMTSIM_CELL_RETRIES`).
     #[must_use]
     pub fn with_retries(mut self, retries: u32) -> Self {
-        self.change_state(|lab| lab.retries = retries);
+        self.retries = retries;
         self
     }
 
@@ -505,46 +513,16 @@ impl Lab {
     /// the output is byte-identical either way.
     #[must_use]
     pub fn with_cycle_skip(mut self, enabled: bool) -> Self {
-        self.change_state(|lab| lab.cycle_skip = enabled);
-        self
-    }
-
-    /// Stamps the lab with the content fingerprint of the experiment
-    /// spec that configured it, binding any journal to that exact spec
-    /// (`None` clears the stamp).
-    #[must_use]
-    pub fn with_spec_fingerprint(mut self, fingerprint: Option<String>) -> Self {
-        self.change_state(|lab| lab.spec_fingerprint = fingerprint);
+        self.cycle_skip = enabled;
         self
     }
 
     /// Arms (or clears) the cooperative per-cell cancellation token
-    /// (see the [`Lab::cancel`] field). Call before
-    /// [`Lab::adopt_journal`] / [`Lab::open_journal`]: like every
-    /// builder it routes through the state-change funnel, which drops
-    /// any open journal handle.
+    /// (see the [`Lab::cancel`] field).
     #[must_use]
     pub fn with_cancel_token(mut self, token: Option<CancelToken>) -> Self {
-        self.change_state(|lab| lab.cancel = token);
+        self.cancel = token;
         self
-    }
-
-    /// The single funnel for builder-style state changes. The
-    /// normalization cache needs no flushing here *by construction*:
-    /// every run-relevant field participates in [`NormKey`], so a
-    /// changed field misses the cache instead of hitting a stale entry
-    /// (and restoring the old value legitimately re-hits the old
-    /// entry). Route any new `with_*` mutation through this point — if
-    /// the cache ever grows state [`NormKey`] cannot see, this is the
-    /// one place that must learn to invalidate it.
-    fn change_state(&mut self, apply: impl FnOnce(&mut Self)) {
-        apply(self);
-        // A state change may move the lab into a different experiment
-        // universe; drop any open journal so the next sweep re-opens —
-        // and re-validates — it under the new universe fingerprint.
-        // (Direct field mutation bypasses this funnel; the engine
-        // re-checks the fingerprint at every `ensure_journal`.)
-        self.journal = None;
     }
 
     /// Installs a fault plan for multithreaded runs: `mix = None` sets a
@@ -553,12 +531,12 @@ impl Lab {
     /// never faulted — they define the healthy reference every weighted
     /// IPC is measured against.
     pub fn set_fault(&mut self, mix: Option<usize>, plan: FaultPlan) {
-        self.change_state(|lab| match mix {
-            None => lab.global_fault = Some(plan),
+        match mix {
+            None => self.global_fault = Some(plan),
             Some(i) => {
-                lab.mix_faults.insert(i, plan);
+                self.mix_faults.insert(i, plan);
             }
-        });
+        }
     }
 
     /// Installs a *transient* fault plan for `mix`: the plan applies
@@ -567,18 +545,14 @@ impl Lab {
     /// active. This models a fault that clears on re-run — the retry
     /// layer's recovery target (and its test fixture).
     pub fn set_transient_fault(&mut self, mix: usize, plan: FaultPlan, active_attempts: u32) {
-        self.change_state(|lab| {
-            lab.transient_faults.insert(mix, (plan, active_attempts));
-        });
+        self.transient_faults.insert(mix, (plan, active_attempts));
     }
 
     /// Removes all installed fault plans (persistent and transient).
     pub fn clear_faults(&mut self) {
-        self.change_state(|lab| {
-            lab.global_fault = None;
-            lab.mix_faults.clear();
-            lab.transient_faults.clear();
-        });
+        self.global_fault = None;
+        self.mix_faults.clear();
+        self.transient_faults.clear();
     }
 
     /// The plan a multithreaded run of `mix_idx` would use, if any.
@@ -661,13 +635,11 @@ impl Lab {
     /// Pre-warms the normalization cache from a [`NormTable`] computed
     /// earlier. Entries are keyed under the lab's *current* state, so
     /// the caller must only seed tables measured under the same seed,
-    /// budgets, warm-up, machine and norm reference — the serve daemon
-    /// enforces this by storing tables per [`Lab::journal_universe`],
-    /// which covers every one of those fields. Only healthy entries
-    /// are seeded: errors are never cached, exactly as in
-    /// [`Lab::try_single_ipc`]. Deliberately bypasses the state-change
-    /// funnel — warming the cache mutates no universe-relevant state,
-    /// so an open journal stays valid.
+    /// budgets, warm-up, machine and norm reference — the
+    /// [`ResultCache`] enforces this by storing tables per
+    /// [`Lab::journal_universe`], which covers every one of those
+    /// fields. Only healthy entries are seeded: errors are never
+    /// cached, exactly as in [`Lab::try_single_ipc`].
     pub fn seed_norm_cache(&mut self, table: &NormTable) {
         let norm = self.norm;
         for (&(m, slot), r) in &table.entries {
@@ -696,8 +668,14 @@ impl Lab {
     /// serially, in ascending `(mix, slot)` order, and snapshots the
     /// results into an immutable [`NormTable`]. A mix whose very
     /// instantiation panics is skipped here — its phase-2 cells hit
-    /// the same panic and report it per cell.
+    /// the same panic and report it per cell. With a [`Lab::cache`]
+    /// armed, the memo is first warmed from the cache's table for the
+    /// lab's universe and the result is folded back into it.
     pub fn norm_table(&mut self, mixes: &[usize]) -> NormTable {
+        let warm = self.cache.clone().map(|c| (c, self.journal_universe()));
+        if let Some((cache, universe)) = &warm {
+            cache.seed_lab(universe, self);
+        }
         let mut sorted: Vec<usize> = mixes.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
@@ -712,7 +690,11 @@ impl Lab {
                 entries.insert((m, slot), r);
             }
         }
-        NormTable { entries }
+        let table = NormTable { entries };
+        if let Some((cache, universe)) = &warm {
+            cache.store_norm(universe, &table);
+        }
+        table
     }
 
     /// Runs one `mix × config` cell against a phase-1 normalization
@@ -725,22 +707,7 @@ impl Lab {
         rob: RobConfig,
         norm: &NormTable,
     ) -> Result<MixRun, SimError> {
-        self.run_cell_attempt(mix_idx, rob, norm, 1)
-    }
-
-    /// [`Lab::run_cell`] at an explicit attempt number — the retry
-    /// layer's entry point. The attempt number only selects the fault
-    /// plan (see [`Lab::set_transient_fault`]); the simulation itself
-    /// is attempt-oblivious, so a retried cell that no longer faults
-    /// is byte-identical to a cell that never faulted.
-    fn run_cell_attempt(
-        &self,
-        mix_idx: usize,
-        rob: RobConfig,
-        norm: &NormTable,
-        attempt: u32,
-    ) -> Result<MixRun, SimError> {
-        self.run_cell_inner(mix_idx, rob, norm, smtsim_obs::NoopTracer, attempt)
+        self.run_cell_inner(mix_idx, rob, norm, NoopTracer, 1)
             .map(|(run, _)| run)
     }
 
@@ -754,35 +721,16 @@ impl Lab {
         rob: RobConfig,
         norm: &NormTable,
     ) -> Result<TracedMixRun, SimError> {
-        self.run_cell_traced_attempt(mix_idx, rob, norm, 1)
+        self.run_cell_inner(mix_idx, rob, norm, TraceLog::new(), 1)
+            .map(|(run, log)| TracedMixRun::fold(run, log))
     }
 
-    /// [`Lab::run_cell_traced`] at an explicit attempt number (see
-    /// [`Lab::run_cell_attempt`]).
-    fn run_cell_traced_attempt(
-        &self,
-        mix_idx: usize,
-        rob: RobConfig,
-        norm: &NormTable,
-        attempt: u32,
-    ) -> Result<TracedMixRun, SimError> {
-        let (run, log) = self.run_cell_inner(mix_idx, rob, norm, TraceLog::new(), attempt)?;
-        let events = log.into_events();
-        let episodes = EpisodeReconstructor::from_events(&events);
-        let metrics = MetricsRegistry::from_events(&events);
-        Ok(TracedMixRun {
-            run,
-            events,
-            episodes,
-            metrics,
-        })
-    }
-
-    /// Shared body of [`Lab::run_cell`] and [`Lab::run_cell_traced`]:
-    /// builds the simulator through [`Simulator::builder`] (bounds →
-    /// fault plan → warm-up, tracing armed last), runs the mix and
-    /// computes the metrics. Returns the tracer so traced callers can
-    /// fold the collected stream.
+    /// Shared body of [`Lab::run_cell`], [`Lab::run_cell_traced`] and
+    /// [`Lab::run_cell_with_retries`]: builds the simulator through
+    /// [`Simulator::builder`] (bounds → fault plan for `attempt` →
+    /// warm-up, tracing armed last), runs the mix and computes the
+    /// metrics. Returns the tracer so traced callers can fold the
+    /// collected stream.
     fn run_cell_inner<T: Tracer>(
         &self,
         mix_idx: usize,
@@ -850,23 +798,94 @@ impl Lab {
         Ok((run, sim.into_tracer()))
     }
 
+    /// One cell through the attempt loop — the only retry path, shared
+    /// by every sweep and by embedding schedulers (the serve daemon's
+    /// worker pool) that dispatch cells themselves. Each attempt runs
+    /// panic-isolated under the watchdog budgets with a fresh
+    /// `T::default()` tracer; a transiently failed attempt
+    /// ([`SimError::is_transient`]) is retried at once, up to
+    /// `1 + retries` attempts. The attempt number only selects the
+    /// fault plan (see [`Lab::set_transient_fault`]) and the
+    /// simulation itself is attempt-oblivious, so the result and the
+    /// attempt count are a pure function of the lab state and the
+    /// cell, and a retried cell that no longer faults is byte-identical
+    /// to one that never faulted. A cancelled lab ([`Lab::cancel`])
+    /// stops retrying immediately — retrying a request the client
+    /// abandoned would only burn worker time. Returns the final result
+    /// (with that attempt's tracer) and the attempts consumed.
+    pub fn run_cell_with_retries<T: Tracer + Default>(
+        &self,
+        m: usize,
+        cfg: RobConfig,
+        norm: &NormTable,
+    ) -> (Result<(MixRun, T), SimError>, u32) {
+        let max_attempts = self.retries.saturating_add(1);
+        let mut attempt = 1;
+        loop {
+            let res = catch_cell(|| self.run_cell_inner(m, cfg, norm, T::default(), attempt))
+                .and_then(|r| r);
+            let transient = res.as_ref().err().is_some_and(SimError::is_transient);
+            let cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
+            if res.is_ok() || !transient || cancelled || attempt >= max_attempts {
+                return (res, attempt);
+            }
+            attempt += 1;
+        }
+    }
+
+    /// Phase 2 of every sweep: evaluates `cell(i)` for `i in 0..n`
+    /// across [`Lab::effective_jobs`] scoped workers pulling from a
+    /// shared counter, and returns the results in index order — so the
+    /// output is identical at any job count, including the serial
+    /// `jobs = 1` path.
+    fn fan_out<R: Send>(&self, n: usize, cell: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        let jobs = self.effective_jobs().min(n.max(1));
+        if jobs <= 1 {
+            return (0..n).map(&cell).collect();
+        }
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            let (next, cell) = (&next, &cell);
+            let handles: Vec<_> = (0..jobs)
+                .map(|_| {
+                    s.spawn(move || {
+                        let mut out = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
+                            }
+                            out.push((i, cell(i)));
+                        }
+                        out
+                    })
+                })
+                .collect();
+            let mut merged = Vec::with_capacity(n);
+            for h in handles {
+                merged.extend(h.join().expect("cells are panic-isolated"));
+            }
+            merged.sort_by_key(|&(i, _)| i);
+            merged.into_iter().map(|(_, r)| r).collect()
+        })
+    }
+
     /// Runs a batch of `mix × config` cells and returns their results
     /// in input order.
     ///
     /// Phase 1 serially precomputes every normalization run the cells
     /// need ([`Lab::norm_table`]); the immutable table is then shared
     /// read-only by phase 2, which fans the cells out across
-    /// [`Lab::effective_jobs`] scoped worker threads pulling from a
-    /// shared work queue. Each cell is panic-isolated: a panicking
-    /// cell yields [`SimError::CellPanic`] — rendered `n/a` by the
-    /// figure layer — instead of killing the sweep. Results are merged
-    /// by input index, so the output (and every figure rendered from
-    /// it) is byte-identical at any job count, including the serial
-    /// `jobs = 1` path.
+    /// [`Lab::effective_jobs`] scoped worker threads. Each cell is
+    /// panic-isolated: a panicking cell yields [`SimError::CellPanic`]
+    /// — rendered `n/a` by the figure layer — instead of killing the
+    /// sweep. Results are merged by input index, so the output (and
+    /// every figure rendered from it) is byte-identical at any job
+    /// count, including the serial `jobs = 1` path.
     ///
     /// This is [`Lab::sweep_cells`] stripped down to the classic
-    /// result vector; all resilience features (journal, watchdog,
-    /// retries) apply.
+    /// result vector; all resilience features (result cache,
+    /// watchdog, retries) apply.
     pub fn sweep(&mut self, cells: &[SweepCell]) -> Vec<Result<MixRun, SimError>> {
         self.sweep_cells(cells).results()
     }
@@ -874,237 +893,102 @@ impl Lab {
     /// The resilient sweep: [`Lab::sweep`] returning per-cell
     /// [`CellOutcome`]s and a [`SweepHealth`] summary.
     ///
-    /// When a journal is armed ([`Lab::with_journal`] /
-    /// `SMTSIM_JOURNAL`), cells already journaled under the current
-    /// experiment universe are served from disk without re-running, and
-    /// every newly-completed cell is appended durably the moment it
-    /// finishes — so a killed sweep, relaunched with the same journal,
-    /// resumes after the last completed cell and produces byte-identical
-    /// results. Failed cells are never journaled; they re-run (still
-    /// deterministically) on resume.
+    /// When a result cache is armed ([`Lab::with_cache`] /
+    /// `SMTSIM_JOURNAL`), cells already stored under the current
+    /// experiment universe are served from disk without re-running,
+    /// and every newly completed cell is appended durably the moment
+    /// it finishes — so a killed sweep, relaunched on the same cache,
+    /// resumes after the last completed cell and produces
+    /// byte-identical results. Failed cells are never stored; they
+    /// re-run (still deterministically) on resume.
     ///
-    /// When retries are armed ([`Lab::with_retries`] /
-    /// `SMTSIM_CELL_RETRIES`), transiently-failed cells
-    /// ([`SimError::is_transient`]) are re-enqueued for later rounds:
-    /// the deterministic analogue of backoff — every first-attempt cell
-    /// runs before any retry, and retry order within a round is drawn
-    /// from the lab seed via SplitMix64, never from wall-clock
-    /// randomness. The outcome vector stays byte-identical at any
-    /// `SMTSIM_JOBS`.
+    /// Every cell that runs goes through [`Lab::run_cell_with_retries`]
+    /// (`SMTSIM_CELL_RETRIES`), so the outcome vector stays
+    /// byte-identical at any `SMTSIM_JOBS`.
     ///
     /// # Panics
-    /// Panics if an armed journal cannot be opened or is stale
-    /// (version/universe mismatch) — entry points that own a journal
-    /// path pre-validate with [`Lab::open_journal`] and map the typed
-    /// error to an exit code instead.
+    /// Panics if an armed cache shard cannot be opened (I/O failure or
+    /// a corrupt record) — entry points that arm a cache pre-validate
+    /// with [`Lab::cache_shard`] and map the typed error to an exit
+    /// code instead.
     pub fn sweep_cells(&mut self, cells: &[SweepCell]) -> SweepReport {
-        let journal = self.ensure_journal();
+        let shard = match self.cache_shard() {
+            Ok(shard) => shard,
+            Err(e) => panic!("result cache unusable: {e}"),
+        };
+        let shard = shard.as_deref();
         let mixes: Vec<usize> = cells.iter().map(|&(m, _)| m).collect();
         let norm = self.norm_table(&mixes);
-        let keys: Vec<String> = cells
-            .iter()
-            .map(|&(m, cfg)| cell_key(m, &cfg.fingerprint()))
-            .collect();
-        let journaled: Vec<Option<JournalEntry>> = keys
-            .iter()
-            .map(|k| journal.as_deref().and_then(|j| j.lookup(k)))
-            .collect();
-        let skip: Vec<bool> = journaled.iter().map(Option::is_some).collect();
-        let journal = journal.as_deref();
-        let keys = &keys;
-        let ran = self.sweep_engine(
-            cells,
-            &norm,
-            &skip,
-            &|i, run: &MixRun, attempts| {
-                if let Some(j) = journal {
-                    if let Err(e) = j.record(&keys[i], run, attempts) {
-                        // A dying disk must not kill a healthy sweep:
-                        // degrade to non-durable execution (results
-                        // unchanged; only resumability is lost).
-                        eprintln!("warning: sweep journal append failed ({e}); cell result kept in memory only");
-                    }
-                }
-            },
-            &|lab, m, cfg, norm, attempt| lab.run_cell_attempt(m, cfg, norm, attempt),
-        );
-        let outcomes: Vec<CellOutcome> = journaled
-            .into_iter()
-            .zip(ran)
-            .map(|(hit, ran)| match hit {
-                Some(entry) => CellOutcome {
-                    result: Ok(entry.run),
-                    attempts: entry.attempts,
+        let outcomes = self.fan_out(cells.len(), |i| {
+            let (m, cfg) = cells[i];
+            let key = cell_key(m, &cfg.fingerprint());
+            if let Some(hit) = shard.and_then(|j| j.lookup(&key)) {
+                return CellOutcome {
+                    result: Ok(hit.run),
+                    attempts: hit.attempts,
                     from_journal: true,
-                },
-                None => {
-                    let (result, attempts) = ran.expect("engine ran every non-journaled cell");
-                    CellOutcome {
-                        result,
-                        attempts,
-                        from_journal: false,
-                    }
+                };
+            }
+            let (result, attempts) = self.run_cell_with_retries::<NoopTracer>(m, cfg, &norm);
+            let result = result.map(|(run, _)| run);
+            if let (Some(j), Ok(run)) = (shard, &result) {
+                if let Err(e) = j.record(&key, run, attempts) {
+                    // A dying disk must not kill a healthy sweep:
+                    // degrade to non-durable execution (results
+                    // unchanged; only resumability is lost).
+                    eprintln!("warning: result cache append failed ({e}); cell result kept in memory only");
                 }
-            })
-            .collect();
-        let health = SweepHealth::from_outcomes(&outcomes);
-        SweepReport { outcomes, health }
+            }
+            CellOutcome {
+                result,
+                attempts,
+                from_journal: false,
+            }
+        });
+        SweepReport::new(outcomes)
     }
 
     /// [`Lab::sweep`] with tracing armed on every cell (see
     /// [`Lab::run_cell_traced`]). Same two-phase structure, same
-    /// panic isolation, same watchdog and retry layers, same
+    /// panic isolation, same watchdog and retry loop, same
     /// input-order merge — the traced output is byte-identical at any
-    /// job count. Traced sweeps are never journaled (the journal
+    /// job count. Traced sweeps never touch the result cache (it
     /// stores [`MixRun`]s, not event streams).
     pub fn sweep_traced(&mut self, cells: &[SweepCell]) -> Vec<Result<TracedMixRun, SimError>> {
         let mixes: Vec<usize> = cells.iter().map(|&(m, _)| m).collect();
         let norm = self.norm_table(&mixes);
-        let skip = vec![false; cells.len()];
-        self.sweep_engine(
-            cells,
-            &norm,
-            &skip,
-            &|_, _: &TracedMixRun, _| {},
-            &|lab, m, cfg, norm, attempt| lab.run_cell_traced_attempt(m, cfg, norm, attempt),
-        )
-        .into_iter()
-        .map(|o| o.expect("no cells are skipped in a traced sweep").0)
-        .collect()
-    }
-
-    /// The engine under [`Lab::sweep_cells`] and [`Lab::sweep_traced`]:
-    /// runs every non-`skip` cell through up to `1 + retries` rounds,
-    /// invoking `on_ok` the moment a cell first succeeds (the journal
-    /// append hook — called from worker threads, hence `Sync`).
-    /// Returns `(final result, attempts)` per cell, `None` for skipped
-    /// cells, in input order.
-    fn sweep_engine<R: Send>(
-        &self,
-        cells: &[SweepCell],
-        norm: &NormTable,
-        skip: &[bool],
-        on_ok: &(impl Fn(usize, &R, u32) + Sync),
-        run: &(impl Fn(&Lab, usize, RobConfig, &NormTable, u32) -> Result<R, SimError> + Sync),
-    ) -> Vec<Option<(Result<R, SimError>, u32)>> {
-        let mut results: Vec<Option<(Result<R, SimError>, u32)>> =
-            cells.iter().map(|_| None).collect();
-        // Round 1 visits pending cells in input order; retry rounds
-        // re-enqueue transient failures in a seeded order (deferred
-        // behind all first attempts — the deterministic analogue of
-        // backoff).
-        let mut queue: Vec<usize> = (0..cells.len()).filter(|&i| !skip[i]).collect();
-        let max_attempts = self.retries.saturating_add(1);
-        for attempt in 1..=max_attempts {
-            if queue.is_empty() {
-                break;
-            }
-            if attempt > 1 {
-                queue.sort_by_key(|&i| {
-                    (
-                        splitmix64(self.seed ^ (u64::from(attempt) << 32) ^ i as u64),
-                        i,
-                    )
-                });
-            }
-            let round = self.run_round(&queue, cells, norm, attempt, run);
-            let mut still = Vec::new();
-            for (i, res) in round {
-                if let Ok(r) = &res {
-                    on_ok(i, r, attempt);
-                } else if res.as_ref().err().is_some_and(SimError::is_transient)
-                    && attempt < max_attempts
-                {
-                    still.push(i);
-                }
-                results[i] = Some((res, attempt));
-            }
-            still.sort_unstable();
-            queue = still;
-        }
-        results
-    }
-
-    /// One engine round: fans `queue` (cell indices) out across
-    /// [`Lab::effective_jobs`] scoped workers, panic-isolating each
-    /// cell. Returns `(index, result)` pairs sorted by index.
-    fn run_round<R: Send>(
-        &self,
-        queue: &[usize],
-        cells: &[SweepCell],
-        norm: &NormTable,
-        attempt: u32,
-        run: &(impl Fn(&Lab, usize, RobConfig, &NormTable, u32) -> Result<R, SimError> + Sync),
-    ) -> Vec<(usize, Result<R, SimError>)> {
-        let jobs = self.effective_jobs().min(queue.len().max(1));
-        let this: &Lab = self;
-        if jobs <= 1 {
-            return queue
-                .iter()
-                .map(|&i| {
-                    let (m, cfg) = cells[i];
-                    (
-                        i,
-                        catch_cell(|| run(this, m, cfg, norm, attempt)).and_then(|r| r),
-                    )
-                })
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let next = &next;
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let qi = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&i) = queue.get(qi) else {
-                                break;
-                            };
-                            let (m, cfg) = cells[i];
-                            out.push((
-                                i,
-                                catch_cell(|| run(this, m, cfg, norm, attempt)).and_then(|r| r),
-                            ));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            let mut merged = Vec::with_capacity(queue.len());
-            for h in handles {
-                merged.extend(h.join().expect("workers catch cell panics"));
-            }
-            merged.sort_by_key(|&(i, _)| i);
-            merged
+        self.fan_out(cells.len(), |i| {
+            let (m, cfg) = cells[i];
+            let (result, _) = self.run_cell_with_retries::<TraceLog>(m, cfg, &norm);
+            result.map(|(run, log)| TracedMixRun::fold(run, log))
         })
     }
 
-    /// True when any resilience feature — journal, watchdog budget,
-    /// retries, transient faults — is configured. The figure layer
-    /// attaches the [`SweepHealth`] footer only in this case, so
+    /// True when any resilience feature — result cache, watchdog
+    /// budget, retries, transient faults — is configured. The figure
+    /// layer attaches the [`SweepHealth`] footer only in this case, so
     /// committed goldens produced by a plain lab stay byte-identical.
     pub fn resilience_active(&self) -> bool {
-        self.journal_path.is_some()
+        self.cache.is_some()
             || self.cell_cycle_budget.is_some()
             || self.cell_wall_ms.is_some()
             || self.retries > 0
             || !self.transient_faults.is_empty()
     }
 
-    /// The experiment-universe fingerprint the journal is keyed by:
-    /// every lab input that can change a cell's bytes (seed, budgets,
-    /// warm-up, normalization universe, machine, fault plans, the
-    /// resilience knobs themselves, and the driving spec's content
-    /// fingerprint) — but *not* the job count, which only changes
-    /// scheduling. A journal written under one fingerprint is rejected
-    /// under any other (never silently reused).
+    /// The experiment-universe fingerprint the result cache is sharded
+    /// by: every lab input that can change a cell's bytes (seed,
+    /// budgets, warm-up, normalization universe, machine, fault plans
+    /// and the resilience knobs themselves) — but *not* the job count,
+    /// cycle skipping or the cancellation token, which only change
+    /// scheduling. Which spec drove the lab is deliberately absent:
+    /// cell bytes depend only on the lowered lab state plus the cell
+    /// key, so specs that lower alike share cells.
     pub fn journal_universe(&self) -> String {
         journal::fingerprint_str(&format!(
             "v{} seed={} mt={} st={} warmup={} norm={} machine={:?} global_fault={:?} \
              mix_faults={:?} transient_faults={:?} cell_cycles={:?} cell_wall_ms={:?} \
-             retries={} spec={:?}",
+             retries={}",
             journal::JOURNAL_VERSION,
             self.seed,
             self.mt_budget,
@@ -1118,139 +1002,19 @@ impl Lab {
             self.cell_cycle_budget,
             self.cell_wall_ms,
             self.retries,
-            self.spec_fingerprint,
         ))
     }
 
-    /// Opens (or re-opens) the journal at [`Lab::journal_path`] under
-    /// the current universe fingerprint, returning how many completed
-    /// cells it already holds. `Ok(0)` when no path is armed. This is
-    /// the fallible entry point: bins and tests call it up front and
-    /// map [`JournalError`] to a diagnostic + exit code, so the panic
-    /// inside [`Lab::sweep_cells`] is unreachable for them.
-    pub fn open_journal(&mut self) -> Result<usize, JournalError> {
-        self.journal = None;
-        match self.journal_path.clone() {
-            None => Ok(0),
-            Some(path) => {
-                let j = Journal::open(&path, &self.journal_universe())?;
-                let n = j.len();
-                self.journal = Some(Arc::new(j));
-                Ok(n)
-            }
-        }
-    }
-
-    /// Installs an already-open shared [`Journal`] handle instead of
-    /// re-opening the file from [`Lab::journal_path`]. The serve
-    /// daemon holds one handle per experiment universe and shares it
-    /// across concurrent requests, so appends from every worker and
-    /// render pass serialize through a single file handle (and later
-    /// lookups observe earlier appends). The journal must have been
-    /// opened under the lab's *current* universe fingerprint; anything
-    /// else is a typed [`JournalError::UniverseMismatch`]. Call after
-    /// all `with_*` builder calls — any subsequent state change drops
-    /// the handle and the lab would re-open the path itself.
-    pub fn adopt_journal(&mut self, journal: Arc<Journal>) -> Result<(), JournalError> {
-        let expected = self.journal_universe();
-        if journal.universe() != expected {
-            return Err(JournalError::UniverseMismatch {
-                expected,
-                found: journal.universe().to_string(),
-            });
-        }
-        self.journal_path = Some(journal.path().to_path_buf());
-        self.journal = Some(journal);
-        Ok(())
-    }
-
-    /// The open journal for the *current* universe, if a path is
-    /// armed. Re-opens when no journal is open yet or the open one was
-    /// created under a different fingerprint (possible via direct
-    /// `pub` field mutation, which bypasses `change_state`).
-    fn ensure_journal(&mut self) -> Option<Arc<Journal>> {
-        let stale = match (&self.journal, &self.journal_path) {
-            (None, None) => false,
-            (Some(j), Some(_)) => j.universe() != self.journal_universe(),
-            _ => true,
-        };
-        if stale {
-            if let Err(e) = self.open_journal() {
-                panic!("sweep journal unusable: {e}");
-            }
-        }
-        self.journal.clone()
-    }
-
-    /// Crash-simulation entry point for resume tests: runs the sweep
-    /// serially with the journal armed and abandons it after `k` cells
-    /// have been *executed* (journal hits don't count), as if the
-    /// process had been killed at that point. Returns the number of
-    /// cells executed. Requires an armed journal path.
-    pub fn sweep_killed_after(
-        &mut self,
-        cells: &[SweepCell],
-        k: usize,
-    ) -> Result<usize, JournalError> {
-        if self.journal_path.is_none() {
-            return Err(JournalError::Io {
-                path: PathBuf::new(),
-                detail: "sweep_killed_after requires a journal path".into(),
-            });
-        }
-        self.open_journal()?;
-        let journal = self
-            .journal
-            .clone()
-            .expect("open_journal armed the journal");
-        let mixes: Vec<usize> = cells.iter().map(|&(m, _)| m).collect();
-        let norm = self.norm_table(&mixes);
-        let mut executed = 0usize;
-        for &(m, cfg) in cells {
-            if executed >= k {
-                break;
-            }
-            let key = cell_key(m, &cfg.fingerprint());
-            if journal.lookup(&key).is_some() {
-                continue;
-            }
-            let (res, attempts) = self.run_cell_with_retries(m, cfg, &norm);
-            if let Ok(run) = &res {
-                journal.record(&key, run, attempts)?;
-            }
-            executed += 1;
-        }
-        Ok(executed)
-    }
-
-    /// One cell through the full attempt loop — the serial form of the
-    /// engine's retry rounds. Per-cell results are identical to the
-    /// round-based engine's because cells are independent and attempt
-    /// progression is deterministic; only inter-cell scheduling
-    /// differs, which the input-order merge already erases. Public for
-    /// embedding schedulers (the serve daemon's worker pool) that
-    /// dispatch cells themselves but must keep the panic-isolation,
-    /// watchdog and retry semantics. Returns the result and the number
-    /// of attempts consumed. A cancelled lab ([`Lab::cancel`]) stops
-    /// retrying immediately — retrying a request the client abandoned
-    /// would only burn worker time.
-    pub fn run_cell_with_retries(
-        &self,
-        m: usize,
-        cfg: RobConfig,
-        norm: &NormTable,
-    ) -> (Result<MixRun, SimError>, u32) {
-        let max_attempts = self.retries.saturating_add(1);
-        let mut attempt = 1;
-        loop {
-            let res = catch_cell(|| self.run_cell_attempt(m, cfg, norm, attempt)).and_then(|r| r);
-            let transient = res.as_ref().err().is_some_and(SimError::is_transient);
-            let cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-            if res.is_ok() || !transient || cancelled || attempt >= max_attempts {
-                return (res, attempt);
-            }
-            attempt += 1;
-        }
+    /// The result-cache shard of the lab's *current* universe, opened
+    /// on first use; `Ok(None)` when no cache is armed. Entry points
+    /// that arm a cache call this up front to map a damaged shard to a
+    /// diagnostic and exit code, which makes the panic inside
+    /// [`Lab::sweep_cells`] unreachable for them.
+    pub fn cache_shard(&self) -> Result<Option<Arc<Journal>>, JournalError> {
+        self.cache
+            .as_ref()
+            .map(|c| c.shard(&self.journal_universe()))
+            .transpose()
     }
 
     /// Runs `mix_idx` under `rob` and computes all metrics.
@@ -1695,34 +1459,33 @@ mod tests {
 
     #[test]
     fn journal_skips_completed_cells_and_survives_universe_changes() {
-        let dir = std::env::temp_dir().join(format!("smtsim-journal-unit-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sweep.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let dir = std::env::temp_dir().join(format!("smtsim-cache-unit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Some(Arc::new(ResultCache::new(&dir)));
         let cells = [
             (1usize, RobConfig::Baseline(32)),
             (2usize, RobConfig::Baseline(32)),
         ];
         let plain = small_lab().sweep(&cells);
-        let mut lab = small_lab().with_journal(&path);
-        assert_eq!(lab.open_journal().unwrap(), 0, "fresh journal is empty");
+        let mut lab = small_lab().with_cache(cache.clone());
+        let shard = lab.cache_shard().unwrap().expect("cache armed");
+        assert!(shard.is_empty(), "fresh shard is empty");
         let first = lab.sweep_cells(&cells);
         assert_eq!(first.journal_hits(), 0);
         // Second sweep over the same universe: both cells come from
-        // the journal, and the bytes are identical to a plain sweep.
+        // the cache, and the bytes are identical to a plain sweep.
         let second = lab.sweep_cells(&cells);
         assert_eq!(second.journal_hits(), 2);
         assert_eq!(second.health, first.health);
         assert_eq!(format!("{:?}", second.results()), format!("{plain:?}"));
-        // A state change moves the lab to a new universe: the stale
-        // journal must be rejected, not silently reused.
-        let mut moved = small_lab().with_budgets(4_000, 4_000).with_journal(&path);
-        match moved.open_journal() {
-            Err(JournalError::UniverseMismatch { expected, found }) => {
-                assert_ne!(expected, found);
-            }
-            other => panic!("stale journal accepted: {other:?}"),
-        }
-        let _ = std::fs::remove_file(&path);
+        // Mutating the lab moves it to a new universe: its sweeps
+        // address a different, empty shard and never see the old cells.
+        lab.mt_budget = 4_000;
+        let moved = lab.cache_shard().unwrap().expect("cache armed");
+        assert_ne!(moved.path(), shard.path());
+        assert!(moved.is_empty());
+        assert_eq!(lab.sweep_cells(&cells).journal_hits(), 0);
+        assert_eq!(shard.len(), 2, "the old shard is untouched");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

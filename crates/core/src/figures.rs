@@ -142,6 +142,21 @@ pub fn ft_sweep(
         })
         .collect();
     let report = lab.sweep_cells(&cells);
+    ft_figure_from(lab, title, variants, mixes, report)
+}
+
+/// The figure-assembly half of [`ft_sweep`]: builds the FT figure from
+/// a finished report whose outcomes are in the configuration-major
+/// `variants × mixes` order [`ft_sweep`] dispatches. Public so a
+/// scheduler that ran the cells itself — the serve daemon, from the
+/// outcomes its workers streamed — renders exactly the offline bytes.
+pub fn ft_figure_from(
+    lab: &Lab,
+    title: &str,
+    variants: Vec<(String, RobConfig)>,
+    mixes: &[usize],
+    report: crate::SweepReport,
+) -> FigureData {
     let health = sweep_health_note(lab, &report);
     let mut results = report.results().into_iter();
     let mut failures = Vec::new();

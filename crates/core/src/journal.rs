@@ -1,10 +1,12 @@
-//! Resumable on-disk sweep journal.
+//! Resumable on-disk sweep journal: the shard format of the
+//! [`ResultCache`](crate::ResultCache).
 //!
 //! An append-only JSON-lines file recording one line per *completed*
-//! sweep cell, so a killed sweep relaunched with the same journal path
-//! skips every already-finished cell and still produces byte-identical
-//! figure output to an uninterrupted run (`SMTSIM_JOURNAL`, see
-//! EXPERIMENTS.md; format details in DESIGN.md §13).
+//! sweep cell, so a killed sweep relaunched on the same cache
+//! directory skips every already-finished cell and still produces
+//! byte-identical figure output to an uninterrupted run
+//! (`SMTSIM_JOURNAL`, see EXPERIMENTS.md; format details in DESIGN.md
+//! §13).
 //!
 //! Layout:
 //!

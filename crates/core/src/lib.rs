@@ -15,7 +15,9 @@
 //!   metric the paper reports;
 //! * [`Lab`] / [`figures`] — the experiment driver regenerating every
 //!   figure and table of §5 over the Table 2 benchmark mixes;
-//! * [`report`] — text rendering in the paper's row/series layout.
+//! * [`report`] — text rendering in the paper's row/series layout;
+//! * [`cache`] — the persistent content-addressed result cache offline
+//!   sweeps and the serve daemon share.
 //!
 //! The substrates live in sibling crates: the cycle-level SMT pipeline
 //! (`smtsim-pipeline`), memory hierarchy (`smtsim-mem`), predictors
@@ -31,6 +33,7 @@
 //! println!("FT {:.3} -> {:.3}", base.ft, two.ft);
 //! ```
 
+pub mod cache;
 pub mod experiment;
 pub mod figures;
 pub mod journal;
@@ -39,6 +42,7 @@ pub mod report;
 pub mod spec;
 pub mod twolevel;
 
+pub use cache::ResultCache;
 pub use experiment::{
     CellOutcome, Lab, MixRun, NormTable, RobConfig, SweepCell, SweepHealth, SweepReport,
     TracedMixRun,

@@ -24,12 +24,12 @@
 //!
 //! Every byte-affecting spec field participates in the **spec
 //! fingerprint**: the FNV hash of the spec's canonical rendering
-//! ([`ExperimentSpec::render`]). The fingerprint folds into the
-//! journal universe ([`crate::Lab::journal_universe`]), so a resumed
-//! `SMTSIM_JOURNAL` recorded against an edited spec fails with a typed
-//! universe mismatch instead of silently mixing results. Comment or
-//! formatting edits do not change the canonical rendering and
-//! therefore keep journals valid.
+//! ([`ExperimentSpec::render`]). Comment or formatting edits do not
+//! change the canonical rendering. The fingerprint is deliberately not
+//! part of the result-cache universe ([`crate::Lab::journal_universe`]):
+//! a cached cell depends only on the lab state the spec lowers to plus
+//! its cell key, so an edited spec that lowers alike reuses the cells
+//! it shares, and one that lowers differently addresses a new shard.
 
 pub mod registry;
 pub mod toml;
@@ -91,13 +91,6 @@ pub enum SpecKind {
     Conform,
     /// Bounded model checking + trace conformance.
     Check,
-    /// The kill-and-resume journal byte-identity proof.
-    Resume,
-    /// The wall-clock sweep benchmark over a list of figure specs.
-    SweepBench,
-    /// The cold-vs-warm serve-daemon benchmark over a figure spec
-    /// (in-process `smtsim-serve` round trip against a scratch cache).
-    ServeBench,
     /// A suite: renders each listed spec into `results/<id>.txt`.
     Suite,
 }
@@ -113,9 +106,6 @@ impl SpecKind {
         ("episodes", SpecKind::Episodes),
         ("conform", SpecKind::Conform),
         ("check", SpecKind::Check),
-        ("resume", SpecKind::Resume),
-        ("sweep-bench", SpecKind::SweepBench),
-        ("serve-bench", SpecKind::ServeBench),
         ("suite", SpecKind::Suite),
     ];
 
@@ -136,11 +126,7 @@ impl SpecKind {
     fn uses_schemes(self) -> bool {
         matches!(
             self,
-            SpecKind::Figure
-                | SpecKind::Histogram
-                | SpecKind::Accuracy
-                | SpecKind::Episodes
-                | SpecKind::Resume
+            SpecKind::Figure | SpecKind::Histogram | SpecKind::Accuracy | SpecKind::Episodes
         )
     }
 
@@ -148,20 +134,13 @@ impl SpecKind {
     fn needs_title(self) -> bool {
         matches!(
             self,
-            SpecKind::Figure
-                | SpecKind::Histogram
-                | SpecKind::Accuracy
-                | SpecKind::Episodes
-                | SpecKind::Resume
+            SpecKind::Figure | SpecKind::Histogram | SpecKind::Accuracy | SpecKind::Episodes
         )
     }
 
     /// Does this kind consume a `specs` list (of sibling spec ids)?
     fn uses_specs(self) -> bool {
-        matches!(
-            self,
-            SpecKind::SweepBench | SpecKind::ServeBench | SpecKind::Suite
-        )
+        self == SpecKind::Suite
     }
 }
 
@@ -287,10 +266,10 @@ pub struct ExperimentSpec {
     /// histogram is compared against, plus the display label of the
     /// reference ("mean dependents vs {label}: …").
     pub compare: Option<(SpecVariant, String)>,
-    /// Sibling spec ids (suite / sweep-bench kinds).
+    /// Sibling spec ids (suite kind).
     pub specs: Vec<String>,
     /// FNV fingerprint of the canonical rendering — the spec's
-    /// identity in the journal universe.
+    /// content identity.
     pub fingerprint: String,
 }
 

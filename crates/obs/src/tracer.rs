@@ -12,7 +12,8 @@ use crate::Cycle;
 /// `if T::ENABLED`, a compile-time constant, and [`NoopTracer::record`]
 /// is an empty inline function — the optimizer removes both the branch
 /// and the event construction. DESIGN.md §Observability documents how
-/// this zero-overhead claim is enforced (`sweep_bench` regression gate).
+/// this zero-overhead claim is checked (the `smtsim-ledger` benchmark's
+/// trace-overhead row).
 pub trait Tracer {
     /// Whether this tracer actually records anything. Emission sites
     /// check this constant so event construction itself is skipped for

@@ -12,17 +12,18 @@
 //! incrementally, one JSON line each, followed by the fully rendered
 //! figure.
 //!
-//! Results land in a **persistent content-addressed cache**
-//! ([`cache::ResultCache`]): one sweep-journal file per *experiment
-//! universe* (the spec-fingerprint-stripped
-//! [`Lab::journal_universe`]), each record keyed by the existing
+//! Results land in the **persistent content-addressed cache** the
+//! offline bins use too ([`ResultCache`], `SMTSIM_JOURNAL`): one
+//! sweep-journal file per *experiment universe*
+//! ([`Lab::journal_universe`]), each record keyed by the existing
 //! `cell_key(mix, RobConfig::fingerprint())`. Identical cells from
-//! different specs — or from a daemon restarted on the same cache
-//! directory — are served from disk instead of recomputed, and the
-//! warm normalization tables are kept in memory per universe across
-//! requests. Because the cache speaks the exact journal format of the
-//! offline bins, a corrupted record surfaces as a typed
-//! `JournalError::Corrupt`, never as wrong bytes.
+//! different specs, from a daemon restarted on the same cache
+//! directory, or from an offline `spec` run that filled it are served
+//! from disk instead of recomputed, and the warm normalization tables
+//! are kept in memory per universe across requests. A corrupted record
+//! surfaces as a typed `JournalError::Corrupt`, never as wrong bytes.
+//! The terminal figure is assembled from the very outcomes the workers
+//! streamed, through the same code the offline sweep renders with.
 //!
 //! Multi-client behaviour: requests are admitted up to a bounded
 //! queue (a full queue answers a typed *retryable* rejection without
@@ -45,12 +46,11 @@
 //!
 //! [`ExperimentSpec`]: smtsim_rob2::ExperimentSpec
 //! [`Lab::journal_universe`]: smtsim_rob2::Lab::journal_universe
+//! [`ResultCache`]: smtsim_rob2::ResultCache
 //! [`CancelToken`]: smtsim_pipeline::CancelToken
 
-pub mod cache;
 pub mod protocol;
 pub mod server;
 
-pub use cache::{universe_of, ResultCache};
 pub use protocol::{Request, SpecSource};
 pub use server::{PlainLowering, ServeConfig, Server, SpecLowering};

@@ -1,7 +1,7 @@
 //! The daemon: socket accept loop, request admission, the fair
 //! work-stealing cell scheduler and the per-request streaming state
 //! machine. Protocol shapes live in [`crate::protocol`], persistence
-//! in [`crate::cache`].
+//! in [`smtsim_rob2::cache`].
 //!
 //! Threading model:
 //!
@@ -12,7 +12,7 @@
 //!   run admission + spec lowering + the *serial* phase-1
 //!   normalization (warm-started from the cache), enqueue the
 //!   request's cells, then stream completions back in completion
-//!   order and finish with the rendered figure.
+//!   order and finish with the figure rendered from those outcomes.
 //! * **worker pool** (N threads) — pull one cell at a time, round-
 //!   robin across admitted requests (fair multi-client progress).
 //!   Cache hits resolve under the scheduler lock; misses run the cell
@@ -27,13 +27,12 @@
 //! request's [`CancelToken`], queued cells resolve as `cancelled`
 //! immediately and a running cell aborts at the next watchdog poll.
 
-use crate::cache::{universe_of, ResultCache};
 use crate::protocol::{self, error_kind, CellStatus, DoneStats, Request, SpecSource};
-use smtsim_obs::MetricsRegistry;
+use smtsim_obs::{MetricsRegistry, NoopTracer};
 use smtsim_pipeline::{CancelToken, SimError};
 use smtsim_rob2::journal::{cell_key, mix_run_to_json};
-use smtsim_rob2::{figures, report, ExperimentSpec, Journal, JournalError, Lab, NormTable};
-use smtsim_rob2::{RobConfig, SpecKind, ALL_MIXES};
+use smtsim_rob2::{figures, report, CellOutcome, ExperimentSpec, Journal, JournalError, Lab};
+use smtsim_rob2::{NormTable, ResultCache, RobConfig, SpecKind, SweepReport, ALL_MIXES};
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -155,6 +154,7 @@ enum CellMsg {
 struct RequestRun {
     id: u64,
     lab: Lab,
+    mixes: Vec<usize>,
     norm: NormTable,
     journal: Arc<Journal>,
     universe: String,
@@ -192,7 +192,7 @@ struct Sched {
 struct Shared {
     config: ServeConfig,
     lowering: Box<dyn SpecLowering>,
-    cache: ResultCache,
+    cache: Arc<ResultCache>,
     metrics: Mutex<MetricsRegistry>,
     sched: Mutex<Sched>,
     /// Wakes workers when cells become claimable (or on stop).
@@ -204,6 +204,9 @@ struct Shared {
     /// Set when the accept loop must exit on its next wake-up.
     stopped: AtomicBool,
     next_request: AtomicU64,
+    /// Live connection threads, joined at shutdown. Finished ones are
+    /// dropped on every accept, so the list stays as short as the
+    /// number of concurrent clients.
     conns: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -230,7 +233,8 @@ impl Server {
     /// Binds the socket, opens the cache directory and starts the
     /// accept loop plus worker pool.
     pub fn start(config: ServeConfig, lowering: Box<dyn SpecLowering>) -> std::io::Result<Server> {
-        let cache = ResultCache::open(&config.cache_dir)?;
+        std::fs::create_dir_all(&config.cache_dir)?;
+        let cache = Arc::new(ResultCache::new(&config.cache_dir));
         if config.socket.exists() {
             std::fs::remove_file(&config.socket)?;
         }
@@ -281,12 +285,6 @@ impl Server {
     #[must_use]
     pub fn counter(&self, key: &str) -> u64 {
         lock(&self.shared.metrics).counter(key)
-    }
-
-    /// Drops the open cache shard handle for `universe` so the next
-    /// request re-reads the file from disk (recovery-test hook).
-    pub fn evict_shard(&self, universe: &str) {
-        self.shared.cache.evict_shard(universe);
     }
 
     /// Blocks until a protocol `shutdown` has drained the daemon, then
@@ -356,7 +354,9 @@ fn accept_loop(shared: &Arc<Shared>, listener: &UnixListener) {
         let Ok(stream) = stream else { continue };
         let sh = shared.clone();
         let handle = thread::spawn(move || handle_connection(&sh, stream));
-        lock(&shared.conns).push(handle);
+        let mut conns = lock(&shared.conns);
+        conns.retain(|h| !h.is_finished());
+        conns.push(handle);
     }
 }
 
@@ -494,6 +494,7 @@ fn run_admitted(shared: &Arc<Shared>, stream: &mut UnixStream, source: &SpecSour
     // Stream completions. Exactly one message arrives per cell, from
     // either a worker or the cancellation path.
     let mut stats = DoneStats::default();
+    let mut outcomes: Vec<Option<CellOutcome>> = (0..cells_n).map(|_| None).collect();
     let mut client_gone = false;
     for _ in 0..cells_n {
         let Ok(msg) = rx.recv() else {
@@ -536,7 +537,14 @@ fn run_admitted(shared: &Arc<Shared>, stream: &mut UnixStream, source: &SpecSour
                     }
                 };
                 let c = &req.cells[idx];
-                protocol::cell_line(idx, c.mix, &c.label, &c.key, cached, attempts, &status)
+                let line =
+                    protocol::cell_line(idx, c.mix, &c.label, &c.key, cached, attempts, &status);
+                outcomes[idx] = Some(CellOutcome {
+                    result: *result,
+                    attempts,
+                    from_journal: cached,
+                });
+                line
             }
         };
         if !client_gone && !send_line(stream, &line) {
@@ -548,22 +556,30 @@ fn run_admitted(shared: &Arc<Shared>, stream: &mut UnixStream, source: &SpecSour
         }
     }
 
-    if client_gone || req.cancel.is_cancelled() {
+    // Every cell has an outcome unless the request was cancelled.
+    let outcomes: Option<Vec<CellOutcome>> = outcomes.into_iter().collect();
+    let (Some(outcomes), false) = (outcomes, client_gone || req.cancel.is_cancelled()) else {
         shared.bump("serve.requests_cancelled");
         return;
-    }
-    // Terminal line: the figure rendered exactly as the offline spec
-    // bin renders it, from a fresh journal-armed lab whose every cell
-    // is now a cache hit.
-    match render_figure(shared, &spec, &req) {
-        Ok(figure) => {
-            send_line(stream, &protocol::done_line(id, cells_n, &stats, &figure));
-            shared.bump("serve.requests_completed");
-        }
-        Err(r) => {
-            send_line(stream, &protocol::error_line(r.kind, &r.reason));
-        }
-    }
+    };
+    // Terminal line: the figure assembled from the streamed outcomes
+    // by the same code the offline spec bin renders through.
+    let title = spec.title.as_deref().unwrap_or(&spec.id);
+    let pairs: Vec<(String, RobConfig)> = spec
+        .variants
+        .iter()
+        .map(|v| (v.label.clone(), v.config))
+        .collect();
+    let fig = figures::ft_figure_from(
+        &req.lab,
+        title,
+        pairs,
+        &req.mixes,
+        SweepReport::new(outcomes),
+    );
+    let figure = report::render_figure(&fig);
+    send_line(stream, &protocol::done_line(id, cells_n, &stats, &figure));
+    shared.bump("serve.requests_completed");
     // Release the disconnect watcher's read so read-to-EOF clients see
     // the stream end right after the terminal line (the watcher holds
     // a duplicate of this socket that would otherwise stay open until
@@ -605,8 +621,8 @@ fn resolve_spec(shared: &Shared, source: &SpecSource) -> Result<ExperimentSpec, 
     Ok(spec)
 }
 
-/// Lowers the spec, computes the cache universe, opens the shard and
-/// runs the warm-started serial phase-1 normalization. `tx` is the
+/// Lowers the spec onto the daemon's cache, opens the universe's shard
+/// and runs the warm-started serial phase-1 normalization. `tx` is the
 /// completion channel the connection thread keeps the receiver of.
 fn prepare_request(
     shared: &Shared,
@@ -618,13 +634,13 @@ fn prepare_request(
         reason,
     })?;
     let cancel = CancelToken::new();
-    let mut lab = lab.with_cancel_token(Some(cancel.clone()));
-    // Content addressing: identity is the lowered lab state, not the
-    // spec file (see cache module docs), and the daemon owns the
-    // journal — any env-armed path is irrelevant here.
-    lab.spec_fingerprint = None;
-    lab.journal_path = None;
-    let universe = universe_of(&mut lab);
+    // Content addressing: identity is the lowered lab state (see
+    // `smtsim_rob2::cache`), and the daemon's cache replaces any
+    // env-armed one.
+    let mut lab = lab
+        .with_cancel_token(Some(cancel.clone()))
+        .with_cache(Some(shared.cache.clone()));
+    let universe = lab.journal_universe();
     let journal = shared.cache.shard(&universe).map_err(|e| Reject {
         kind: match e {
             JournalError::Corrupt { .. } => error_kind::JOURNAL_CORRUPT,
@@ -632,11 +648,9 @@ fn prepare_request(
         },
         reason: e.to_string(),
     })?;
-    // Phase 1, serial, warm-started from this universe's earlier
-    // requests; the freshly measured entries are folded back in.
-    shared.cache.seed_lab(&universe, &mut lab);
+    // Phase 1, serial, warm-started through the cache from this
+    // universe's earlier requests.
     let norm = lab.norm_table(&mixes);
-    shared.cache.store_norm(&universe, &norm);
     // The cell matrix in the engine's canonical config-major order.
     let mut cells = Vec::with_capacity(spec.variants.len() * mixes.len());
     for v in &spec.variants {
@@ -652,6 +666,7 @@ fn prepare_request(
     Ok(Arc::new(RequestRun {
         id: shared.next_request.fetch_add(1, Ordering::SeqCst),
         lab,
+        mixes,
         norm,
         journal,
         universe,
@@ -803,10 +818,10 @@ fn worker_loop(shared: &Shared) {
             let outcome = if req.cancel.is_cancelled() {
                 None
             } else {
-                Some(
-                    req.lab
-                        .run_cell_with_retries(job.mix, job.config, &req.norm),
-                )
+                let (result, attempts) = req
+                    .lab
+                    .run_cell_with_retries::<NoopTracer>(job.mix, job.config, &req.norm);
+                Some((result.map(|(run, _)| run), attempts))
             };
             let mut append_failed = false;
             if let Some((Ok(run), attempts)) = &outcome {
@@ -859,37 +874,6 @@ fn worker_loop(shared: &Shared) {
             .wait(sched)
             .unwrap_or_else(|e| e.into_inner());
     }
-}
-
-/// Renders the request's figure byte-for-byte as the offline
-/// journal-armed `spec` bin would: a fresh lowered lab adopts the
-/// shard journal (every cell now a hit) and runs the ordinary serial
-/// figure sweep.
-fn render_figure(
-    shared: &Shared,
-    spec: &ExperimentSpec,
-    req: &RequestRun,
-) -> Result<String, Reject> {
-    let (lab, mixes) = shared.lowering.lower(spec).map_err(|reason| Reject {
-        kind: error_kind::INVALID_CONFIG,
-        reason,
-    })?;
-    let mut lab = lab.with_jobs(Some(1));
-    lab.spec_fingerprint = None;
-    lab.journal_path = None;
-    lab.adopt_journal(req.journal.clone()).map_err(|e| Reject {
-        kind: error_kind::CACHE_IO,
-        reason: e.to_string(),
-    })?;
-    shared.cache.seed_lab(&req.universe, &mut lab);
-    let title = spec.title.as_deref().unwrap_or(&spec.id);
-    let pairs: Vec<(String, RobConfig)> = spec
-        .variants
-        .iter()
-        .map(|v| (v.label.clone(), v.config))
-        .collect();
-    let fig = figures::ft_sweep(&mut lab, title, pairs, &mixes);
-    Ok(report::render_figure(&fig))
 }
 
 #[cfg(test)]
@@ -1007,6 +991,20 @@ mod tests {
                 .to_string()
         };
         assert_eq!(fig(&cold), fig(&warm));
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn finished_connection_threads_are_not_retained() {
+        let dir = scratch_dir("conns");
+        let server = Server::start(config(&dir), lowering()).expect("daemon starts");
+        let socket = server.socket();
+        for _ in 0..100 {
+            assert_eq!(roundtrip(&socket, "{\"op\":\"ping\"}").len(), 1);
+        }
+        let tracked = lock(&server.shared.conns).len();
+        assert!(tracked < 10, "{tracked} handles tracked after 100 pings");
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,41 +1,68 @@
-//! Crash-tolerance regression suite (DESIGN.md §13): the resumable
-//! sweep journal, the per-cell watchdog and the retry layer.
+//! Crash-tolerance regression suite (DESIGN.md §13): the persistent
+//! result cache, the per-cell watchdog and the retry layer.
 //!
 //! The invariants under test:
 //!
-//! * a sweep killed mid-flight and relaunched on its journal produces
-//!   **byte-identical** figures to an uninterrupted sweep, at any
-//!   `SMTSIM_JOBS`;
-//! * journal damage is never silently absorbed — a truncated final
-//!   line (the only state a crashed append can leave) is tolerated,
+//! * a sweep killed mid-flight and relaunched on its cache directory
+//!   produces **byte-identical** figures to an uninterrupted sweep, at
+//!   any `SMTSIM_JOBS`;
+//! * shard damage is never silently absorbed — a truncated final line
+//!   (the only state a crashed append can leave) is tolerated,
 //!   everything else is a typed [`JournalError`];
-//! * a journal recorded under different lab knobs is rejected
-//!   ([`JournalError::UniverseMismatch`]), never reused;
+//! * a lab whose knobs changed addresses a different, empty shard and
+//!   never sees (or touches) the cells recorded under the old knobs;
 //! * a wedged cell is terminated by the cycle watchdog as a typed
 //!   [`SimError::CellTimeout`] rendered `n/a`, and the rest of the
 //!   sweep completes;
-//! * a transiently-faulted cell is recovered by retry-with-backoff
-//!   and reported through [`SweepHealth`] and the metrics registry.
+//! * a transiently-faulted cell is recovered by retry and reported
+//!   through [`SweepHealth`] and the metrics registry.
 
 use smtsim_obs::MetricsRegistry;
 use smtsim_pipeline::{FaultPlan, SimError};
 use smtsim_rob2::{
-    figures, report, ExperimentSpec, JournalError, Lab, RobConfig, SweepCell, TwoLevelConfig,
+    figures, report, JournalError, Lab, ResultCache, RobConfig, SweepCell, TwoLevelConfig,
 };
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-/// A scratch path under the target-adjacent temp dir, unique per test.
+/// A fresh scratch cache directory under the temp dir, unique per test.
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("smtsim-resilience-tests");
-    fs::create_dir_all(&dir).expect("temp dir is writable");
-    let path = dir.join(format!("{tag}-{}.jsonl", std::process::id()));
-    let _ = fs::remove_file(&path);
-    path
+    let dir = std::env::temp_dir()
+        .join("smtsim-resilience-tests")
+        .join(format!("{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    dir
 }
 
 fn small_lab() -> Lab {
     Lab::new(7).with_budgets(6_000, 6_000)
+}
+
+/// `lab` armed with a fresh [`ResultCache`] handle on `dir` — a new
+/// handle re-reads every shard from disk, like a relaunched process.
+fn armed(lab: Lab, dir: &Path) -> Lab {
+    lab.with_cache(Some(Arc::new(ResultCache::new(dir))))
+}
+
+/// The one shard file inside a cache directory.
+fn shard_file(dir: &Path) -> PathBuf {
+    let mut shards: Vec<PathBuf> = fs::read_dir(dir)
+        .expect("cache directory exists")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
+        .collect();
+    assert_eq!(shards.len(), 1, "exactly one universe shard: {shards:?}");
+    shards.pop().unwrap()
+}
+
+/// Cells already stored in the armed lab's current shard.
+fn on_file(lab: &Lab) -> usize {
+    lab.cache_shard()
+        .expect("shard opens")
+        .expect("cache armed")
+        .len()
 }
 
 /// The Figure 2 cell matrix in dispatch order (configuration-major).
@@ -50,100 +77,83 @@ fn fig2_cells(mixes: &[usize]) -> Vec<SweepCell> {
     .collect()
 }
 
+/// An uninterrupted cache-armed fig2 render (on its own fresh cache).
+fn reference_fig2(tag: &str, mixes: &[usize]) -> String {
+    let dir = scratch(tag);
+    let mut lab = armed(small_lab(), &dir);
+    let text = report::render_figure(&figures::fig2(&mut lab, mixes));
+    let _ = fs::remove_dir_all(&dir);
+    text
+}
+
 #[test]
 fn kill_and_resume_is_byte_identical_at_any_job_count() {
     let mixes = [1usize, 9];
     let cells = fig2_cells(&mixes);
-
-    // Reference: one uninterrupted journal-armed sweep.
-    let reference = {
-        let path = scratch("reference");
-        let mut lab = small_lab().with_journal(&path);
-        let text = report::render_figure(&figures::fig2(&mut lab, &mixes));
-        let _ = fs::remove_file(&path);
-        text
-    };
+    let reference = reference_fig2("reference", &mixes);
 
     for jobs in [1usize, 4] {
-        let path = scratch(&format!("resume-jobs{jobs}"));
-        // "Crash" after 2 of 6 cells.
-        let mut lab = small_lab().with_journal(&path);
-        let executed = lab
-            .sweep_killed_after(&cells, 2)
-            .expect("journal is writable");
-        assert_eq!(executed, 2);
+        let dir = scratch(&format!("resume-jobs{jobs}"));
+        // "Crash" after 2 of 6 cells: a sweep over the dispatch-order
+        // prefix leaves exactly what a killed sweep would have stored.
+        let killed = armed(small_lab(), &dir).sweep_cells(&cells[..2]);
+        assert_eq!(killed.outcomes.len(), 2);
 
-        // Relaunch: a fresh lab on the half-written journal.
-        let mut lab = small_lab().with_jobs(Some(jobs)).with_journal(&path);
-        let on_file = lab.open_journal().expect("journal reopens");
-        assert_eq!(on_file, 2, "the two completed cells are on file");
+        // Relaunch: a fresh lab and cache handle on the same directory.
+        let mut lab = armed(small_lab().with_jobs(Some(jobs)), &dir);
+        assert_eq!(on_file(&lab), 2, "the two completed cells are on file");
         let resumed = report::render_figure(&figures::fig2(&mut lab, &mixes));
         assert_eq!(
             resumed, reference,
             "resumed sweep at jobs={jobs} must be byte-identical"
         );
 
-        // The journal now holds every cell; a third launch re-runs
-        // nothing and still renders the same bytes.
-        let mut lab = small_lab().with_journal(&path);
-        let full = lab.open_journal().expect("journal reopens");
-        assert_eq!(full, cells.len());
+        // The shard now holds every cell; a third launch re-runs
+        // nothing.
+        let mut lab = armed(small_lab(), &dir);
+        assert_eq!(on_file(&lab), cells.len());
         let replayed = lab.sweep_cells(&cells);
         assert_eq!(replayed.journal_hits(), cells.len());
-        let _ = fs::remove_file(&path);
+        let _ = fs::remove_dir_all(&dir);
     }
 }
 
 #[test]
 fn truncated_final_record_is_tolerated_and_recovered() {
-    let path = scratch("truncated");
+    let dir = scratch("truncated");
     let cells = fig2_cells(&[1]);
-    let mut lab = small_lab().with_journal(&path);
-    lab.sweep_killed_after(&cells, 2)
-        .expect("two cells journal");
+    armed(small_lab(), &dir).sweep_cells(&cells[..2]);
 
     // Simulate a crash mid-append: chop the final record in half.
+    let path = shard_file(&dir);
     let text = fs::read_to_string(&path).unwrap();
     assert_eq!(text.lines().count(), 3, "header + 2 records");
     let keep = text.len() - text.lines().last().unwrap().len() / 2 - 1;
     fs::write(&path, &text[..keep]).unwrap();
 
-    // The damaged journal opens with one record; the sweep re-runs the
+    // The damaged shard opens with one record; the sweep re-runs the
     // lost cell and the figure matches an uninterrupted reference.
-    let mut lab = small_lab().with_journal(&path);
-    assert_eq!(
-        lab.open_journal().expect("truncated final line tolerated"),
-        1
-    );
+    let mut lab = armed(small_lab(), &dir);
+    assert_eq!(on_file(&lab), 1, "truncated final line tolerated");
     let resumed = report::render_figure(&figures::fig2(&mut lab, &[1]));
-    let reference = {
-        let ref_path = scratch("truncated-ref");
-        let mut lab = small_lab().with_journal(&ref_path);
-        let text = report::render_figure(&figures::fig2(&mut lab, &[1]));
-        let _ = fs::remove_file(&ref_path);
-        text
-    };
-    assert_eq!(resumed, reference);
-    let _ = fs::remove_file(&path);
+    assert_eq!(resumed, reference_fig2("truncated-ref", &[1]));
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn garbage_mid_file_is_a_typed_corruption_error() {
-    let path = scratch("garbage");
+    let dir = scratch("garbage");
     let cells = fig2_cells(&[1]);
-    let mut lab = small_lab().with_journal(&path);
-    lab.sweep_killed_after(&cells, 2)
-        .expect("two cells journal");
+    armed(small_lab(), &dir).sweep_cells(&cells[..2]);
 
     // Damage a NON-final record — a state no crashed append can
     // produce, so it must be refused, not skipped.
+    let path = shard_file(&dir);
     let text = fs::read_to_string(&path).unwrap();
     let lines: Vec<&str> = text.lines().collect();
     let mangled = format!("{}\n{}\n{}\n", lines[0], "{\"key\":garbage", lines[2]);
     fs::write(&path, mangled).unwrap();
-
-    let mut lab = small_lab().with_journal(&path);
-    match lab.open_journal() {
+    match armed(small_lab(), &dir).cache_shard() {
         Err(JournalError::Corrupt { line, .. }) => assert_eq!(line, 2),
         other => panic!("corruption accepted: {other:?}"),
     }
@@ -151,22 +161,24 @@ fn garbage_mid_file_is_a_typed_corruption_error() {
     // A flipped crc is corruption too, even with valid JSON around it.
     let flipped = text.replacen("\"crc\":\"", "\"crc\":\"0", 1);
     fs::write(&path, flipped).unwrap();
-    let mut lab = small_lab().with_journal(&path);
     assert!(
-        matches!(lab.open_journal(), Err(JournalError::Corrupt { .. })),
+        matches!(
+            armed(small_lab(), &dir).cache_shard(),
+            Err(JournalError::Corrupt { .. })
+        ),
         "crc mismatch must be typed corruption"
     );
-    let _ = fs::remove_file(&path);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn stale_universe_is_rejected_never_reused() {
-    let path = scratch("stale");
-    let mut lab = small_lab().with_journal(&path);
-    lab.sweep_killed_after(&fig2_cells(&[1]), 1)
-        .expect("one cell journals");
+    let dir = scratch("stale");
+    armed(small_lab(), &dir).sweep_cells(&fig2_cells(&[1])[..1]);
+    let original = shard_file(&dir);
 
-    // Any knob that changes cell bytes must invalidate the journal.
+    // Any knob that changes cell bytes addresses a different, empty
+    // shard: the old cells are never served to the new universe.
     let relabeled: Vec<(&str, Lab)> = vec![
         ("seed", Lab::new(8).with_budgets(6_000, 6_000)),
         ("budget", small_lab().with_budgets(5_000, 6_000)),
@@ -178,71 +190,18 @@ fn stale_universe_is_rejected_never_reused() {
         ),
     ];
     for (what, lab) in relabeled {
-        let mut lab = lab.with_journal(&path);
-        assert!(
-            matches!(
-                lab.open_journal(),
-                Err(JournalError::UniverseMismatch { .. })
-            ),
-            "{what} change must reject the journal"
-        );
+        let lab = armed(lab, &dir);
+        let shard = lab.cache_shard().unwrap().expect("cache armed");
+        assert_ne!(shard.path(), original, "{what} change must move the shard");
+        assert!(shard.is_empty(), "{what} change must start empty");
     }
+    // ...and the old shard's record is untouched.
+    assert_eq!(on_file(&armed(small_lab(), &dir)), 1);
     // The job count is scheduling, not physics: not part of the
-    // universe, so resuming at a different SMTSIM_JOBS is fine.
-    let mut lab = small_lab().with_jobs(Some(4)).with_journal(&path);
-    assert_eq!(lab.open_journal().expect("jobs don't change bytes"), 1);
-    let _ = fs::remove_file(&path);
-}
-
-#[test]
-fn edited_spec_rejects_a_resumed_journal() {
-    // A journal recorded under one experiment spec must not be resumed
-    // under an edited spec: the spec's content fingerprint is part of
-    // the journal universe.
-    let text = "[experiment]\nid = \"fig2\"\ntitle = \"Figure 2: FT with 2-Level R-ROB\"\n\
-                kind = \"figure\"\nschemes = [\"baseline-32\", \"baseline-128\", \"r-rob-16\"]\n";
-    let spec = ExperimentSpec::parse("fig2.toml", text).expect("spec parses");
-    let path = scratch("spec-stale");
-    let mut lab = small_lab()
-        .with_spec_fingerprint(Some(spec.fingerprint.clone()))
-        .with_journal(&path);
-    lab.sweep_killed_after(&fig2_cells(&[1]), 1)
-        .expect("one cell journals");
-
-    // A semantic edit (different scheme list) changes the fingerprint
-    // and the journal is rejected, typed.
-    let edited = ExperimentSpec::parse("fig2.toml", &text.replace("r-rob-16", "r-rob-8"))
-        .expect("edited spec parses");
-    assert_ne!(edited.fingerprint, spec.fingerprint);
-    let mut lab = small_lab()
-        .with_spec_fingerprint(Some(edited.fingerprint))
-        .with_journal(&path);
-    assert!(
-        matches!(
-            lab.open_journal(),
-            Err(JournalError::UniverseMismatch { .. })
-        ),
-        "edited spec must reject the journal"
-    );
-    // So does dropping the spec stamp entirely (legacy lab vs spec lab).
-    let mut lab = small_lab().with_journal(&path);
-    assert!(
-        matches!(
-            lab.open_journal(),
-            Err(JournalError::UniverseMismatch { .. })
-        ),
-        "a spec-stamped journal is not resumable by an unstamped lab"
-    );
-    // A cosmetic edit (comments/whitespace) keeps the canonical
-    // rendering, so the journal resumes.
-    let cosmetic = ExperimentSpec::parse("fig2.toml", &format!("# comment\n\n{text}"))
-        .expect("cosmetic spec parses");
-    assert_eq!(cosmetic.fingerprint, spec.fingerprint);
-    let mut lab = small_lab()
-        .with_spec_fingerprint(Some(cosmetic.fingerprint))
-        .with_journal(&path);
-    assert_eq!(lab.open_journal().expect("cosmetic edits resume"), 1);
-    let _ = fs::remove_file(&path);
+    // universe, so resuming at a different SMTSIM_JOBS shares the shard.
+    let lab = armed(small_lab().with_jobs(Some(4)), &dir);
+    assert_eq!(on_file(&lab), 1, "jobs don't change bytes");
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

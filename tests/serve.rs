@@ -90,11 +90,18 @@ impl Drop for Daemon {
 }
 
 /// The offline reference: the generic `spec` bin under the same knobs,
-/// with a fresh journal armed so its footer matches the daemon's
-/// journal-backed render. Returns stdout — exactly the figure bytes.
+/// with a fresh result cache armed so its footer matches the daemon's
+/// cache-backed render. Returns stdout — exactly the figure bytes.
 fn offline_figure(spec_path: &Path, jobs: usize, tag: &str) -> String {
-    let journal = scratch(&format!("offline-{tag}-jobs{jobs}")).with_extension("jsonl");
-    let _ = std::fs::remove_file(&journal);
+    let cache = scratch(&format!("offline-{tag}-jobs{jobs}"));
+    let _ = std::fs::remove_dir_all(&cache);
+    let figure = offline_figure_on(spec_path, jobs, &cache);
+    let _ = std::fs::remove_dir_all(&cache);
+    figure
+}
+
+/// The generic `spec` bin with `SMTSIM_JOURNAL` naming `cache`.
+fn offline_figure_on(spec_path: &Path, jobs: usize, cache: &Path) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_spec"))
         .env_clear()
         .env("BUDGET", BUDGET)
@@ -102,10 +109,9 @@ fn offline_figure(spec_path: &Path, jobs: usize, tag: &str) -> String {
         .env("MIXES", MIXES)
         .env("SMTSIM_JOBS", jobs.to_string())
         .env("SMTSIM_SPEC", spec_path)
-        .env("SMTSIM_JOURNAL", &journal)
+        .env("SMTSIM_JOURNAL", cache)
         .output()
         .expect("spec bin runs");
-    let _ = std::fs::remove_file(&journal);
     assert!(
         out.status.success(),
         "offline spec bin failed: {}",
@@ -188,6 +194,26 @@ fn concurrent_overlapping_clients_match_the_offline_bin_to_the_byte() {
         let _ = std::fs::remove_dir_all(&cache);
     }
     let _ = std::fs::remove_file(&superset_path);
+}
+
+#[test]
+fn a_cache_filled_offline_is_served_warm_by_the_daemon() {
+    // One cache for both drivers: the offline `spec` bin fills it
+    // through SMTSIM_JOURNAL, then a daemon started on the same
+    // directory answers fig2 entirely from it, byte for byte.
+    let cache = scratch("shared-cache");
+    let _ = std::fs::remove_dir_all(&cache);
+    let fig2_path = smtsim_bench::spec_dir().join("fig2.toml");
+    let offline = offline_figure_on(&fig2_path, 2, &cache);
+
+    let daemon = Daemon::spawn("shared", 2, &cache);
+    let lines = client::request_lines(&daemon.socket, &client::submit_registry("fig2")).unwrap();
+    let done = client::terminal_line(&lines, "done").unwrap();
+    assert_eq!(client::line_u64(done, "cache_hits"), Some(6));
+    assert_eq!(client::line_u64(done, "cache_misses"), Some(0));
+    assert_eq!(client::figure_of(&lines).unwrap(), offline);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&cache);
 }
 
 #[test]

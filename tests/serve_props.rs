@@ -1,8 +1,8 @@
 //! Property tests for the serve cache's content addressing
 //! (DESIGN.md §17): any byte-affecting knob mutation must move a lab
 //! into a *different* cache universe (so stale results can never be
-//! served), while byte-irrelevant differences — spec identity, job
-//! count, comment/whitespace edits to the spec TOML — must land in the
+//! served), while byte-irrelevant differences — job count, cycle
+//! skipping, comment/whitespace edits to the spec TOML — must land in the
 //! *same* universe with the same cell keys (so overlapping work is
 //! actually shared).
 //!
@@ -14,7 +14,6 @@ use smtsim_bench::serve_support::EnvLowering;
 use smtsim_bench::BenchEnv;
 use smtsim_rob2::journal::cell_key;
 use smtsim_rob2::{ExperimentSpec, Lab};
-use smtsim_serve::universe_of;
 use smtsim_serve::SpecLowering as _;
 
 /// The knobs [`Lab::journal_universe`] folds that these properties
@@ -64,7 +63,7 @@ proptest! {
 
     #[test]
     fn byte_affecting_knobs_shard_the_universe(a in knob_strategy(), b in knob_strategy()) {
-        let (ua, ub) = (universe_of(&mut a.lab()), universe_of(&mut b.lab()));
+        let (ua, ub) = (a.lab().journal_universe(), b.lab().journal_universe());
         if a == b {
             prop_assert_eq!(ua, ub, "equal knobs must share a universe: {:?}", a);
         } else {
@@ -91,8 +90,8 @@ proptest! {
             }
         }
         prop_assert_ne!(
-            universe_of(&mut base.lab()),
-            universe_of(&mut mutated.lab()),
+            base.lab().journal_universe(),
+            mutated.lab().journal_universe(),
             "mutating knob #{} by {} must move the universe: {:?}",
             which, delta, base
         );
@@ -100,15 +99,17 @@ proptest! {
 
     #[test]
     fn byte_irrelevant_state_shares_the_universe(base in knob_strategy(), jobs in 1usize..8) {
-        // Job count and spec identity shape *scheduling*, not cell
+        // Job count and cycle skipping shape *scheduling*, not cell
         // bytes — both are deliberately outside the cache universe.
-        let plain = universe_of(&mut base.lab());
+        let plain = base.lab().journal_universe();
         prop_assert_eq!(
-            universe_of(&mut base.lab().with_jobs(Some(jobs))),
+            base.lab().with_jobs(Some(jobs)).journal_universe(),
             plain.clone()
         );
-        let mut tagged = base.lab().with_spec_fingerprint(Some(format!("spec-{jobs}")));
-        prop_assert_eq!(universe_of(&mut tagged), plain);
+        prop_assert_eq!(
+            base.lab().with_cycle_skip(jobs % 2 == 0).journal_universe(),
+            plain
+        );
     }
 
     #[test]
@@ -140,9 +141,9 @@ proptest! {
         prop_assert_eq!(&same.fingerprint, &spec.fingerprint);
 
         let lowering = EnvLowering { env: BenchEnv::from_env().unwrap() };
-        let (mut lab_a, mixes_a) = lowering.lower(&spec).unwrap();
-        let (mut lab_b, mixes_b) = lowering.lower(&same).unwrap();
-        prop_assert_eq!(universe_of(&mut lab_a), universe_of(&mut lab_b));
+        let (lab_a, mixes_a) = lowering.lower(&spec).unwrap();
+        let (lab_b, mixes_b) = lowering.lower(&same).unwrap();
+        prop_assert_eq!(lab_a.journal_universe(), lab_b.journal_universe());
         prop_assert_eq!(&mixes_a, &mixes_b);
         for (va, vb) in spec.variants.iter().zip(&same.variants) {
             for &mix in &mixes_a {
@@ -171,8 +172,8 @@ proptest! {
             .unwrap()
         };
         let lowering = smtsim_serve::PlainLowering::default();
-        let (mut lab_a, _) = lowering.lower(&spec_with(2_000)).unwrap();
-        let (mut lab_b, _) = lowering.lower(&spec_with(2_000 + extra)).unwrap();
-        prop_assert_ne!(universe_of(&mut lab_a), universe_of(&mut lab_b));
+        let (lab_a, _) = lowering.lower(&spec_with(2_000)).unwrap();
+        let (lab_b, _) = lowering.lower(&spec_with(2_000 + extra)).unwrap();
+        prop_assert_ne!(lab_a.journal_universe(), lab_b.journal_universe());
     }
 }

@@ -64,11 +64,11 @@ fn shutdown(socket: &Path, mut child: Child) {
     assert!(status.success(), "daemon exit after drain: {status}");
 }
 
-/// The offline journal-armed reference figure for fig2 (same knobs as
+/// The offline cache-armed reference figure for fig2 (same knobs as
 /// the daemon runs under).
 fn offline_fig2(tag: &str) -> String {
-    let journal = scratch(&format!("offline-{tag}")).with_extension("jsonl");
-    let _ = std::fs::remove_file(&journal);
+    let cache = scratch(&format!("offline-{tag}"));
+    let _ = std::fs::remove_dir_all(&cache);
     let out = Command::new(env!("CARGO_BIN_EXE_spec"))
         .env_clear()
         .env("BUDGET", BUDGET)
@@ -76,10 +76,10 @@ fn offline_fig2(tag: &str) -> String {
         .env("MIXES", MIXES)
         .env("SMTSIM_JOBS", "1")
         .env("SMTSIM_SPEC", smtsim_bench::spec_dir().join("fig2.toml"))
-        .env("SMTSIM_JOURNAL", &journal)
+        .env("SMTSIM_JOURNAL", &cache)
         .output()
         .expect("spec bin runs");
-    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_dir_all(&cache);
     assert!(
         out.status.success(),
         "offline spec bin failed: {}",

@@ -61,9 +61,7 @@
 //!   variable fails loudly instead of silently using a default.
 //!   Marker: `// xtask: allow-env-read`.
 //! * **wall-clock-in-sim** — `Instant` / `SystemTime` reads outside
-//!   the cell watchdog (`crates/pipeline/src/budget.rs`) and the bench
-//!   timing runners (`spec_run/sweep_bench.rs`,
-//!   `spec_run/serve_bench.rs`, `spec_run/resume.rs`).
+//!   the cell watchdog (`crates/pipeline/src/budget.rs`).
 //!   Simulated time comes from the cycle counter; a wall-clock read
 //!   anywhere near simulator state or report output makes figures
 //!   machine- and load-dependent. Marker: `// xtask: allow-wall-clock`.
@@ -236,8 +234,8 @@ fn test_code_start(lines: &[&str]) -> usize {
 
 /// Scans one production source file. `is_env_funnel` marks the single
 /// file allowed to read the process environment; `is_wall_exempt`
-/// marks the files where wall-clock reads are the point (the cell
-/// watchdog and the bench timing bins).
+/// marks the file where wall-clock reads are the point (the cell
+/// watchdog).
 fn scan_file(
     path: &Path,
     in_pipeline: bool,
@@ -321,7 +319,7 @@ fn scan_file(
                 line: lineno,
                 rule: "wall-clock-in-sim",
                 message: "wall-clock read (`Instant`/`SystemTime`) outside the cell \
-                          watchdog and the bench timing bins: simulated time comes from \
+                          watchdog: simulated time comes from \
                           the cycle counter, so figures and verdicts stay machine- and \
                           load-independent (or annotate `// xtask: allow-wall-clock`)"
                     .into(),
@@ -377,13 +375,9 @@ fn run_lints(root: &Path) -> Vec<Violation> {
         let stem = rel.file_name().and_then(|n| n.to_str()).unwrap_or("");
         let is_stats = stem == "stats.rs" || stem == "metrics.rs";
         let is_env_funnel = rel == Path::new("crates/bench/src/env.rs");
-        // Wall-clock reads are the *purpose* of the cell watchdog and
-        // of the bench timing runners; everywhere else they are a
-        // determinism hazard.
-        let is_wall_exempt = rel == Path::new("crates/pipeline/src/budget.rs")
-            || rel == Path::new("crates/bench/src/spec_run/sweep_bench.rs")
-            || rel == Path::new("crates/bench/src/spec_run/serve_bench.rs")
-            || rel == Path::new("crates/bench/src/spec_run/resume.rs");
+        // Wall-clock reads are the *purpose* of the cell watchdog;
+        // everywhere else they are a determinism hazard.
+        let is_wall_exempt = rel == Path::new("crates/pipeline/src/budget.rs");
         let in_bench = rel.starts_with("crates/bench/src");
         scan_file(
             f,
@@ -578,14 +572,7 @@ fn check_malformed_spec(root: &Path) -> Result<(), String> {
 /// committed golden files in `tests/golden/` (skipped when the budget
 /// knobs are overridden in the environment, since the goldens are
 /// recorded at the default CI-scale settings); `--bless` rewrites the
-/// goldens instead. `resume_bench` rides along to pin the
-/// crash-tolerance contract: a sweep killed mid-flight and relaunched
-/// on its journal must reproduce the uninterrupted figure bytes (the
-/// bin exits nonzero on divergence), and its verdict line must itself
-/// be identical at both job counts. `serve_bench` does the same for
-/// the serve daemon's content-addressed cache: its warm replay must be
-/// byte-identical and all cache hits (the bin exits nonzero
-/// otherwise), and its verdict is compared across worker fan-outs.
+/// goldens instead.
 fn run_determinism(root: &Path, bless: bool) -> ExitCode {
     let mut failed = false;
     // Goldens are only valid at the recorded knob values.
@@ -593,15 +580,7 @@ fn run_determinism(root: &Path, bless: bool) -> ExitCode {
         .iter()
         .chain([&("SEED", ""), &("ST_BUDGET", "")])
         .all(|(k, _)| std::env::var_os(k).is_none());
-    for bin in [
-        "fig2",
-        "fig1",
-        "accuracy",
-        "trace",
-        "resume_bench",
-        "serve_bench",
-        "check",
-    ] {
+    for bin in ["fig2", "fig1", "accuracy", "trace", "check"] {
         let serial = match run_bench_bin(root, bin, 1, DETERMINISM_DEFAULTS, &[]) {
             Ok(s) => s,
             Err(e) => {
