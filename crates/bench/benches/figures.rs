@@ -19,7 +19,9 @@ use std::time::{Duration, Instant};
 const BENCH_MIXES: [usize; 2] = [1, 10];
 
 fn iters() -> u32 {
-    smtsim_bench::BenchEnv::read().bench_iters
+    let knobs =
+        smtsim_rob2::Knobs::from_env().unwrap_or_else(|e| smtsim_bench::exit_bin(&e.into()));
+    knobs.get(smtsim_rob2::Knob::BenchIters) as u32
 }
 
 /// Times `f` over a warm-up pass plus `iters()` measured passes.

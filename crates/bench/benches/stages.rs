@@ -107,7 +107,9 @@ fn bench(name: &str, filter: Option<&str>, timed: Timed) {
     // simulation (cycle-loop behavior does not depend on wall time).
     let mut sim = make_sim();
     pass(&mut sim, timed); // warm-up
-    let n = smtsim_bench::BenchEnv::read().bench_iters;
+    let knobs =
+        smtsim_rob2::Knobs::from_env().unwrap_or_else(|e| smtsim_bench::exit_bin(&e.into()));
+    let n = knobs.get(smtsim_rob2::Knob::BenchIters) as u32;
     let mut times: Vec<Duration> = Vec::with_capacity(n as usize);
     for _ in 0..n {
         times.push(pass(&mut sim, timed));

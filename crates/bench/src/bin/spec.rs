@@ -10,7 +10,7 @@
 //! ```
 fn main() {
     smtsim_bench::run_bin(|| {
-        let env = smtsim_bench::BenchEnv::from_env()?;
+        let env = smtsim_rob2::Knobs::from_env()?;
         let Some(path) = env.spec else {
             return Err(smtsim_bench::BinError::Config(
                 "SMTSIM_SPEC must name an experiment spec file (e.g. \

@@ -1,49 +1,31 @@
 //! Bench-layer glue for the `smtsim-serve` daemon (DESIGN.md §17):
-//! the env-to-[`ServeConfig`] funnel, the [`SpecLowering`] strategy
-//! that makes served bytes identical to the offline `spec` bin, and a
-//! minimal blocking client the serve test suites and the benchmark
-//! ledger speak the wire protocol with.
+//! the knobs-to-[`ServeConfig`] bridge, the `serve` bin's entry point
+//! and a minimal blocking client the serve test suites and the
+//! benchmark ledger speak the wire protocol with.
 //!
-//! The daemon crate itself is deliberately env-free; every
-//! `SMTSIM_SERVE_*` knob is parsed in [`BenchEnv`] like all the
-//! others, and this module is the only bridge between the two.
+//! The daemon crate itself is deliberately env-free: every
+//! `SMTSIM_SERVE_*` knob is a [`Knobs`] row like all the others, and
+//! the daemon lowers specs through the same [`Knobs`] value the
+//! offline bins use.
 
-use crate::{BenchEnv, BinError};
+use crate::BinError;
 use smtsim_rob2::journal::{parse_json, Json};
-use smtsim_rob2::ExperimentSpec;
-use smtsim_serve::{ServeConfig, Server, SpecLowering};
+use smtsim_rob2::{Knob, Knobs};
+use smtsim_serve::{ServeConfig, Server};
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-
-/// [`SpecLowering`] over the bench environment: merges the submitted
-/// spec's `[knobs]`/`mixes` under the documented precedence
-/// ([`BenchEnv::with_spec`]) and lowers exactly like the offline bins
-/// ([`BenchEnv::lab_for_spec`]) — the reason `tests/serve.rs` can
-/// demand byte-identical figures from the daemon and the `spec` bin.
-#[derive(Clone, Debug)]
-pub struct EnvLowering {
-    /// The parsed environment the daemon was launched under.
-    pub env: BenchEnv,
-}
-
-impl SpecLowering for EnvLowering {
-    fn lower(&self, spec: &ExperimentSpec) -> Result<(smtsim_rob2::Lab, Vec<usize>), String> {
-        let merged = self.env.with_spec(spec);
-        Ok((merged.lab_for_spec(spec), merged.mixes.clone()))
-    }
-}
 
 /// Builds the daemon configuration from the `SMTSIM_SERVE_*` knobs
 /// (socket, cache directory, admission bound) plus `SMTSIM_JOBS` for
 /// the worker-pool size.
 #[must_use]
-pub fn serve_config(env: &BenchEnv, spec_dir: Option<PathBuf>) -> ServeConfig {
+pub fn serve_config(env: &Knobs, spec_dir: Option<PathBuf>) -> ServeConfig {
     ServeConfig {
         socket: env.serve_socket.clone(),
         cache_dir: env.serve_cache.clone(),
-        queue_limit: env.serve_queue,
-        workers: env.jobs.unwrap_or(0),
+        queue_limit: env.get(Knob::ServeQueue) as usize,
+        workers: env.get(Knob::Jobs) as usize,
         spec_dir,
     }
 }
@@ -53,11 +35,11 @@ pub fn serve_config(env: &BenchEnv, spec_dir: Option<PathBuf>) -> ServeConfig {
 /// `experiments/` directory as the spec registry, then blocks until a
 /// protocol `shutdown` drains it.
 pub fn run_serve() -> Result<(), BinError> {
-    let env = BenchEnv::from_env()?;
+    let env = Knobs::from_env()?;
     let config = serve_config(&env, Some(crate::spec_dir()));
     let socket = config.socket.clone();
     let cache = config.cache_dir.clone();
-    let server = Server::start(config, Box::new(EnvLowering { env }))
+    let server = Server::start(config, Box::new(env))
         .map_err(|e| BinError::Runtime(format!("cannot start daemon: {e}")))?;
     eprintln!(
         "smtsim-serve: listening on {} (cache: {})",

@@ -4,10 +4,10 @@
 //! env).
 
 use super::{corpus_cases, corpus_dir};
-use crate::{BenchEnv, BinError};
+use crate::BinError;
 use smtsim_check::{explore, replay_case, replay_mix, Bounds, ModelConfig, ReplayOutcome};
 use smtsim_conform::parse_case;
-use smtsim_rob2::{ReleasePolicy, SchemeKind};
+use smtsim_rob2::{Knob, Knobs, ReleasePolicy, SchemeKind};
 
 /// The outstanding-miss bound implied by the thread bound: the full
 /// 3-miss product is cheap up to 3 threads; at 4 threads the state
@@ -35,13 +35,15 @@ fn print_outcomes(outcomes: &[ReplayOutcome]) {
     }
 }
 
-pub(super) fn run(env: &BenchEnv) -> Result<(), BinError> {
+pub(super) fn run(env: &Knobs) -> Result<(), BinError> {
     let mut failures = 0usize;
 
+    // Both bounds are range-checked to 1..=4 by the knob table.
+    let threads = env.get(Knob::CheckThreads) as usize;
     let bounds = Bounds {
-        threads: env.check_threads,
-        l2: env.check_l2,
-        misses: misses_for(env.check_threads),
+        threads,
+        l2: env.get(Knob::CheckL2) as u8,
+        misses: misses_for(threads),
     };
     println!(
         "Bounded exploration (threads={}, l2={}, misses={})",
@@ -77,12 +79,14 @@ pub(super) fn run(env: &BenchEnv) -> Result<(), BinError> {
         }
     }
 
-    println!(
-        "Paper-mix conformance (seed={}, budget={}, warmup={})",
-        env.seed, env.budget, env.warmup
+    let (seed, budget, warmup) = (
+        env.get(Knob::Seed),
+        env.get(Knob::Budget),
+        env.get(Knob::Warmup),
     );
+    println!("Paper-mix conformance (seed={seed}, budget={budget}, warmup={warmup})");
     for &m in &env.mixes {
-        match replay_mix(m, env.seed, env.budget, env.warmup) {
+        match replay_mix(m, seed, budget, warmup) {
             Ok(outcomes) => {
                 println!("  mix {m:>2}:");
                 print_outcomes(&outcomes);

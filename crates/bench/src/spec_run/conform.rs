@@ -4,22 +4,24 @@
 //! explicit env).
 
 use super::{corpus_cases, corpus_dir};
-use crate::{BenchEnv, BinError};
+use crate::BinError;
 use smtsim_conform::{check_workloads, parse_case, run_fresh_cases, CaseVerdict};
+use smtsim_rob2::{Knob, Knobs};
 use smtsim_workload::mix;
 use std::sync::Arc;
 
-pub(super) fn run(env: &BenchEnv) -> Result<(), BinError> {
+pub(super) fn run(env: &Knobs) -> Result<(), BinError> {
     let mut failures = 0usize;
+    let (seed, budget, warmup) = (
+        env.get(Knob::Seed),
+        env.get(Knob::Budget),
+        env.get(Knob::Warmup),
+    );
 
     println!("Conformance differential (committed mixes)");
     for &m in &env.mixes {
-        let wls: Vec<_> = mix(m)
-            .instantiate(env.seed)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        match check_workloads(&wls, env.seed, env.budget, env.warmup) {
+        let wls: Vec<_> = mix(m).instantiate(seed).into_iter().map(Arc::new).collect();
+        match check_workloads(&wls, seed, budget, warmup) {
             Ok(report) => println!(
                 "  mix {m:>2}: ok ({} commits compared, {} configs)",
                 report.commits_compared,
@@ -67,12 +69,10 @@ pub(super) fn run(env: &BenchEnv) -> Result<(), BinError> {
         }
     }
 
-    println!(
-        "Fresh fuzz (seed={}, cases={})",
-        env.fuzz_seed, env.fuzz_cases
-    );
-    let jobs = env.jobs.unwrap_or(0);
-    for (i, (spec, verdict)) in run_fresh_cases(env.fuzz_seed, env.fuzz_cases, jobs)
+    let (fuzz_seed, fuzz_cases) = (env.get(Knob::FuzzSeed), env.get(Knob::FuzzCases));
+    println!("Fresh fuzz (seed={fuzz_seed}, cases={fuzz_cases})");
+    let jobs = env.get(Knob::Jobs) as usize;
+    for (i, (spec, verdict)) in run_fresh_cases(fuzz_seed, fuzz_cases, jobs)
         .iter()
         .enumerate()
     {

@@ -3,9 +3,9 @@
 //! and the rendering in [`smtsim_rob2::report`].
 
 use super::prepared_spec_lab;
-use crate::{BenchEnv, BinError};
+use crate::BinError;
 use smtsim_rob2::{
-    figures, improvement, report, ExperimentSpec, FigureData, HistogramData, Lab, RobConfig,
+    figures, improvement, report, ExperimentSpec, FigureData, HistogramData, Knobs, Lab, RobConfig,
 };
 
 /// The spec's title (validated present for the kinds that render one).
@@ -49,7 +49,7 @@ pub(super) fn compare_line(pooled: f64, base: f64, label: &str) -> String {
 }
 
 /// `kind = "figure"`: one FT figure to stdout.
-pub(super) fn run_figure(env: &BenchEnv, spec: &ExperimentSpec) -> Result<(), BinError> {
+pub(super) fn run_figure(env: &Knobs, spec: &ExperimentSpec) -> Result<(), BinError> {
     let mut lab = prepared_spec_lab(env, spec)?;
     let fig = figure_data(&mut lab, &env.mixes, spec);
     print!("{}", report::render_figure(&fig));
@@ -60,7 +60,7 @@ pub(super) fn run_figure(env: &BenchEnv, spec: &ExperimentSpec) -> Result<(), Bi
 /// optional pooled-mean comparison line. The reference scheme runs
 /// *first* on the same lab, matching the legacy fig3/fig7 dispatch
 /// order cell for cell.
-pub(super) fn run_histogram(env: &BenchEnv, spec: &ExperimentSpec) -> Result<(), BinError> {
+pub(super) fn run_histogram(env: &Knobs, spec: &ExperimentSpec) -> Result<(), BinError> {
     let mut lab = prepared_spec_lab(env, spec)?;
     let base = spec
         .compare
@@ -79,7 +79,7 @@ pub(super) fn run_histogram(env: &BenchEnv, spec: &ExperimentSpec) -> Result<(),
 
 /// `kind = "table1"`: the machine-configuration table for the spec's
 /// machine (environment integrity knobs applied, like every lab).
-pub(super) fn run_table1(env: &BenchEnv, spec: &ExperimentSpec) -> Result<(), BinError> {
+pub(super) fn run_table1(env: &Knobs, spec: &ExperimentSpec) -> Result<(), BinError> {
     print!("{}", report::render_table1(&env.lab_for_spec(spec).machine));
     Ok(())
 }
@@ -93,7 +93,7 @@ pub(super) fn run_table2() -> Result<(), BinError> {
 /// `kind = "accuracy"`: the DoD-accuracy table over the spec's
 /// schemes; any fill exceeding the static dependence bound is a
 /// runtime failure (exit 1), as in the legacy bin.
-pub(super) fn run_accuracy(env: &BenchEnv, spec: &ExperimentSpec) -> Result<(), BinError> {
+pub(super) fn run_accuracy(env: &Knobs, spec: &ExperimentSpec) -> Result<(), BinError> {
     let mut lab = prepared_spec_lab(env, spec)?;
     let configs: Vec<RobConfig> = spec.variants.iter().map(|v| v.config).collect();
     let acc = figures::accuracy_for(&mut lab, title(spec), &configs, &env.mixes);

@@ -4,7 +4,7 @@
 //! [`run_spec`] for the generic `spec` bin driven by `SMTSIM_SPEC`):
 //! the bin names a committed `experiments/*.toml` file, this module
 //! loads it, merges the environment knobs under the documented
-//! precedence ([`BenchEnv::with_spec`]), lowers the result into the
+//! precedence ([`Knobs::with_spec`]), lowers the result into the
 //! existing [`smtsim_rob2::Lab`] machinery and renders the same bytes
 //! the hand-wired bins produced before the migration (`cargo xtask
 //! determinism` pins that equivalence).
@@ -22,8 +22,8 @@ pub(crate) mod figures;
 mod suite;
 mod trace;
 
-use crate::{BenchEnv, BinError};
-use smtsim_rob2::{ExperimentSpec, Lab, SpecKind};
+use crate::BinError;
+use smtsim_rob2::{ExperimentSpec, Knobs, Lab, SpecKind};
 use std::path::{Path, PathBuf};
 
 /// The committed spec directory, pinned to the source tree (the
@@ -45,7 +45,7 @@ pub fn run_named_spec(name: &str) -> Result<(), BinError> {
 /// with file/line context naming the offending key.
 pub fn run_spec(path: &Path) -> Result<(), BinError> {
     let spec = ExperimentSpec::load(path)?;
-    let env = BenchEnv::from_env()?;
+    let env = Knobs::from_env()?;
     let merged = env.with_spec(&spec);
     match spec.kind {
         SpecKind::Figure => figures::run_figure(&merged, &spec),
@@ -71,7 +71,7 @@ fn sibling_spec(parent: &Path, id: &str) -> Result<ExperimentSpec, BinError> {
 /// shard an armed `SMTSIM_JOURNAL` directory holds for the lab's
 /// universe is opened *here*, so a damaged cache surfaces as a typed
 /// [`BinError`] instead of a mid-sweep panic.
-fn prepared_spec_lab(env: &BenchEnv, spec: &ExperimentSpec) -> Result<Lab, BinError> {
+fn prepared_spec_lab(env: &Knobs, spec: &ExperimentSpec) -> Result<Lab, BinError> {
     let lab = env.lab_for_spec(spec);
     let on_file = lab.cache_shard()?.map_or(0, |shard| shard.len());
     if on_file > 0 {

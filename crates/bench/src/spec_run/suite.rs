@@ -15,8 +15,8 @@
 //! 7) is reused instead of re-run.
 
 use super::{figures, sibling_spec};
-use crate::{BenchEnv, BinError};
-use smtsim_rob2::{report, ExperimentSpec, SpecKind, SpecKnobs};
+use crate::BinError;
+use smtsim_rob2::{report, ExperimentSpec, Knobs, SpecKind};
 use std::collections::BTreeMap;
 use std::fs;
 
@@ -39,14 +39,14 @@ fn check_conformity(suite: &ExperimentSpec, sub: &ExperimentSpec) -> Result<(), 
     if sub.mixes.is_some() {
         return complain("mix selection");
     }
-    if sub.knobs_id.is_some() || sub.knob_overrides != SpecKnobs::default() {
+    if sub.knobs_id.is_some() || !sub.knob_overrides.is_empty() {
         return complain("knobs");
     }
     Ok(())
 }
 
 pub(super) fn run(
-    env: &BenchEnv,
+    env: &Knobs,
     spec: &ExperimentSpec,
     path: &std::path::Path,
 ) -> Result<(), BinError> {

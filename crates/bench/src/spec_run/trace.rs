@@ -2,12 +2,12 @@
 //! episode analytics over the spec's scheme set (see the `trace` bin
 //! docs for the artifact contract).
 
-use crate::{BenchEnv, BinError};
+use crate::BinError;
 use smtsim_obs::{trace_jsonl, EpisodeSummary};
-use smtsim_rob2::{ExperimentSpec, SweepCell};
+use smtsim_rob2::{ExperimentSpec, Knobs, SweepCell};
 use std::fmt::Write as _;
 
-pub(super) fn run(env: &BenchEnv, spec: &ExperimentSpec) -> Result<(), BinError> {
+pub(super) fn run(env: &Knobs, spec: &ExperimentSpec) -> Result<(), BinError> {
     let mut lab = env.lab_for_spec(spec);
     let cells: Vec<SweepCell> = env
         .mixes

@@ -484,39 +484,6 @@ impl Lab {
         self
     }
 
-    /// Sets the deterministic simulated-cycle watchdog ceiling per
-    /// sweep cell (`SMTSIM_CELL_CYCLES`; `None` = unlimited).
-    #[must_use]
-    pub fn with_cell_cycle_budget(mut self, cycles: Option<u64>) -> Self {
-        self.cell_cycle_budget = cycles;
-        self
-    }
-
-    /// Sets the wall-clock watchdog ceiling per sweep cell, in
-    /// milliseconds (`SMTSIM_CELL_TIMEOUT`; `None` = unlimited).
-    #[must_use]
-    pub fn with_cell_wall_ms(mut self, ms: Option<u64>) -> Self {
-        self.cell_wall_ms = ms;
-        self
-    }
-
-    /// Sets the retry count for transiently-failed sweep cells
-    /// (`SMTSIM_CELL_RETRIES`).
-    #[must_use]
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Enables or disables event-driven cycle skipping in every
-    /// simulator the lab builds (`SMTSIM_NO_SKIP`). Validation-only:
-    /// the output is byte-identical either way.
-    #[must_use]
-    pub fn with_cycle_skip(mut self, enabled: bool) -> Self {
-        self.cycle_skip = enabled;
-        self
-    }
-
     /// Arms (or clears) the cooperative per-cell cancellation token
     /// (see the [`Lab::cancel`] field).
     #[must_use]
@@ -614,14 +581,38 @@ impl Lab {
     /// The cache key a normalization run of `(mix, slot)` under `rob`
     /// would use given the lab's *current* state.
     fn norm_key(&self, mix_idx: usize, slot: usize, rob: RobConfig) -> NormKey {
+        // Exhaustive on purpose: a new field does not compile until it
+        // is classified here.
+        let Lab {
+            machine,
+            seed,
+            st_budget,
+            warmup,
+            // Multithreaded-only: normalization runs are unfaulted,
+            // unmetered and unretried, and `rob` is the reference.
+            mt_budget: _,
+            norm: _,
+            global_fault: _,
+            mix_faults: _,
+            transient_faults: _,
+            cell_cycle_budget: _,
+            cell_wall_ms: _,
+            retries: _,
+            cancel: _,
+            // Scheduling and memo state, timing-transparent skipping.
+            jobs: _,
+            single_cache: _,
+            cache: _,
+            cycle_skip: _,
+        } = self;
         NormKey {
             mix: mix_idx,
             slot,
             config: rob.fingerprint(),
-            st_budget: self.st_budget,
-            warmup: self.warmup,
-            seed: self.seed,
-            machine: format!("{:?}", self.machine),
+            st_budget: *st_budget,
+            warmup: *warmup,
+            seed: *seed,
+            machine: format!("{machine:?}"),
         }
     }
 
@@ -985,23 +976,35 @@ impl Lab {
     /// cell bytes depend only on the lowered lab state plus the cell
     /// key, so specs that lower alike share cells.
     pub fn journal_universe(&self) -> String {
+        // Exhaustive on purpose: a new field does not compile until it
+        // is classified here, so none can be left out of the key.
+        let Lab {
+            machine,
+            seed,
+            mt_budget,
+            st_budget,
+            warmup,
+            norm,
+            global_fault,
+            mix_faults,
+            transient_faults,
+            cell_cycle_budget,
+            cell_wall_ms,
+            retries,
+            // Scheduling, memo and cancellation state only.
+            jobs: _,
+            single_cache: _,
+            cache: _,
+            cycle_skip: _,
+            cancel: _,
+        } = self;
         journal::fingerprint_str(&format!(
-            "v{} seed={} mt={} st={} warmup={} norm={} machine={:?} global_fault={:?} \
-             mix_faults={:?} transient_faults={:?} cell_cycles={:?} cell_wall_ms={:?} \
-             retries={}",
+            "v{} seed={seed} mt={mt_budget} st={st_budget} warmup={warmup} norm={} \
+             machine={machine:?} global_fault={global_fault:?} mix_faults={mix_faults:?} \
+             transient_faults={transient_faults:?} cell_cycles={cell_cycle_budget:?} \
+             cell_wall_ms={cell_wall_ms:?} retries={retries}",
             journal::JOURNAL_VERSION,
-            self.seed,
-            self.mt_budget,
-            self.st_budget,
-            self.warmup,
-            self.norm.fingerprint(),
-            self.machine,
-            self.global_fault,
-            self.mix_faults,
-            self.transient_faults,
-            self.cell_cycle_budget,
-            self.cell_wall_ms,
-            self.retries,
+            norm.fingerprint(),
         ))
     }
 
@@ -1357,7 +1360,8 @@ mod tests {
         // Reference: the same lab with no fault and no retries.
         let clean = small_lab().sweep(&cells);
         // Fault plan that deadlocks mix 1 — but only on attempt 1.
-        let mut lab = small_lab().with_retries(2);
+        let mut lab = small_lab();
+        lab.retries = 2;
         lab.machine.deadlock_cycles = 3_000;
         let mut plan = FaultPlan::new(5);
         plan.drop_fill = 1;
@@ -1397,7 +1401,8 @@ mod tests {
     fn persistent_transient_fault_exhausts_retries() {
         // A "transient" plan active through every attempt never heals:
         // retries are spent, the final result is the typed error.
-        let mut lab = small_lab().with_retries(1);
+        let mut lab = small_lab();
+        lab.retries = 1;
         lab.machine.deadlock_cycles = 3_000;
         let mut plan = FaultPlan::new(5);
         plan.drop_fill = 1;
@@ -1414,7 +1419,8 @@ mod tests {
 
     #[test]
     fn cycle_budget_renders_cells_as_timeouts_without_poisoning_others() {
-        let mut lab = small_lab().with_cell_cycle_budget(Some(500));
+        let mut lab = small_lab();
+        lab.cell_cycle_budget = Some(500);
         assert!(lab.resilience_active());
         let report = lab.sweep_cells(&[(1, RobConfig::Baseline(32)), (2, RobConfig::Baseline(32))]);
         // 8k committed instructions cannot fit in 500 cycles: every
@@ -1428,9 +1434,7 @@ mod tests {
         }
         // Timeouts are transient: with retries they are re-attempted
         // (and still time out — the budget is part of the universe).
-        let mut lab = small_lab()
-            .with_cell_cycle_budget(Some(500))
-            .with_retries(1);
+        lab.retries = 1;
         let report = lab.sweep_cells(&[(1, RobConfig::Baseline(32))]);
         assert_eq!(report.outcomes[0].attempts, 2);
         assert_eq!(report.health.timed_out, 1);
@@ -1446,10 +1450,10 @@ mod tests {
         let plain = small_lab().sweep(&cells);
         // Generous budgets and armed retries that never fire must not
         // change a single byte of the results.
-        let mut lab = small_lab()
-            .with_cell_cycle_budget(Some(u64::MAX))
-            .with_cell_wall_ms(Some(3_600_000))
-            .with_retries(3);
+        let mut lab = small_lab();
+        lab.cell_cycle_budget = Some(u64::MAX);
+        lab.cell_wall_ms = Some(3_600_000);
+        lab.retries = 3;
         let resilient = lab.sweep_cells(&cells);
         assert_eq!(resilient.health.ok, 3);
         assert_eq!(resilient.health.retried, 0);

@@ -612,7 +612,8 @@ mod tests {
         assert!(f.health.is_none());
         assert!(!crate::report::render_figure(&f).contains("sweep health"));
         // Resilient lab with idle knobs: footer present, all healthy.
-        let mut resilient = lab().with_retries(1);
+        let mut resilient = lab();
+        resilient.retries = 1;
         let f = fig2(&mut resilient, &[1]);
         assert_eq!(
             f.health.as_deref(),
@@ -622,7 +623,8 @@ mod tests {
         assert!(rendered.ends_with("sweep health: 3 ok (0 retried), 0 timed out, 0 failed\n"));
         // A watchdog-tight lab renders every cell n/a with a timeout
         // note plus the footer.
-        let mut tight = lab().with_cell_cycle_budget(Some(400));
+        let mut tight = lab();
+        tight.cell_cycle_budget = Some(400);
         let h = fig1(&mut tight, &[1]);
         assert!(h.mixes.is_empty());
         assert_eq!(h.failures.len(), 1);

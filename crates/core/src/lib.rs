@@ -17,7 +17,9 @@
 //!   figure and table of §5 over the Table 2 benchmark mixes;
 //! * [`report`] — text rendering in the paper's row/series layout;
 //! * [`cache`] — the persistent content-addressed result cache offline
-//!   sweeps and the serve daemon share.
+//!   sweeps and the serve daemon share;
+//! * [`knobs`] — the one knob table, parsed from the environment,
+//!   merged with a spec and lowered into a [`Lab`].
 //!
 //! The substrates live in sibling crates: the cycle-level SMT pipeline
 //! (`smtsim-pipeline`), memory hierarchy (`smtsim-mem`), predictors
@@ -37,6 +39,7 @@ pub mod cache;
 pub mod experiment;
 pub mod figures;
 pub mod journal;
+pub mod knobs;
 pub mod metrics;
 pub mod report;
 pub mod spec;
@@ -49,8 +52,9 @@ pub use experiment::{
 };
 pub use figures::{AccuracyData, AccuracyRow, FigureData, HistogramData, Series, ALL_MIXES};
 pub use journal::{Journal, JournalEntry, JournalError};
+pub use knobs::{Knob, Knobs, KNOBS};
 pub use metrics::{fair_throughput, harmonic_mean, improvement, mean, weighted_ipc};
-pub use spec::{ExperimentSpec, SpecError, SpecKind, SpecKnobs, SpecVariant};
+pub use spec::{ExperimentSpec, SpecError, SpecKind, SpecVariant};
 pub use twolevel::{
     DodPredictorKind, ReleasePolicy, Scheme, SchemeKind, TenureView, TwoLevelConfig, TwoLevelRob,
     TwoLevelStats,

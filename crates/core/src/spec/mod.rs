@@ -18,9 +18,9 @@
 //!    `r-rob-16`, machine ids, fetch policies, mix sets, knob presets
 //!    — plus local `[scheme.<name>]` variant sections that derive a
 //!    custom configuration from a registry base;
-//! 3. `smtsim-bench` lowers the resolved spec into the existing
-//!    [`crate::Lab`] machinery, merging environment knobs with the
-//!    documented precedence (explicit env > spec > built-in default).
+//! 3. [`crate::Knobs`] merges environment knobs with the spec under
+//!    the documented precedence (explicit env > spec > built-in
+//!    default) and lowers the result into a [`crate::Lab`].
 //!
 //! Every byte-affecting spec field participates in the **spec
 //! fingerprint**: the FNV hash of the spec's canonical rendering
@@ -36,6 +36,7 @@ pub mod toml;
 
 use crate::experiment::RobConfig;
 use crate::journal;
+use crate::knobs::{Knob, KNOBS};
 use crate::twolevel::{DodPredictorKind, ReleasePolicy, Scheme, TwoLevelConfig};
 use smtsim_pipeline::{MachineConfig, SimError};
 use std::fmt::Write as _;
@@ -190,46 +191,6 @@ pub struct SchemeOverrides {
     pub predictor: Option<String>,
 }
 
-/// Knob values the spec contributes (`[knobs]` overlaid on the
-/// `knobs = "<preset>"` preset). `None` = not specified; the
-/// environment and the built-in defaults fill the rest (see the
-/// precedence table in EXPERIMENTS.md).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpecKnobs {
-    /// `BUDGET` equivalent.
-    pub budget: Option<u64>,
-    /// `ST_BUDGET` equivalent.
-    pub st_budget: Option<u64>,
-    /// `WARMUP` equivalent.
-    pub warmup: Option<u64>,
-    /// `SEED` equivalent.
-    pub seed: Option<u64>,
-    /// `FUZZ_CASES` equivalent (conform).
-    pub fuzz_cases: Option<u64>,
-    /// `FUZZ_SEED` equivalent (conform).
-    pub fuzz_seed: Option<u64>,
-    /// `CHECK_THREADS` equivalent (check; 1..=4).
-    pub check_threads: Option<u64>,
-    /// `CHECK_L2` equivalent (check; 1..=4).
-    pub check_l2: Option<u64>,
-}
-
-impl SpecKnobs {
-    /// Overlays `over` (higher precedence) on `self`.
-    fn overlay(self, over: SpecKnobs) -> SpecKnobs {
-        SpecKnobs {
-            budget: over.budget.or(self.budget),
-            st_budget: over.st_budget.or(self.st_budget),
-            warmup: over.warmup.or(self.warmup),
-            seed: over.seed.or(self.seed),
-            fuzz_cases: over.fuzz_cases.or(self.fuzz_cases),
-            fuzz_seed: over.fuzz_seed.or(self.fuzz_seed),
-            check_threads: over.check_threads.or(self.check_threads),
-            check_l2: over.check_l2.or(self.check_l2),
-        }
-    }
-}
-
 /// A fully parsed and resolved experiment spec.
 #[derive(Clone, Debug)]
 pub struct ExperimentSpec {
@@ -259,9 +220,9 @@ pub struct ExperimentSpec {
     pub mixes: Option<Vec<usize>>,
     /// Knob-preset id (`knobs = "..."`), if given.
     pub knobs_id: Option<String>,
-    /// Explicit `[knobs]` values (preset *not* folded in — see
-    /// [`ExperimentSpec::knobs`]).
-    pub knob_overrides: SpecKnobs,
+    /// Explicit `[knobs]` values, in [`KNOBS`] order (preset *not*
+    /// folded in — see [`ExperimentSpec::knob`]).
+    pub knob_overrides: Vec<(Knob, u64)>,
     /// Histogram comparison: the scheme whose pooled mean the main
     /// histogram is compared against, plus the display label of the
     /// reference ("mean dependents vs {label}: …").
@@ -299,23 +260,18 @@ impl ExperimentSpec {
             .unwrap_or_else(|| crate::figures::ALL_MIXES.to_vec())
     }
 
-    /// The effective spec-side knob values: the `knobs = "<preset>"`
-    /// preset overlaid with the explicit `[knobs]` section.
-    pub fn knobs(&self) -> SpecKnobs {
-        let preset = match &self.knobs_id {
-            None => SpecKnobs::default(),
-            Some(id) => {
-                let p = registry::knob_preset(id).expect("validated at parse time");
-                SpecKnobs {
-                    budget: p.budget,
-                    st_budget: p.st_budget,
-                    warmup: p.warmup,
-                    seed: p.seed,
-                    ..SpecKnobs::default()
-                }
-            }
-        };
-        preset.overlay(self.knob_overrides)
+    /// The spec's value for `knob`: its `[knobs]` entry, else its
+    /// `knobs = "<preset>"` preset's, else `None` (the environment and
+    /// the built-in default decide — see `Knobs::with_spec`).
+    pub fn knob(&self, knob: Knob) -> Option<u64> {
+        let preset = self.knobs_id.as_deref().map_or(&[][..], |id| {
+            registry::knob_preset(id).expect("validated at parse time")
+        });
+        self.knob_overrides
+            .iter()
+            .chain(preset)
+            .find(|&&(k, _)| k == knob)
+            .map(|&(_, v)| v)
     }
 
     /// Canonical rendering: a normal-form spec file that re-parses to
@@ -323,7 +279,8 @@ impl ExperimentSpec {
     /// and omitted-vs-defaulted distinctions are preserved, so
     /// `render(parse(render(parse(x)))) == render(parse(x))` holds
     /// byte-for-byte (the round-trip stability test) and the FNV hash
-    /// of this text is the spec's journal-universe identity.
+    /// of this text is the spec's fingerprint. The result-cache
+    /// universe does not include it (see the module docs).
     pub fn render(&self) -> String {
         let mut out = String::from("[experiment]\n");
         let kv = |out: &mut String, k: &str, v: &Value| {
@@ -365,23 +322,11 @@ impl ExperimentSpec {
             let ids = self.specs.iter().map(|s| Value::Str(s.clone())).collect();
             kv(&mut out, "specs", &Value::Array(ids));
         }
-        let k = &self.knob_overrides;
-        let knob_items: Vec<(&str, Option<u64>)> = vec![
-            ("budget", k.budget),
-            ("st_budget", k.st_budget),
-            ("warmup", k.warmup),
-            ("seed", k.seed),
-            ("fuzz_cases", k.fuzz_cases),
-            ("fuzz_seed", k.fuzz_seed),
-            ("check_threads", k.check_threads),
-            ("check_l2", k.check_l2),
-        ];
-        if knob_items.iter().any(|(_, v)| v.is_some()) {
+        if !self.knob_overrides.is_empty() {
             out.push_str("\n[knobs]\n");
-            for (key, v) in knob_items {
-                if let Some(v) = v {
-                    kv(&mut out, key, &Value::Int(v));
-                }
+            for &(k, v) in &self.knob_overrides {
+                let key = KNOBS[k as usize].spec_key.expect("parsed from a spec key");
+                kv(&mut out, key, &Value::Int(v));
             }
         }
         for cs in &self.custom_schemes {
@@ -595,41 +540,21 @@ fn resolve(file: &str, doc: &toml::Doc) -> Result<ExperimentSpec, SpecError> {
         kind.ok_or_else(|| spec_err(file, exp.line, "missing `kind` in `[experiment]`".into()))?;
 
     // --- [knobs] -----------------------------------------------------
-    let mut knob_overrides = SpecKnobs::default();
-    if let Some(sec) = knobs_section {
-        for item in &sec.items {
-            let v = expect_int(file, item)?;
-            match item.key.as_str() {
-                "budget" => knob_overrides.budget = Some(v),
-                "st_budget" => knob_overrides.st_budget = Some(v),
-                "warmup" => knob_overrides.warmup = Some(v),
-                "seed" => knob_overrides.seed = Some(v),
-                "fuzz_cases" => knob_overrides.fuzz_cases = Some(v),
-                "fuzz_seed" => knob_overrides.fuzz_seed = Some(v),
-                "check_threads" | "check_l2" => {
-                    if !(1..=4).contains(&v) {
-                        return Err(spec_err(
-                            file,
-                            item.line,
-                            format!("key `{}`: {v} out of range 1..=4", item.key),
-                        ));
-                    }
-                    if item.key == "check_threads" {
-                        knob_overrides.check_threads = Some(v);
-                    } else {
-                        knob_overrides.check_l2 = Some(v);
-                    }
-                }
-                other => {
-                    return Err(spec_err(
-                        file,
-                        item.line,
-                        format!("unknown key `{other}` in `[knobs]`"),
-                    ));
-                }
-            }
-        }
+    let mut knob_overrides = Vec::new();
+    for item in knobs_section.iter().flat_map(|sec| &sec.items) {
+        let v = expect_int(file, item)?;
+        let line = item.line;
+        let key = item.key.as_str();
+        let row = KNOBS
+            .iter()
+            .find(|r| r.spec_key == Some(key))
+            .ok_or_else(|| spec_err(file, line, format!("unknown key `{key}` in `[knobs]`")))?;
+        row.check(v).map_err(|range| {
+            spec_err(file, line, format!("key `{key}`: {v} out of range {range}"))
+        })?;
+        knob_overrides.push((row.knob, v));
     }
+    knob_overrides.sort_unstable();
 
     // --- per-kind shape checks --------------------------------------
     if kind.needs_title() && title.is_none() {
@@ -1181,11 +1106,31 @@ cdr_delay = 8
         let text = "[experiment]\nid = \"x\"\nkind = \"table2\"\nknobs = \"ci\"\n\
                     \n[knobs]\nwarmup = 5000\n";
         let spec = ExperimentSpec::parse("k.toml", text).unwrap();
-        let k = spec.knobs();
-        assert_eq!(k.budget, Some(8_000), "preset value");
-        assert_eq!(k.warmup, Some(5_000), "[knobs] beats the preset");
-        assert_eq!(k.seed, Some(42));
-        assert_eq!(k.fuzz_cases, None);
+        assert_eq!(spec.knob(Knob::Budget), Some(8_000), "preset value");
+        assert_eq!(
+            spec.knob(Knob::Warmup),
+            Some(5_000),
+            "[knobs] beats the preset"
+        );
+        assert_eq!(spec.knob(Knob::Seed), Some(42));
+        assert_eq!(spec.knob(Knob::FuzzCases), None);
+    }
+
+    #[test]
+    fn knobs_section_renders_in_the_canonical_key_order() {
+        // The order is part of every spec fingerprint.
+        let text = "[experiment]\nid = \"x\"\nkind = \"check\"\n\n[knobs]\ncheck_l2 = 3\n\
+                    seed = 7\ncheck_threads = 2\nfuzz_seed = 9\nbudget = 1\nfuzz_cases = 5\n\
+                    warmup = 2\nst_budget = 3\n";
+        let spec = ExperimentSpec::parse("k.toml", text).unwrap();
+        assert!(
+            spec.render().ends_with(
+                "\n[knobs]\nbudget = 1\nst_budget = 3\nwarmup = 2\nseed = 7\nfuzz_cases = 5\n\
+                 fuzz_seed = 9\ncheck_threads = 2\ncheck_l2 = 3\n"
+            ),
+            "{}",
+            spec.render()
+        );
     }
 
     #[test]

@@ -26,25 +26,12 @@
 //! file/line context from the referencing TOML item.
 
 use crate::experiment::RobConfig;
+use crate::knobs::Knob;
 use crate::twolevel::TwoLevelConfig;
 use smtsim_pipeline::{DcraConfig, FetchPolicyKind, MachineConfig};
 
 /// The scheme families the registry can instantiate at any threshold.
 const SCHEME_FAMILIES: &[&str] = &["baseline", "r-rob", "relaxed-r-rob", "cdr-rob", "p-rob"];
-
-/// Knob values a preset or spec contributes; `None` = not specified
-/// (the next precedence layer decides).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct KnobPreset {
-    /// Multithreaded commit budget (`BUDGET`).
-    pub budget: Option<u64>,
-    /// Single-threaded normalization budget (`ST_BUDGET`).
-    pub st_budget: Option<u64>,
-    /// Functional warm-up instructions (`WARMUP`).
-    pub warmup: Option<u64>,
-    /// Workload seed (`SEED`).
-    pub seed: Option<u64>,
-}
 
 /// Resolves `id` to a machine configuration.
 pub fn machine(id: &str) -> Result<MachineConfig, String> {
@@ -101,25 +88,23 @@ pub fn mix_set(id: &str) -> Result<Vec<usize>, String> {
     }
 }
 
-/// Resolves a named knob preset.
-pub fn knob_preset(id: &str) -> Result<KnobPreset, String> {
+/// Resolves a named knob preset to its `(knob, value)` rows.
+pub fn knob_preset(id: &str) -> Result<&'static [(Knob, u64)], String> {
     match id {
         // The committed-`results/` scale: the documented defaults of
         // the BUDGET/WARMUP/SEED knobs.
-        "paper" => Ok(KnobPreset {
-            budget: Some(40_000),
-            st_budget: None,
-            warmup: Some(60_000),
-            seed: Some(42),
-        }),
+        "paper" => Ok(&[
+            (Knob::Budget, 40_000),
+            (Knob::Warmup, 60_000),
+            (Knob::Seed, 42),
+        ]),
         // The `xtask determinism` CI scale (tests/golden/ is recorded
         // here).
-        "ci" => Ok(KnobPreset {
-            budget: Some(8_000),
-            st_budget: None,
-            warmup: Some(10_000),
-            seed: Some(42),
-        }),
+        "ci" => Ok(&[
+            (Knob::Budget, 8_000),
+            (Knob::Warmup, 10_000),
+            (Knob::Seed, 42),
+        ]),
         _ => Err(format!("unknown knob-preset id `{id}` (known: paper, ci)")),
     }
 }
@@ -203,10 +188,10 @@ mod tests {
     #[test]
     fn presets_carry_the_documented_scales() {
         let paper = knob_preset("paper").unwrap();
-        assert_eq!(paper.budget, Some(40_000));
-        assert_eq!(paper.warmup, Some(60_000));
+        assert!(paper.contains(&(Knob::Budget, 40_000)));
+        assert!(paper.contains(&(Knob::Warmup, 60_000)));
         let ci = knob_preset("ci").unwrap();
-        assert_eq!(ci.budget, Some(8_000));
-        assert_eq!(ci.warmup, Some(10_000));
+        assert!(ci.contains(&(Knob::Budget, 8_000)));
+        assert!(ci.contains(&(Knob::Warmup, 10_000)));
     }
 }

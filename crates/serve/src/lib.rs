@@ -38,13 +38,13 @@
 //! `smtsim-obs`'s `MetricsRegistry` and served over the protocol.
 //!
 //! The daemon is deliberately **env-free**: it consumes a typed
-//! [`ServeConfig`] plus a [`SpecLowering`] strategy, so the bench
-//! layer keeps the single environment-knob funnel (`BenchEnv`) and
-//! supplies the spec-to-lab lowering the offline bins use — which is
-//! what makes the served bytes provably identical to the offline
-//! `spec` bin (`tests/serve.rs`).
+//! [`ServeConfig`] plus the [`Knobs`] its caller parsed, and lowers
+//! every spec through the same [`Knobs`] lowering the offline bins use
+//! — which is what makes the served bytes provably identical to the
+//! offline `spec` bin (`tests/serve.rs`).
 //!
 //! [`ExperimentSpec`]: smtsim_rob2::ExperimentSpec
+//! [`Knobs`]: smtsim_rob2::Knobs
 //! [`Lab::journal_universe`]: smtsim_rob2::Lab::journal_universe
 //! [`ResultCache`]: smtsim_rob2::ResultCache
 //! [`CancelToken`]: smtsim_pipeline::CancelToken
@@ -53,4 +53,4 @@ pub mod protocol;
 pub mod server;
 
 pub use protocol::{Request, SpecSource};
-pub use server::{PlainLowering, ServeConfig, Server, SpecLowering};
+pub use server::{ServeConfig, Server, SpecLowering};

@@ -31,8 +31,10 @@ use crate::protocol::{self, error_kind, CellStatus, DoneStats, Request, SpecSour
 use smtsim_obs::{MetricsRegistry, NoopTracer};
 use smtsim_pipeline::{CancelToken, SimError};
 use smtsim_rob2::journal::{cell_key, mix_run_to_json};
-use smtsim_rob2::{figures, report, CellOutcome, ExperimentSpec, Journal, JournalError, Lab};
-use smtsim_rob2::{NormTable, ResultCache, RobConfig, SpecKind, SweepReport, ALL_MIXES};
+use smtsim_rob2::{
+    figures, report, CellOutcome, ExperimentSpec, Journal, JournalError, Knobs, Lab,
+};
+use smtsim_rob2::{NormTable, ResultCache, RobConfig, SpecKind, SweepReport};
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -77,51 +79,22 @@ impl ServeConfig {
     }
 }
 
-/// Strategy turning a parsed figure spec into the lab (and mix list)
-/// its cells run under. The bench layer implements this over
-/// `BenchEnv::with_spec` + `lab_for_spec`, which is what makes served
-/// bytes identical to the offline `spec` bin; [`PlainLowering`] is a
-/// minimal env-free implementation for embedding and tests. Errors are
-/// human-readable reasons, answered as `invalid-config`.
+/// How the daemon turns a parsed figure spec into the lab (and mix
+/// list) its cells run under. [`Knobs`] implements it with the one
+/// lowering the offline bins use ([`Knobs::with_spec`] then
+/// [`Knobs::lab_for_spec`]), which is what makes served bytes
+/// identical to the offline `spec` bin; the trait is the seam a test
+/// wraps to stall admission.
 pub trait SpecLowering: Send + Sync {
     /// Lowers `spec` to a ready lab plus the mix indices to sweep.
-    fn lower(&self, spec: &ExperimentSpec) -> Result<(Lab, Vec<usize>), String>;
+    fn lower(&self, spec: &ExperimentSpec) -> (Lab, Vec<usize>);
 }
 
-/// Environment-free [`SpecLowering`]: machine, normalization reference
-/// and mix list straight from the spec; budgets/warm-up/seed from the
-/// spec's knobs, falling back to the fields here.
-#[derive(Clone, Debug)]
-pub struct PlainLowering {
-    /// Fallback multithreaded + single-threaded commit budget.
-    pub budget: u64,
-    /// Fallback warm-up instructions.
-    pub warmup: u64,
-    /// Fallback workload seed.
-    pub seed: u64,
-}
-
-impl Default for PlainLowering {
-    fn default() -> Self {
-        PlainLowering {
-            budget: 60_000,
-            warmup: 60_000,
-            seed: 42,
-        }
-    }
-}
-
-impl SpecLowering for PlainLowering {
-    fn lower(&self, spec: &ExperimentSpec) -> Result<(Lab, Vec<usize>), String> {
-        let knobs = spec.knobs();
-        let mt = knobs.budget.unwrap_or(self.budget);
-        let mut lab = Lab::new(knobs.seed.unwrap_or(self.seed))
-            .with_budgets(mt, knobs.st_budget.unwrap_or(mt))
-            .with_warmup(knobs.warmup.unwrap_or(self.warmup));
-        lab.machine = spec.machine.clone();
-        lab.norm = spec.norm;
-        let mixes = spec.mixes.clone().unwrap_or_else(|| ALL_MIXES.to_vec());
-        Ok((lab, mixes))
+impl SpecLowering for Knobs {
+    fn lower(&self, spec: &ExperimentSpec) -> (Lab, Vec<usize>) {
+        let merged = self.with_spec(spec);
+        let lab = merged.lab_for_spec(spec);
+        (lab, merged.mixes)
     }
 }
 
@@ -629,10 +602,7 @@ fn prepare_request(
     spec: &ExperimentSpec,
     tx: mpsc::Sender<CellMsg>,
 ) -> Result<Arc<RequestRun>, Reject> {
-    let (lab, mixes) = shared.lowering.lower(spec).map_err(|reason| Reject {
-        kind: error_kind::INVALID_CONFIG,
-        reason,
-    })?;
+    let (lab, mixes) = shared.lowering.lower(spec);
     let cancel = CancelToken::new();
     // Content addressing: identity is the lowered lab state (see
     // `smtsim_rob2::cache`), and the daemon's cache replaces any
@@ -900,11 +870,7 @@ mod tests {
     }
 
     fn lowering() -> Box<dyn SpecLowering> {
-        Box::new(PlainLowering {
-            budget: 2_000,
-            warmup: 500,
-            seed: 42,
-        })
+        Box::new(Knobs::default())
     }
 
     fn roundtrip(socket: &Path, request: &str) -> Vec<String> {

@@ -179,14 +179,19 @@ fn stale_universe_is_rejected_never_reused() {
 
     // Any knob that changes cell bytes addresses a different, empty
     // shard: the old cells are never served to the new universe.
+    let tweaked = |tweak: fn(&mut Lab)| {
+        let mut lab = small_lab();
+        tweak(&mut lab);
+        lab
+    };
     let relabeled: Vec<(&str, Lab)> = vec![
         ("seed", Lab::new(8).with_budgets(6_000, 6_000)),
         ("budget", small_lab().with_budgets(5_000, 6_000)),
         ("warmup", small_lab().with_warmup(1_234)),
-        ("retries", small_lab().with_retries(1)),
+        ("retries", tweaked(|lab| lab.retries = 1)),
         (
             "cycle budget",
-            small_lab().with_cell_cycle_budget(Some(1_000_000)),
+            tweaked(|lab| lab.cell_cycle_budget = Some(1_000_000)),
         ),
     ];
     for (what, lab) in relabeled {
@@ -209,7 +214,8 @@ fn wedged_cell_is_terminated_and_rendered_na_while_rest_completes() {
     // A fault plan that drops every L2 fill starves the mix forever;
     // with the deadlock watchdog pushed out of reach, the cycle budget
     // is the only thing standing between the sweep and a wedge.
-    let mut lab = small_lab().with_cell_cycle_budget(Some(60_000));
+    let mut lab = small_lab();
+    lab.cell_cycle_budget = Some(60_000);
     lab.machine.deadlock_cycles = u64::MAX;
     let mut plan = FaultPlan::new(5);
     plan.drop_fill = 1;
@@ -244,7 +250,8 @@ fn transient_fault_recovers_via_retry_and_reports_health() {
         lab.sweep(&fig2_cells(&mixes))
     };
 
-    let mut lab = small_lab().with_retries(2);
+    let mut lab = small_lab();
+    lab.retries = 2;
     lab.machine.deadlock_cycles = 3_000;
     let mut plan = FaultPlan::new(5);
     plan.drop_fill = 1;
@@ -299,7 +306,8 @@ fn fault_plan_times_retry_matrix_never_aborts() {
     }
     for (name, plan) in plans {
         for retries in [0u32, 1] {
-            let mut lab = small_lab().with_retries(retries);
+            let mut lab = small_lab();
+            lab.retries = retries;
             lab.machine.deadlock_cycles = 3_000;
             lab.set_transient_fault(1, plan.clone(), 1);
             let report = lab.sweep_cells(&[(1, RobConfig::Baseline(32))]);

@@ -4,6 +4,7 @@
 //! loop (metrics probes stay live throughout), and a client that
 //! disconnects mid-stream has its queued cells cancelled and counted.
 
+use smtsim_rob2::Knobs;
 use smtsim_serve::{ServeConfig, Server, SpecLowering};
 use std::io::{BufRead, BufReader, Write as _};
 use std::os::unix::net::UnixStream;
@@ -64,15 +65,12 @@ fn config(tag: &str, queue_limit: usize) -> ServeConfig {
 /// [`SpecLowering`] that stalls before delegating — holds its admission
 /// slot long enough for the queue-full path to be observable.
 struct SlowLowering {
-    inner: smtsim_serve::PlainLowering,
+    inner: Knobs,
     delay: Duration,
 }
 
 impl SpecLowering for SlowLowering {
-    fn lower(
-        &self,
-        spec: &smtsim_rob2::ExperimentSpec,
-    ) -> Result<(smtsim_rob2::Lab, Vec<usize>), String> {
+    fn lower(&self, spec: &smtsim_rob2::ExperimentSpec) -> (smtsim_rob2::Lab, Vec<usize>) {
         std::thread::sleep(self.delay);
         self.inner.lower(spec)
     }
@@ -116,7 +114,7 @@ fn full_queue_rejects_retryable_while_the_accept_loop_stays_live() {
     let server = Server::start(
         config("queue", 1),
         Box::new(SlowLowering {
-            inner: smtsim_serve::PlainLowering::default(),
+            inner: Knobs::default(),
             delay,
         }),
     )
@@ -175,11 +173,7 @@ fn full_queue_rejects_retryable_while_the_accept_loop_stays_live() {
 
 #[test]
 fn client_disconnect_cancels_its_queued_cells() {
-    let server = Server::start(
-        config("cancel", 4),
-        Box::new(smtsim_serve::PlainLowering::default()),
-    )
-    .unwrap();
+    let server = Server::start(config("cancel", 4), Box::new(Knobs::default())).unwrap();
     let socket = server.socket().to_path_buf();
 
     // Submit a 12-cell request on a 1-worker pool, read the accepted

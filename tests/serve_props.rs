@@ -6,64 +6,89 @@
 //! *same* universe with the same cell keys (so overlapping work is
 //! actually shared).
 //!
+//! The knob properties enumerate the knob table itself (`KNOBS`), so a
+//! new knob is covered the moment it gets a row, and a row marked
+//! byte-irrelevant that does reach the cache key fails here.
+//!
 //! Runs against the vendored deterministic `proptest` shim: fixed
 //! seeding, no shrinking, stable in CI.
 
 use proptest::prelude::*;
-use smtsim_bench::serve_support::EnvLowering;
-use smtsim_bench::BenchEnv;
 use smtsim_rob2::journal::cell_key;
-use smtsim_rob2::{ExperimentSpec, Lab};
+use smtsim_rob2::knobs::KnobRow;
+use smtsim_rob2::{ExperimentSpec, Knobs, KNOBS};
 use smtsim_serve::SpecLowering as _;
+use std::collections::BTreeMap;
 
-/// The knobs [`Lab::journal_universe`] folds that these properties
-/// drive directly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Knobs {
-    seed: u64,
-    mt_budget: u64,
-    st_budget: u64,
-    warmup: u64,
-    retries: u32,
-    cell_cycles: Option<u64>,
+type Env = BTreeMap<&'static str, u64>;
+
+/// The base every property starts from: defaults, except that every
+/// fault category is on, so the fault seed and the delay length reach
+/// the lab's fault plan.
+fn base_env() -> Env {
+    [
+        ("FAULT_DROP_FILL", 1_000),
+        ("FAULT_DELAY_FILL", 1_000),
+        ("FAULT_CORRUPT_DOD", 1_000),
+        ("FAULT_WITHHOLD_RELEASE", 1_000),
+    ]
+    .into_iter()
+    .collect()
 }
 
-impl Knobs {
-    fn lab(self) -> Lab {
-        let mut lab = Lab::new(self.seed)
-            .with_budgets(self.mt_budget, self.st_budget)
-            .with_warmup(self.warmup);
-        lab.retries = self.retries;
-        lab.cell_cycle_budget = self.cell_cycles;
-        lab
+fn knobs(env: &Env) -> Knobs {
+    Knobs::from_lookup(|name| env.get(name).map(u64::to_string)).expect("in-range knobs")
+}
+
+fn fig2() -> ExperimentSpec {
+    ExperimentSpec::load(&smtsim_bench::spec_dir().join("fig2.toml")).expect("fig2.toml parses")
+}
+
+/// The universe the committed fig2 spec lowers to under `env`.
+fn universe(env: &Env) -> String {
+    let (lab, _) = knobs(env).lower(&fig2());
+    lab.journal_universe()
+}
+
+/// `row`'s value in `env` moved by a `delta`-dependent step, staying
+/// within the row's range.
+fn perturbed(env: &Env, row: &KnobRow, delta: u64) -> Env {
+    let v = knobs(env).get(row.knob);
+    let hi = *row.range.end();
+    let moved = if v < hi {
+        v + 1 + (delta - 1) % (hi - v)
+    } else {
+        v - 1
+    };
+    let mut out = env.clone();
+    out.insert(row.env, moved);
+    out
+}
+
+/// A base env with each byte-affecting knob offset by `offsets[i]`
+/// (every offset keeps the fault categories on).
+fn offset_env(offsets: &[u64]) -> Env {
+    let mut env = base_env();
+    let base = knobs(&env);
+    for (row, &off) in KNOBS.iter().filter(|r| r.byte_affecting).zip(offsets) {
+        env.insert(row.env, base.get(row.knob) + off);
     }
+    env
 }
 
-fn knob_strategy() -> impl Strategy<Value = Knobs> {
-    (
-        1u64..20,
-        1_000u64..5_000,
-        1_000u64..5_000,
-        0u64..3_000,
-        0u32..3,
-        0u64..4,
-    )
-        .prop_map(|(seed, mt, st, warmup, retries, cc)| Knobs {
-            seed,
-            mt_budget: mt,
-            st_budget: st,
-            warmup,
-            retries,
-            cell_cycles: (cc > 0).then_some(cc * 100_000),
-        })
+fn byte_affecting_rows() -> usize {
+    KNOBS.iter().filter(|r| r.byte_affecting).count()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn byte_affecting_knobs_shard_the_universe(a in knob_strategy(), b in knob_strategy()) {
-        let (ua, ub) = (a.lab().journal_universe(), b.lab().journal_universe());
+    fn byte_affecting_knobs_shard_the_universe(
+        a in prop::collection::vec(0u64..3, byte_affecting_rows()..byte_affecting_rows() + 1),
+        b in prop::collection::vec(0u64..3, byte_affecting_rows()..byte_affecting_rows() + 1),
+    ) {
+        let (ua, ub) = (universe(&offset_env(&a)), universe(&offset_env(&b)));
         if a == b {
             prop_assert_eq!(ua, ub, "equal knobs must share a universe: {:?}", a);
         } else {
@@ -72,44 +97,42 @@ proptest! {
     }
 
     #[test]
-    fn single_knob_mutations_always_move_the_universe(
-        base in knob_strategy(),
-        which in 0usize..6,
-        delta in 1u64..10,
-    ) {
-        let mut mutated = base;
-        match which {
-            0 => mutated.seed += delta,
-            1 => mutated.mt_budget += delta,
-            2 => mutated.st_budget += delta,
-            3 => mutated.warmup += delta,
-            4 => mutated.retries += delta as u32,
-            _ => {
-                mutated.cell_cycles =
-                    Some(mutated.cell_cycles.unwrap_or(0) + delta * 100_000);
-            }
+    fn single_knob_mutations_always_move_the_universe(delta in 1u64..10) {
+        // Every row marked byte-affecting, perturbed alone within its
+        // range, must move the universe.
+        let base = base_env();
+        let before = universe(&base);
+        for row in KNOBS.iter().filter(|r| r.byte_affecting) {
+            prop_assert_ne!(
+                &universe(&perturbed(&base, row, delta)),
+                &before,
+                "{} moved by step {} must move the universe",
+                row.env,
+                delta
+            );
         }
-        prop_assert_ne!(
-            base.lab().journal_universe(),
-            mutated.lab().journal_universe(),
-            "mutating knob #{} by {} must move the universe: {:?}",
-            which, delta, base
-        );
     }
 
     #[test]
-    fn byte_irrelevant_state_shares_the_universe(base in knob_strategy(), jobs in 1usize..8) {
-        // Job count and cycle skipping shape *scheduling*, not cell
-        // bytes — both are deliberately outside the cache universe.
-        let plain = base.lab().journal_universe();
-        prop_assert_eq!(
-            base.lab().with_jobs(Some(jobs)).journal_universe(),
-            plain.clone()
-        );
-        prop_assert_eq!(
-            base.lab().with_cycle_skip(jobs % 2 == 0).journal_universe(),
-            plain
-        );
+    fn byte_irrelevant_state_shares_the_universe(delta in 1u64..10, jobs in 1usize..8) {
+        // Every other row (job count, cycle skipping, the conform,
+        // check, bench and serve knobs) shapes scheduling or other
+        // outputs, never cell bytes.
+        let base = base_env();
+        let plain = universe(&base);
+        for row in KNOBS.iter().filter(|r| !r.byte_affecting) {
+            prop_assert_eq!(
+                &universe(&perturbed(&base, row, delta)),
+                &plain,
+                "{} is marked byte-irrelevant but moved the universe",
+                row.env
+            );
+        }
+        let (lab, _) = knobs(&base).lower(&fig2());
+        prop_assert_eq!(lab.with_jobs(Some(jobs)).journal_universe(), plain.clone());
+        let (mut lab, _) = knobs(&base).lower(&fig2());
+        lab.cycle_skip = jobs % 2 == 0;
+        prop_assert_eq!(lab.journal_universe(), plain);
     }
 
     #[test]
@@ -140,9 +163,9 @@ proptest! {
             .expect("cosmetic edits must still parse");
         prop_assert_eq!(&same.fingerprint, &spec.fingerprint);
 
-        let lowering = EnvLowering { env: BenchEnv::from_env().unwrap() };
-        let (lab_a, mixes_a) = lowering.lower(&spec).unwrap();
-        let (lab_b, mixes_b) = lowering.lower(&same).unwrap();
+        let lowering = Knobs::default();
+        let (lab_a, mixes_a) = lowering.lower(&spec);
+        let (lab_b, mixes_b) = lowering.lower(&same);
         prop_assert_eq!(lab_a.journal_universe(), lab_b.journal_universe());
         prop_assert_eq!(&mixes_a, &mixes_b);
         for (va, vb) in spec.variants.iter().zip(&same.variants) {
@@ -171,9 +194,9 @@ proptest! {
             )
             .unwrap()
         };
-        let lowering = smtsim_serve::PlainLowering::default();
-        let (lab_a, _) = lowering.lower(&spec_with(2_000)).unwrap();
-        let (lab_b, _) = lowering.lower(&spec_with(2_000 + extra)).unwrap();
+        let lowering = Knobs::default();
+        let (lab_a, _) = lowering.lower(&spec_with(2_000));
+        let (lab_b, _) = lowering.lower(&spec_with(2_000 + extra));
         prop_assert_ne!(lab_a.journal_universe(), lab_b.journal_universe());
     }
 }

@@ -1,6 +1,6 @@
 //! Seeded lint-violation fixture: a figure bin reading an experiment
 //! knob directly from the environment instead of through
-//! `BenchEnv::from_env` — exactly the drift the
+//! `Knobs::from_env` — exactly the drift the
 //! env-read-outside-benchenv rule bans. Not part of the workspace
 //! build; `cargo xtask` tests scan it.
 

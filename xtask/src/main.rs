@@ -55,9 +55,9 @@
 //!   accounting files, where a truncated counter produces a plausible
 //!   but wrong figure. Marker: `// xtask: allow-lossy-cast`.
 //! * **env-read-outside-benchenv** — `env::var` / `env::var_os` reads
-//!   anywhere but `crates/bench/src/env.rs`. Every experiment knob
-//!   parses exactly once through `BenchEnv::from_env`, so the knob
-//!   table in `smtsim-bench`'s docs is authoritative and a typo'd
+//!   anywhere but `crates/core/src/knobs.rs`. Every experiment knob is
+//!   a row of its table and parses exactly once through
+//!   `Knobs::from_env`, so the table is authoritative and a typo'd
 //!   variable fails loudly instead of silently using a default.
 //!   Marker: `// xtask: allow-env-read`.
 //! * **wall-clock-in-sim** — `Instant` / `SystemTime` reads outside
@@ -287,9 +287,9 @@ fn scan_file(
                 file: path.to_path_buf(),
                 line: lineno,
                 rule: "env-read-outside-benchenv",
-                message: "environment read outside `crates/bench/src/env.rs`: route the \
-                          knob through `BenchEnv::from_env` so the documented knob table \
-                          stays authoritative (or annotate `// xtask: allow-env-read`)"
+                message: "environment read outside `crates/core/src/knobs.rs`: add the \
+                          knob to its `KNOBS` table so `Knobs::from_env` parses it \
+                          (or annotate `// xtask: allow-env-read`)"
                     .into(),
             });
         }
@@ -374,7 +374,7 @@ fn run_lints(root: &Path) -> Vec<Violation> {
         let in_pipeline = rel.starts_with("crates/pipeline/src");
         let stem = rel.file_name().and_then(|n| n.to_str()).unwrap_or("");
         let is_stats = stem == "stats.rs" || stem == "metrics.rs";
-        let is_env_funnel = rel == Path::new("crates/bench/src/env.rs");
+        let is_env_funnel = rel == Path::new("crates/core/src/knobs.rs");
         // Wall-clock reads are the *purpose* of the cell watchdog;
         // everywhere else they are a determinism hazard.
         let is_wall_exempt = rel == Path::new("crates/pipeline/src/budget.rs");
@@ -875,7 +875,7 @@ mod tests {
     fn seeded_env_read_violation_fails() {
         // The fixture plants a bare `env::var` knob read in a figure
         // bin; the lint must refuse it — while the designated funnel
-        // file `crates/bench/src/env.rs` stays exempt.
+        // file `crates/core/src/knobs.rs` stays exempt.
         let violations = run_lints(&fixture_root());
         assert!(
             violations
@@ -887,8 +887,8 @@ mod tests {
         assert!(
             !violations
                 .iter()
-                .any(|v| v.file.ends_with("crates/bench/src/env.rs")),
-            "the BenchEnv funnel itself must be exempt: {violations:?}"
+                .any(|v| v.file.ends_with("crates/core/src/knobs.rs")),
+            "the knob-table funnel itself must be exempt: {violations:?}"
         );
     }
 
