@@ -5,7 +5,8 @@
 use super::prepared_spec_lab;
 use crate::BinError;
 use smtsim_rob2::{
-    figures, improvement, report, ExperimentSpec, FigureData, HistogramData, Knobs, Lab, RobConfig,
+    figures, improvement, report, CellOutcome, ExperimentSpec, Knobs, Lab, RobConfig, SpecKind,
+    SweepCell, SweepReport,
 };
 
 /// The spec's title (validated present for the kinds that render one).
@@ -13,34 +14,54 @@ fn title(spec: &ExperimentSpec) -> &str {
     spec.title.as_deref().expect("validated at parse time")
 }
 
-/// Lowers the spec's resolved variants into the `(label, config)`
-/// pairs [`figures::ft_sweep`] consumes.
-fn variant_pairs(spec: &ExperimentSpec) -> Vec<(String, RobConfig)> {
-    spec.variants
+/// The cells a figure or histogram spec renders from, in sweep order:
+/// each configuration's mixes, configuration-major, as
+/// [`figures::ft_sweep`] dispatches them. A histogram's `compare`
+/// reference comes first, the order the legacy fig3/fig7 bins ran in.
+pub(super) fn artifact_cells(spec: &ExperimentSpec, mixes: &[usize]) -> Vec<SweepCell> {
+    spec.compare
         .iter()
-        .map(|v| (v.label.clone(), v.config))
+        .map(|(cmp, _)| cmp)
+        .chain(&spec.variants)
+        .flat_map(|v| mixes.iter().map(move |&m| (m, v.config)))
         .collect()
 }
 
-/// Builds the FT figure a `kind = "figure"` spec describes.
-pub(super) fn figure_data(lab: &mut Lab, mixes: &[usize], spec: &ExperimentSpec) -> FigureData {
-    figures::ft_sweep(lab, title(spec), variant_pairs(spec), mixes)
-}
-
-/// Builds the DoD histogram a `kind = "histogram"` spec describes
-/// (the main scheme only — the comparison reference is run separately).
-pub(super) fn histogram_data(
-    lab: &mut Lab,
-    mixes: &[usize],
+/// Renders a figure or histogram spec from the outcomes of its
+/// [`artifact_cells`], in that order. Returns the text and one line
+/// per failed cell of the artifact itself (a failed `compare` cell
+/// only makes the comparison `n/a`).
+pub(super) fn render_artifact(
+    lab: &Lab,
     spec: &ExperimentSpec,
-) -> HistogramData {
-    figures::dod_figure(lab, title(spec), spec.variants[0].config, mixes)
+    mixes: &[usize],
+    mut outcomes: Vec<CellOutcome>,
+) -> (String, Vec<String>) {
+    if spec.kind == SpecKind::Figure {
+        let variants = spec
+            .variants
+            .iter()
+            .map(|v| (v.label.clone(), v.config))
+            .collect();
+        let own = SweepReport::new(outcomes);
+        let fig = figures::ft_figure_from(lab, title(spec), variants, mixes, own);
+        return (report::render_figure(&fig), fig.failures);
+    }
+    let own = SweepReport::new(outcomes.split_off(outcomes.len() - mixes.len()));
+    let fig = figures::dod_figure_from(lab, title(spec), spec.variants[0].config, mixes, own);
+    let mut text = report::render_histogram(&fig);
+    if let Some((cmp, label)) = &spec.compare {
+        let base =
+            figures::dod_figure_from(lab, label, cmp.config, mixes, SweepReport::new(outcomes));
+        text.push_str(&compare_line(fig.pooled_mean(), base.pooled_mean(), label));
+    }
+    (text, fig.failures)
 }
 
 /// Formats the pooled-mean comparison a histogram spec's `compare`
 /// key asks for. A histogram whose every mix failed pools to a 0 (or
 /// NaN) mean; the comparison is then undefined, not "+0 %".
-pub(super) fn compare_line(pooled: f64, base: f64, label: &str) -> String {
+fn compare_line(pooled: f64, base: f64, label: &str) -> String {
     let vs = match improvement(pooled, base) {
         Some(d) => format!("{:+.1}%", d * 100.0),
         None => "n/a".to_string(),
@@ -48,32 +69,15 @@ pub(super) fn compare_line(pooled: f64, base: f64, label: &str) -> String {
     format!("mean dependents vs {label}: {vs}\n")
 }
 
-/// `kind = "figure"`: one FT figure to stdout.
-pub(super) fn run_figure(env: &Knobs, spec: &ExperimentSpec) -> Result<(), BinError> {
+/// `kind = "figure"` or `"histogram"`: one artifact to stdout, from
+/// one sweep over its cells.
+pub(super) fn run_artifact(env: &Knobs, spec: &ExperimentSpec) -> Result<(), BinError> {
     let mut lab = prepared_spec_lab(env, spec)?;
-    let fig = figure_data(&mut lab, &env.mixes, spec);
-    print!("{}", report::render_figure(&fig));
-    Ok(())
-}
-
-/// `kind = "histogram"`: one DoD histogram to stdout, with the
-/// optional pooled-mean comparison line. The reference scheme runs
-/// *first* on the same lab, matching the legacy fig3/fig7 dispatch
-/// order cell for cell.
-pub(super) fn run_histogram(env: &Knobs, spec: &ExperimentSpec) -> Result<(), BinError> {
-    let mut lab = prepared_spec_lab(env, spec)?;
-    let base = spec
-        .compare
-        .as_ref()
-        .map(|(cmp, label)| figures::dod_figure(&mut lab, label, cmp.config, &env.mixes));
-    let fig = histogram_data(&mut lab, &env.mixes, spec);
-    print!("{}", report::render_histogram(&fig));
-    if let (Some(base), Some((_, label))) = (&base, &spec.compare) {
-        print!(
-            "{}",
-            compare_line(fig.pooled_mean(), base.pooled_mean(), label)
-        );
-    }
+    let sweep = lab.sweep_cells(&artifact_cells(spec, &env.mixes));
+    print!(
+        "{}",
+        render_artifact(&lab, spec, &env.mixes, sweep.outcomes).0
+    );
     Ok(())
 }
 

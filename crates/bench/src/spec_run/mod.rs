@@ -14,7 +14,8 @@
 //! * figure / histogram / table1 / table2 / accuracy — [`figures`];
 //! * episodes (trace dump) — [`trace`];
 //! * conform / check — the differential and model-checking suites;
-//! * suite — renders each listed sibling spec into `results/<id>.txt`.
+//! * suite — renders each listed sibling spec into `results/<id>.txt`
+//!   from one shared sweep.
 
 mod check;
 mod conform;
@@ -48,8 +49,7 @@ pub fn run_spec(path: &Path) -> Result<(), BinError> {
     let env = Knobs::from_env()?;
     let merged = env.with_spec(&spec);
     match spec.kind {
-        SpecKind::Figure => figures::run_figure(&merged, &spec),
-        SpecKind::Histogram => figures::run_histogram(&merged, &spec),
+        SpecKind::Figure | SpecKind::Histogram => figures::run_artifact(&merged, &spec),
         SpecKind::Table1 => figures::run_table1(&merged, &spec),
         SpecKind::Table2 => figures::run_table2(),
         SpecKind::Accuracy => figures::run_accuracy(&merged, &spec),

@@ -2,6 +2,16 @@
 //! into `results/<id>.txt` on one shared lab, printing a one-line
 //! summary per artifact to stderr.
 //!
+//! All artifacts' cells — histogram `compare` references included —
+//! go through one [`smtsim_rob2::Lab::sweep_cells`] call, which runs
+//! each distinct cell once however many figures repeat it (Figures 2,
+//! 4, 5 and 6 all carry Baseline_32 and Baseline_128). Each artifact
+//! then renders from its own slice of the outcomes, so its bytes, its
+//! failure notes and its health footer are exactly what the `spec`
+//! bin prints for that spec alone. After the sweep the suite prints
+//! one deterministic work counter to stderr:
+//! `cells: <requested> requested, <distinct> distinct, <n> from cache`.
+//!
 //! Sweeps are crash-isolated: a cell whose run fails (deadlock,
 //! invariant violation, panic) renders as `n/a` in its figure and is
 //! listed in the final summary; the remaining cells still regenerate.
@@ -9,14 +19,12 @@
 //! The shared lab means every sub-spec must agree with the suite on
 //! machine, normalization baseline, mixes and knobs — a sub-spec that
 //! declares its own would silently be overridden, so that is refused
-//! as a configuration error instead. Histogram pooled means are
-//! memoized by scheme fingerprint, so a `compare` reference that
-//! already rendered earlier in the suite (Figure 1 for Figures 3 and
-//! 7) is reused instead of re-run.
+//! as a configuration error instead.
 
 use super::{figures, sibling_spec};
 use crate::BinError;
-use smtsim_rob2::{report, ExperimentSpec, Knobs, SpecKind};
+use smtsim_rob2::journal::cell_key;
+use smtsim_rob2::{report, ExperimentSpec, Knobs, SpecKind, SweepCell, SweepReport};
 use std::collections::BTreeMap;
 use std::fs;
 
@@ -45,20 +53,53 @@ fn check_conformity(suite: &ExperimentSpec, sub: &ExperimentSpec) -> Result<(), 
     Ok(())
 }
 
+/// The cells `sub` renders from, or a configuration error for a kind
+/// that cannot render into `results/`.
+fn sub_cells(sub: &ExperimentSpec, mixes: &[usize]) -> Result<Vec<SweepCell>, BinError> {
+    match sub.kind {
+        SpecKind::Table1 | SpecKind::Table2 => Ok(Vec::new()),
+        SpecKind::Figure | SpecKind::Histogram => Ok(figures::artifact_cells(sub, mixes)),
+        other => Err(BinError::Config(format!(
+            "spec {}: kind = \"{}\" cannot run inside a suite (only figures, histograms and \
+             tables render to results/)",
+            sub.id,
+            other.as_str()
+        ))),
+    }
+}
+
+/// The suite's work counter: cells requested, distinct cells among
+/// them, and distinct cells the result cache served instead of running.
+fn work_line(cells: &[SweepCell], sweep: &SweepReport) -> String {
+    let mut distinct: BTreeMap<String, bool> = BTreeMap::new();
+    for (&(m, cfg), o) in cells.iter().zip(&sweep.outcomes) {
+        distinct.insert(cell_key(m, &cfg.fingerprint()), o.from_journal);
+    }
+    let cached = distinct.values().filter(|&&hit| hit).count();
+    format!(
+        "cells: {} requested, {} distinct, {cached} from cache",
+        cells.len(),
+        distinct.len()
+    )
+}
+
 pub(super) fn run(
     env: &Knobs,
     spec: &ExperimentSpec,
     path: &std::path::Path,
 ) -> Result<(), BinError> {
     fs::create_dir_all("results")?;
+    let mixes = env.mixes.clone();
     let mut subs = Vec::new();
+    let mut cells: Vec<SweepCell> = Vec::new();
     for id in &spec.specs {
         let sub = sibling_spec(path, id)?;
         check_conformity(spec, &sub)?;
-        subs.push(sub);
+        let own = sub_cells(&sub, &mixes)?;
+        subs.push((sub, own.len()));
+        cells.extend(own);
     }
 
-    let mixes = env.mixes.clone();
     let mut lab = super::prepared_spec_lab(env, spec)?;
     eprintln!(
         "budget={} warmup={} seed={} jobs={} mixes={mixes:?}",
@@ -67,54 +108,24 @@ pub(super) fn run(
         lab.seed,
         lab.effective_jobs()
     );
+    let sweep = lab.sweep_cells(&cells);
+    eprintln!("{}", work_line(&cells, &sweep));
 
-    let write = |name: &str, contents: String| -> std::io::Result<()> {
-        fs::write(format!("results/{name}.txt"), &contents)?;
-        eprintln!("results/{name}.txt ({} bytes)", contents.len());
-        Ok(())
-    };
-
+    let mut outcomes = sweep.outcomes.into_iter();
     let mut failed: Vec<String> = Vec::new();
-    // Pooled mean per already-rendered histogram scheme, so a later
-    // histogram's `compare` reference reuses it instead of re-running.
-    let mut pooled: BTreeMap<String, f64> = BTreeMap::new();
-
-    for sub in &subs {
-        match sub.kind {
-            SpecKind::Table1 => write(&sub.id, report::render_table1(&lab.machine))?,
-            SpecKind::Table2 => write(&sub.id, report::render_table2())?,
-            SpecKind::Figure => {
-                let fig = figures::figure_data(&mut lab, &mixes, sub);
-                failed.extend(fig.failures.iter().cloned());
-                write(&sub.id, report::render_figure(&fig))?;
+    for (sub, n) in &subs {
+        let text = match sub.kind {
+            SpecKind::Table1 => report::render_table1(&lab.machine),
+            SpecKind::Table2 => report::render_table2(),
+            _ => {
+                let own = outcomes.by_ref().take(*n).collect();
+                let (text, failures) = figures::render_artifact(&lab, sub, &mixes, own);
+                failed.extend(failures);
+                text
             }
-            SpecKind::Histogram => {
-                let base = sub.compare.as_ref().map(|(cmp, label)| {
-                    let key = cmp.config.fingerprint();
-                    let mean = pooled.get(&key).copied().unwrap_or_else(|| {
-                        smtsim_rob2::figures::dod_figure(&mut lab, label, cmp.config, &mixes)
-                            .pooled_mean()
-                    });
-                    (mean, label.clone())
-                });
-                let fig = figures::histogram_data(&mut lab, &mixes, sub);
-                failed.extend(fig.failures.iter().cloned());
-                pooled.insert(sub.variants[0].config.fingerprint(), fig.pooled_mean());
-                let mut text = report::render_histogram(&fig);
-                if let Some((mean, label)) = base {
-                    text.push_str(&figures::compare_line(fig.pooled_mean(), mean, &label));
-                }
-                write(&sub.id, text)?;
-            }
-            other => {
-                return Err(BinError::Config(format!(
-                    "spec {}: kind = \"{}\" cannot run inside a suite (only figures, \
-                     histograms and tables render to results/)",
-                    sub.id,
-                    other.as_str()
-                )));
-            }
-        }
+        };
+        fs::write(format!("results/{}.txt", sub.id), &text)?;
+        eprintln!("results/{}.txt ({} bytes)", sub.id, text.len());
     }
 
     if failed.is_empty() {

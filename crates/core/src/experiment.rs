@@ -8,9 +8,9 @@
 //!
 //! Sweeps run in two phases ([`Lab::sweep`]): phase 1 serially
 //! precomputes every normalization run the cells need into an
-//! immutable [`NormTable`]; phase 2 fans the `mix × config` cells out
-//! across scoped worker threads (`SMTSIM_JOBS` via the figure
-//! binaries), each through the one per-cell attempt loop
+//! immutable [`NormTable`]; phase 2 fans the distinct `mix × config`
+//! cells out across scoped worker threads (`SMTSIM_JOBS` via the
+//! figure binaries), each through the one per-cell attempt loop
 //! ([`Lab::run_cell_with_retries`]), and merges results in input
 //! order — so rendered figures are byte-identical at any job count.
 
@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Static per-load DoD bound tables for a set of workloads, one table
 /// per hardware thread. The bounds come from the interprocedural
@@ -135,17 +135,13 @@ impl TracedMixRun {
     }
 }
 
-/// Cache key of one memoized normalization run. Every input that can
-/// change the measured single-threaded IPC participates: the workload
-/// (`mix`, `slot`, `seed`), the run length (`st_budget`, `warmup`),
-/// the reference ROB configuration (by value fingerprint, not display
-/// label) and the machine configuration. Mutating any of these on the
-/// [`Lab`] therefore misses the cache instead of silently serving an
-/// IPC measured under the old state.
+/// The lab state a normalization run is measured under: the reference
+/// ROB configuration (by value fingerprint, not display label) plus
+/// every [`Lab`] field that can change a single-threaded IPC — the
+/// workload seed, the run length (`st_budget`, `warmup`) and the
+/// machine configuration.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct NormKey {
-    mix: usize,
-    slot: usize,
+struct NormState {
     config: String,
     st_budget: u64,
     warmup: u64,
@@ -153,14 +149,32 @@ struct NormKey {
     machine: String,
 }
 
+/// Cache key of one memoized normalization run: a `(mix, slot)` under
+/// one [`NormState`]. Mutating any field the state covers on the
+/// [`Lab`] therefore misses the cache instead of silently serving an
+/// IPC measured under the old state.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct NormKey {
+    mix: usize,
+    slot: usize,
+    state: NormState,
+}
+
 /// Immutable product of a sweep's phase 1: the single-threaded
 /// reference IPC (or the typed error its run produced) for every
 /// `(mix, slot)` the sweep's cells need, all measured under
 /// [`Lab::norm`]. Computed serially in deterministic `(mix, slot)`
 /// order, then shared read-only by the phase-2 workers.
+///
+/// The table also records the lab state it was measured under, and
+/// [`Lab::run_cell`] refuses a table from any other state. It carries
+/// one lazily filled memo of per-slot static DoD bounds per mix: the
+/// first cell of a mix runs the analysis, later cells clone it.
 #[derive(Clone, Debug)]
 pub struct NormTable {
+    state: NormState,
     entries: BTreeMap<(usize, usize), Result<f64, SimError>>,
+    bounds: BTreeMap<usize, OnceLock<Vec<DodBounds>>>,
 }
 
 impl NormTable {
@@ -182,13 +196,19 @@ impl NormTable {
     }
 
     /// Folds `other`'s entries into this table; on overlap the entry
-    /// from `other` wins. Only meaningful for tables measured under
-    /// the same experiment universe (where overlapping entries are
-    /// identical by determinism) — an embedding daemon uses this to
-    /// keep one warm table per universe across requests.
+    /// from `other` wins. An embedding daemon uses this to keep one
+    /// warm table per universe across requests. A table measured
+    /// under another lab state is ignored: its IPCs and bounds would
+    /// be wrong here.
     pub fn merge(&mut self, other: &NormTable) {
+        if other.state != self.state {
+            return;
+        }
         for (k, v) in &other.entries {
             self.entries.insert(*k, v.clone());
+        }
+        for (m, memo) in &other.bounds {
+            self.bounds.entry(*m).or_insert_with(|| memo.clone());
         }
     }
 
@@ -196,10 +216,43 @@ impl NormTable {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// The static DoD bounds of `wls`, mix `mix_idx` instantiated
+    /// under the table's seed. The first call per mix runs the
+    /// analysis and later calls clone its result: the bounds depend
+    /// only on `(mix, seed)`, and a cell only reaches here after
+    /// [`Lab::run_cell`] checked that its seed is the table's. A mix
+    /// the table does not cover is analyzed on every call.
+    fn dod_bounds(&self, mix_idx: usize, wls: &[Arc<Workload>]) -> Vec<DodBounds> {
+        match self.bounds.get(&mix_idx) {
+            Some(memo) => memo.get_or_init(|| static_bounds(wls)).clone(),
+            None => static_bounds(wls),
+        }
+    }
 }
 
 /// One cell of a sweep: a mix index under a ROB configuration.
 pub type SweepCell = (usize, RobConfig);
+
+/// The distinct cells of `cells` by [`cell_key`], in first-occurrence
+/// order, and for each input cell its index into them. The key map is
+/// dropped on return, before any cell runs.
+fn distinct_cells(cells: &[SweepCell]) -> (Vec<SweepCell>, Vec<usize>) {
+    let mut seen: BTreeMap<String, usize> = BTreeMap::new();
+    let mut distinct = Vec::new();
+    let index = cells
+        .iter()
+        .map(|&(m, cfg)| {
+            *seen
+                .entry(cell_key(m, &cfg.fingerprint()))
+                .or_insert_with(|| {
+                    distinct.push((m, cfg));
+                    distinct.len() - 1
+                })
+        })
+        .collect();
+    (distinct, index)
+}
 
 /// Runs `f` with panics converted to [`SimError::CellPanic`], so one
 /// poisoned sweep cell degrades to an `n/a` figure cell instead of
@@ -558,7 +611,11 @@ impl Lab {
         slot: usize,
         rob: RobConfig,
     ) -> Result<f64, SimError> {
-        let key = self.norm_key(mix_idx, slot, rob);
+        let key = NormKey {
+            mix: mix_idx,
+            slot,
+            state: self.norm_state(rob),
+        };
         if let Some(&v) = self.single_cache.get(&key) {
             return Ok(v);
         }
@@ -578,9 +635,9 @@ impl Lab {
         Ok(ipc)
     }
 
-    /// The cache key a normalization run of `(mix, slot)` under `rob`
-    /// would use given the lab's *current* state.
-    fn norm_key(&self, mix_idx: usize, slot: usize, rob: RobConfig) -> NormKey {
+    /// The [`NormState`] a normalization run under `rob` would be
+    /// measured in given the lab's *current* state.
+    fn norm_state(&self, rob: RobConfig) -> NormState {
         // Exhaustive on purpose: a new field does not compile until it
         // is classified here.
         let Lab {
@@ -605,9 +662,7 @@ impl Lab {
             cache: _,
             cycle_skip: _,
         } = self;
-        NormKey {
-            mix: mix_idx,
-            slot,
+        NormState {
             config: rob.fingerprint(),
             st_budget: *st_budget,
             warmup: *warmup,
@@ -624,18 +679,20 @@ impl Lab {
     }
 
     /// Pre-warms the normalization cache from a [`NormTable`] computed
-    /// earlier. Entries are keyed under the lab's *current* state, so
-    /// the caller must only seed tables measured under the same seed,
-    /// budgets, warm-up, machine and norm reference — the
-    /// [`ResultCache`] enforces this by storing tables per
-    /// [`Lab::journal_universe`], which covers every one of those
-    /// fields. Only healthy entries are seeded: errors are never
-    /// cached, exactly as in [`Lab::try_single_ipc`].
+    /// earlier. Entries are keyed under the lab state the table was
+    /// measured in, so a table from another seed, budget, warm-up,
+    /// machine or norm reference never serves an IPC to this lab: its
+    /// entries only hit once the lab is back in that state. Only
+    /// healthy entries are seeded: errors are never cached, exactly as
+    /// in [`Lab::try_single_ipc`].
     pub fn seed_norm_cache(&mut self, table: &NormTable) {
-        let norm = self.norm;
-        for (&(m, slot), r) in &table.entries {
+        for (&(mix, slot), r) in &table.entries {
             if let Ok(v) = r {
-                let key = self.norm_key(m, slot, norm);
+                let key = NormKey {
+                    mix,
+                    slot,
+                    state: table.state.clone(),
+                };
                 self.single_cache.insert(key, *v);
             }
         }
@@ -671,17 +728,23 @@ impl Lab {
         sorted.sort_unstable();
         sorted.dedup();
         let mut entries = BTreeMap::new();
+        let mut bounds = BTreeMap::new();
         let norm = self.norm;
         for m in sorted {
             let Ok(slots) = catch_cell(|| mix(m).benchmarks.len()) else {
                 continue;
             };
+            bounds.insert(m, OnceLock::new());
             for slot in 0..slots {
                 let r = catch_cell(|| self.try_single_ipc(m, slot, norm)).and_then(|r| r);
                 entries.insert((m, slot), r);
             }
         }
-        let table = NormTable { entries };
+        let table = NormTable {
+            state: self.norm_state(norm),
+            entries,
+            bounds,
+        };
         if let Some((cache, universe)) = &warm {
             cache.store_norm(universe, &table);
         }
@@ -691,7 +754,10 @@ impl Lab {
     /// Runs one `mix × config` cell against a phase-1 normalization
     /// table. Takes `&self` — a cell mutates no lab state, which is
     /// what lets [`Lab::sweep`] fan cells out across threads while
-    /// sharing one `Lab` and one [`NormTable`].
+    /// sharing one `Lab` and one [`NormTable`]. A table measured under
+    /// another lab state (seed, `st_budget`, warm-up, norm reference or
+    /// machine) is refused with [`SimError::InvalidConfig`]: its IPCs
+    /// and static bounds belong to other programs or runs.
     pub fn run_cell(
         &self,
         mix_idx: usize,
@@ -730,9 +796,16 @@ impl Lab {
         tracer: T,
         attempt: u32,
     ) -> Result<(MixRun, T), SimError> {
+        if norm.state != self.norm_state(self.norm) {
+            return Err(SimError::InvalidConfig {
+                reason: "normalization table was measured under another lab state (seed, \
+                         st_budget, warm-up, norm reference or machine)"
+                    .into(),
+            });
+        }
         let m = mix(mix_idx);
         let wls: Vec<Arc<Workload>> = m.instantiate(self.seed).into_iter().map(Arc::new).collect();
-        let bounds = static_bounds(&wls);
+        let bounds = norm.dod_bounds(mix_idx, &wls);
         let mut builder = Simulator::builder(self.machine.clone(), wls, rob.build(), self.seed)
             .dod_bounds(bounds)
             .warmup(self.warmup)
@@ -897,6 +970,12 @@ impl Lab {
     /// (`SMTSIM_CELL_RETRIES`), so the outcome vector stays
     /// byte-identical at any `SMTSIM_JOBS`.
     ///
+    /// Repeated cells run once: every distinct [`cell_key`] is looked
+    /// up or run a single time and its outcome is copied to each input
+    /// position that names it. A cell is a pure function of the lab
+    /// state and its key, so this changes no byte, and it means an
+    /// armed cache never receives the same key twice from one sweep.
+    ///
     /// # Panics
     /// Panics if an armed cache shard cannot be opened (I/O failure or
     /// a corrupt record) — entry points that arm a cache pre-validate
@@ -910,8 +989,9 @@ impl Lab {
         let shard = shard.as_deref();
         let mixes: Vec<usize> = cells.iter().map(|&(m, _)| m).collect();
         let norm = self.norm_table(&mixes);
-        let outcomes = self.fan_out(cells.len(), |i| {
-            let (m, cfg) = cells[i];
+        let (distinct, index) = distinct_cells(cells);
+        let outcomes = self.fan_out(distinct.len(), |i| {
+            let (m, cfg) = distinct[i];
             let key = cell_key(m, &cfg.fingerprint());
             if let Some(hit) = shard.and_then(|j| j.lookup(&key)) {
                 return CellOutcome {
@@ -936,7 +1016,7 @@ impl Lab {
                 from_journal: false,
             }
         });
-        SweepReport::new(outcomes)
+        SweepReport::new(index.iter().map(|&i| outcomes[i].clone()).collect())
     }
 
     /// [`Lab::sweep`] with tracing armed on every cell (see
@@ -1280,6 +1360,119 @@ mod tests {
         assert!(t.get(1, 3).is_ok());
         let missing = t.get(5, 0).expect_err("mix 5 was not requested");
         assert_eq!(missing.kind(), "invalid-config");
+    }
+
+    #[test]
+    fn foreign_norm_table_is_refused() {
+        let seven = small_lab().with_warmup(2_000);
+        let table = small_lab().with_warmup(2_000).norm_table(&[1]);
+        assert!(seven.run_cell(1, RobConfig::Baseline(32), &table).is_ok());
+        // A seed-8 lab must not normalize against seed-7 IPCs, nor
+        // reuse the bounds of seed-7 programs.
+        let mut eight = small_lab().with_warmup(2_000);
+        eight.seed = 8;
+        let err = eight
+            .run_cell(1, RobConfig::Baseline(32), &table)
+            .expect_err("a seed-7 table used on a seed-8 lab");
+        assert_eq!(err.kind(), "invalid-config");
+        assert!(err.to_string().contains("another lab state"), "{err}");
+        // Every field of the recorded state is checked.
+        let mutations: [fn(&mut Lab); 4] = [
+            |l| l.st_budget = 4_000,
+            |l| l.warmup = 1_000,
+            |l| l.norm = RobConfig::Baseline(128),
+            |l| l.machine.mem.first_chunk += 1,
+        ];
+        for mutate in mutations {
+            let mut other = small_lab().with_warmup(2_000);
+            mutate(&mut other);
+            let err = other
+                .run_cell(1, RobConfig::Baseline(32), &table)
+                .expect_err("a mutated lab");
+            assert_eq!(err.kind(), "invalid-config");
+        }
+        // A table merged from another state is ignored, and seeding
+        // one keys its IPCs under their own state, so they never hit.
+        let mut merged = eight.norm_table(&[2]);
+        merged.merge(&table);
+        assert!(merged.get(1, 0).is_err(), "foreign entries were merged");
+        let before = eight.cached_norm_runs();
+        eight.seed_norm_cache(&table);
+        let _ = eight.norm_table(&[1]);
+        assert_eq!(
+            eight.cached_norm_runs(),
+            before + 2 * 4,
+            "seed-7 IPCs served to seed 8"
+        );
+    }
+
+    #[test]
+    fn static_bounds_are_computed_lazily_once_per_mix() {
+        let mut lab = small_lab().with_warmup(2_000);
+        let table = lab.norm_table(&[1, 9]);
+        let filled = |t: &NormTable| -> Vec<usize> {
+            t.bounds
+                .iter()
+                .filter_map(|(&m, memo)| memo.get().map(|_| m))
+                .collect()
+        };
+        assert!(
+            filled(&table).is_empty(),
+            "phase 1 must not run the analysis"
+        );
+        lab.run_cell(1, RobConfig::Baseline(32), &table).unwrap();
+        assert_eq!(filled(&table), vec![1]);
+        let wls: Vec<Arc<Workload>> = mix(1)
+            .instantiate(lab.seed)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        let fresh = format!("{:?}", static_bounds(&wls));
+        assert_eq!(format!("{:?}", table.bounds[&1].get().unwrap()), fresh);
+        // A later cell of the mix reuses the memo and runs identically
+        // to one on a fresh table.
+        let cfg = RobConfig::TwoLevel(TwoLevelConfig::r_rob(16));
+        let memo = lab.run_cell(1, cfg, &table).unwrap();
+        let fresh_table = small_lab().with_warmup(2_000).norm_table(&[1]);
+        let cold = lab.run_cell(1, cfg, &fresh_table).unwrap();
+        assert_eq!(format!("{memo:?}"), format!("{cold:?}"));
+    }
+
+    #[test]
+    fn repeated_cells_run_once_and_fan_back_out_in_input_order() {
+        let b32 = RobConfig::Baseline(32);
+        let r16 = RobConfig::TwoLevel(TwoLevelConfig::r_rob(16));
+        let cells = [(1, b32), (9, b32), (1, b32), (1, r16), (9, b32)];
+        let unique = [(1, b32), (9, b32), (1, r16)];
+        let back = [0, 1, 0, 2, 1];
+        let lab = || small_lab().with_warmup(2_000);
+        let reference = lab().sweep(&unique);
+        let expected: Vec<_> = back.iter().map(|&i| &reference[i]).collect();
+        for jobs in [1, 4] {
+            let dir = std::env::temp_dir().join(format!(
+                "smtsim-repeated-cells-{jobs}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            for cache in [None, Some(Arc::new(ResultCache::new(&dir)))] {
+                let mut lab = lab().with_jobs(Some(jobs)).with_cache(cache.clone());
+                let report = lab.sweep_cells(&cells);
+                assert_eq!(report.health.total(), 5, "jobs {jobs}");
+                assert_eq!(report.health.ok, 5, "jobs {jobs}");
+                assert_eq!(
+                    format!("{:?}", report.results()),
+                    format!("{expected:?}"),
+                    "jobs {jobs}"
+                );
+                if cache.is_some() {
+                    let shard = lab.cache_shard().unwrap().expect("cache armed");
+                    let text = std::fs::read_to_string(shard.path()).unwrap();
+                    // One header line plus one record per distinct cell.
+                    assert_eq!(text.lines().count(), 1 + 3, "jobs {jobs}: {text}");
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -148,8 +148,9 @@ pub fn ft_sweep(
 /// The figure-assembly half of [`ft_sweep`]: builds the FT figure from
 /// a finished report whose outcomes are in the configuration-major
 /// `variants × mixes` order [`ft_sweep`] dispatches. Public so a
-/// scheduler that ran the cells itself — the serve daemon, from the
-/// outcomes its workers streamed — renders exactly the offline bytes.
+/// caller that ran the cells itself — the serve daemon, from the
+/// outcomes its workers streamed, or the spec executor's suite, from
+/// its slice of one shared sweep — renders exactly the offline bytes.
 pub fn ft_figure_from(
     lab: &Lab,
     title: &str,
@@ -189,12 +190,25 @@ fn sweep_health_note(lab: &Lab, report: &crate::SweepReport) -> Option<String> {
 }
 
 /// Shared DoD-histogram driver: one column per mix under a single
-/// configuration. The public entry point the spec executor renders
-/// `kind = "histogram"` specs through; [`fig1`]/[`fig3`]/[`fig7`] are
-/// fixed-wiring wrappers.
+/// configuration, all cells dispatched through [`Lab::sweep_cells`] as
+/// one batch. [`fig1`]/[`fig3`]/[`fig7`] are fixed-wiring wrappers.
 pub fn dod_figure(lab: &mut Lab, title: &str, cfg: RobConfig, mixes: &[usize]) -> HistogramData {
     let cells: Vec<SweepCell> = mixes.iter().map(|&m| (m, cfg)).collect();
     let report = lab.sweep_cells(&cells);
+    dod_figure_from(lab, title, cfg, mixes, report)
+}
+
+/// The histogram-assembly half of [`dod_figure`]: builds the DoD
+/// histogram from a finished report holding one outcome per mix, in
+/// `mixes` order. Public so a caller that swept the cells together
+/// with others (the spec executor's suite) renders the same bytes.
+pub fn dod_figure_from(
+    lab: &Lab,
+    title: &str,
+    cfg: RobConfig,
+    mixes: &[usize],
+    report: crate::SweepReport,
+) -> HistogramData {
     let health = sweep_health_note(lab, &report);
     let mut failures = Vec::new();
     let mut cols = Vec::with_capacity(mixes.len());
