@@ -1,11 +1,10 @@
-//! Generic spec runner: executes the experiment spec named by the
+//! The spec runner: executes the experiment spec named by the
 //! `SMTSIM_SPEC` environment variable (a path to a `*.toml` file —
-//! committed under `experiments/` or anywhere else). The committed
-//! harness binaries are thin wrappers over the same machinery with a
-//! fixed spec name; this bin runs ad-hoc or out-of-tree specs:
+//! committed under `experiments/` or anywhere else). Every table and
+//! figure of the paper is regenerated this way:
 //!
 //! ```sh
-//! SMTSIM_SPEC=experiments/l2_partition_sweep.toml \
+//! SMTSIM_SPEC=experiments/fig2.toml \
 //!     cargo run --release -p smtsim-bench --bin spec
 //! ```
 fn main() {

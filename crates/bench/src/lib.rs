@@ -1,13 +1,12 @@
-//! Shared harness glue for the figure-regeneration binaries and
-//! benches.
+//! The harness binaries that regenerate every table and figure of the
+//! paper's evaluation.
 //!
-//! Every table and figure of the paper's evaluation has a binary here
-//! (`cargo run --release -p smtsim-bench --bin fig2`) that prints the
-//! same rows/series the paper reports, and a bench target exercising
-//! the same code path at a reduced budget. Each binary is a thin
-//! wrapper over [`run_spec`] and its committed `experiments/<bin>.toml`
-//! declarative spec (DESIGN.md §16); the generic `spec` bin runs any
-//! spec named by `SMTSIM_SPEC`.
+//! Each artifact is defined by its committed `experiments/<id>.toml`
+//! spec (DESIGN.md §16). The `spec` bin runs the spec `SMTSIM_SPEC`
+//! names and prints the same rows/series the paper reports
+//! (`SMTSIM_SPEC=experiments/fig2.toml cargo run --release -p
+//! smtsim-bench --bin spec`); the `serve` bin serves figure specs over
+//! a Unix socket ([`serve_support`]).
 //!
 //! Every environment knob is a row of the one knob table,
 //! [`smtsim_rob2::knobs`]: `Knobs::from_env` parses them all, and no
@@ -19,10 +18,12 @@ pub mod spec_run;
 
 /// The knob value under the name the benchmark ledger uses.
 pub use smtsim_rob2::Knobs as BenchEnv;
-pub use spec_run::{run_named_spec, run_spec, spec_dir};
+
+pub use smtsim_rob2::spec_dir;
+pub use spec_run::run_spec;
 
 use smtsim_pipeline::SimError;
-use smtsim_rob2::{JournalError, Lab};
+use smtsim_rob2::JournalError;
 
 /// A harness binary failure, classified by the workspace-wide exit
 /// policy: **invalid configuration exits 2** (malformed knobs, a
@@ -99,13 +100,6 @@ pub fn run_bin(f: impl FnOnce() -> Result<(), BinError>) -> ! {
     }
 }
 
-/// A small lab for Criterion benches: low budget, reduced warm-up.
-pub fn bench_lab(seed: u64) -> Lab {
-    Lab::new(seed)
-        .with_budgets(4_000, 4_000)
-        .with_warmup(10_000)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,7 +121,6 @@ mod tests {
         assert!(env.get(Knob::Budget) > 0);
         // Without ST_BUDGET the normalization budget follows BUDGET.
         assert_eq!(env.get(Knob::StBudget), env.get(Knob::Budget));
-        assert_eq!(env.get(Knob::BenchIters), 5);
         assert!(env.fault_plan().is_none());
         let lab = env.lab();
         assert_eq!(lab.mt_budget, env.get(Knob::Budget));
@@ -197,20 +190,6 @@ mod tests {
         let err = knobs(&[("MIXES", "1,12")]).expect_err("12 is out of range");
         assert!(err.to_string().contains("out of range"), "{err}");
         assert_eq!(knobs(&[("MIXES", "2, 9")]).unwrap().mixes, vec![2, 9]);
-    }
-
-    #[test]
-    fn bench_iters_knob_is_parsed_and_bounded() {
-        let env = knobs(&[("BENCH_ITERS", "9")]).unwrap();
-        assert_eq!(env.get(Knob::BenchIters), 9);
-        let err = knobs(&[("BENCH_ITERS", "9999999999999")]).expect_err("must not overflow u32");
-        assert_eq!(err.kind(), "invalid-config");
-    }
-
-    #[test]
-    fn bench_lab_is_small() {
-        let lab = bench_lab(1);
-        assert!(lab.mt_budget <= 10_000);
     }
 
     #[test]
@@ -289,7 +268,7 @@ mod tests {
         stems.sort();
         assert!(
             stems.len() >= 17,
-            "all 16 spec-backed bins plus l2_partition_sweep have committed specs, got {stems:?}"
+            "the 16 paper artifacts and tools plus l2_partition_sweep have committed specs, got {stems:?}"
         );
         for stem in &stems {
             let path = dir.join(format!("{stem}.toml"));
@@ -345,28 +324,10 @@ mod tests {
 
     #[test]
     fn spec_lowering_renders_the_legacy_bytes_at_any_job_count() {
-        use smtsim_rob2::{figures, report, ExperimentSpec, RobConfig};
+        // The figure bytes are pinned by the `tests/golden/` files the
+        // `cargo xtask determinism` fig2 and fig1 legs compare against.
+        use smtsim_rob2::{report, ExperimentSpec};
         let env = knobs(&[("BUDGET", "2500"), ("WARMUP", "1000"), ("MIXES", "1")]).unwrap();
-        let fig2 = ExperimentSpec::load(&spec_dir().join("fig2.toml")).unwrap();
-        let merged = env.with_spec(&fig2);
-        for jobs in [1, 4] {
-            let mut legacy_lab = env.lab().with_jobs(Some(jobs));
-            let legacy = report::render_figure(&figures::fig2(&mut legacy_lab, &env.mixes));
-            let mut spec_lab = merged.lab_for_spec(&fig2).with_jobs(Some(jobs));
-            let pairs: Vec<(String, RobConfig)> = fig2
-                .variants
-                .iter()
-                .map(|v| (v.label.clone(), v.config))
-                .collect();
-            let title = fig2.title.as_deref().unwrap();
-            let from_spec = report::render_figure(&figures::ft_sweep(
-                &mut spec_lab,
-                title,
-                pairs,
-                &merged.mixes,
-            ));
-            assert_eq!(from_spec, legacy, "fig2 spec output drifted at jobs={jobs}");
-        }
         let table1 = ExperimentSpec::load(&spec_dir().join("table1.toml")).unwrap();
         assert_eq!(
             report::render_table1(&env.with_spec(&table1).lab_for_spec(&table1).machine),

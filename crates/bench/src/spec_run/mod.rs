@@ -1,17 +1,15 @@
 //! The spec executor: runs a parsed [`ExperimentSpec`] end to end.
 //!
-//! Every harness binary is a thin wrapper over [`run_named_spec`] (or
-//! [`run_spec`] for the generic `spec` bin driven by `SMTSIM_SPEC`):
-//! the bin names a committed `experiments/*.toml` file, this module
-//! loads it, merges the environment knobs under the documented
-//! precedence ([`Knobs::with_spec`]), lowers the result into the
-//! existing [`smtsim_rob2::Lab`] machinery and renders the same bytes
-//! the hand-wired bins produced before the migration (`cargo xtask
-//! determinism` pins that equivalence).
+//! The `spec` bin hands [`run_spec`] the file `SMTSIM_SPEC` names
+//! (usually a committed `experiments/<id>.toml`); this module loads
+//! it, merges the environment knobs under the documented precedence
+//! ([`Knobs::with_spec`]), lowers the result into a
+//! [`smtsim_rob2::Lab`] and writes the artifact the spec describes.
 //!
 //! One runner per output kind:
 //!
-//! * figure / histogram / table1 / table2 / accuracy — [`figures`];
+//! * figure / histogram / table1 / table2 / accuracy — [`figures`],
+//!   over the spec-driven sweeps of [`smtsim_rob2::figures`];
 //! * episodes (trace dump) — [`trace`];
 //! * conform / check — the differential and model-checking suites;
 //! * suite — renders each listed sibling spec into `results/<id>.txt`
@@ -19,27 +17,13 @@
 
 mod check;
 mod conform;
-pub(crate) mod figures;
+mod figures;
 mod suite;
 mod trace;
 
 use crate::BinError;
 use smtsim_rob2::{ExperimentSpec, Knobs, Lab, SpecKind};
 use std::path::{Path, PathBuf};
-
-/// The committed spec directory, pinned to the source tree (the
-/// binaries' CWD is a scratch directory under `cargo xtask
-/// determinism`).
-#[must_use]
-pub fn spec_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../experiments")
-}
-
-/// Runs the committed spec `experiments/<name>.toml`. The entry point
-/// every named harness binary delegates to.
-pub fn run_named_spec(name: &str) -> Result<(), BinError> {
-    run_spec(&spec_dir().join(format!("{name}.toml")))
-}
 
 /// Loads, validates and executes one spec file. Malformed specs come
 /// back as typed configuration errors (exit 2 through [`crate::run_bin`])

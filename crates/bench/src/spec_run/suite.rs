@@ -21,10 +21,10 @@
 //! declares its own would silently be overridden, so that is refused
 //! as a configuration error instead.
 
-use super::{figures, sibling_spec};
+use super::sibling_spec;
 use crate::BinError;
 use smtsim_rob2::journal::cell_key;
-use smtsim_rob2::{report, ExperimentSpec, Knobs, SpecKind, SweepCell, SweepReport};
+use smtsim_rob2::{figures, report, ExperimentSpec, Knobs, SpecKind, SweepCell, SweepReport};
 use std::collections::BTreeMap;
 use std::fs;
 

@@ -6,13 +6,16 @@
 //! [`NormKey`]) so sweeping many ROB configurations — as every figure
 //! does — pays the normalization cost once.
 //!
-//! Sweeps run in two phases ([`Lab::sweep`]): phase 1 serially
+//! Sweeps run in two phases ([`Lab::sweep_cells`]): phase 1 serially
 //! precomputes every normalization run the cells need into an
 //! immutable [`NormTable`]; phase 2 fans the distinct `mix × config`
 //! cells out across scoped worker threads (`SMTSIM_JOBS` via the
-//! figure binaries), each through the one per-cell attempt loop
+//! `spec` bin), each through the one per-cell attempt loop
 //! ([`Lab::run_cell_with_retries`]), and merges results in input
 //! order — so rendered figures are byte-identical at any job count.
+//! Which cells a figure sweeps comes from its committed spec
+//! ([`crate::figures::artifact_cells`]); [`Lab::run_mix`] and
+//! [`Lab::try_run_mix`] are the one-cell library entry points.
 
 use crate::cache::ResultCache;
 use crate::journal::{self, cell_key, Journal, JournalError};
@@ -414,9 +417,9 @@ pub struct Lab {
     /// (Baseline_32 alone), so FT values are directly comparable across
     /// the paper's bar charts.
     pub norm: RobConfig,
-    /// Worker threads for [`Lab::sweep`]: `None` (the default) uses
+    /// Worker threads for [`Lab::sweep_cells`]: `None` (the default) uses
     /// [`std::thread::available_parallelism`]; `Some(1)` forces the
-    /// serial path. The figure binaries set this from the
+    /// serial path. The `spec` bin sets this from the
     /// `SMTSIM_JOBS` environment knob. The sweep output is
     /// byte-identical at any job count.
     pub jobs: Option<usize>,
@@ -753,7 +756,7 @@ impl Lab {
 
     /// Runs one `mix × config` cell against a phase-1 normalization
     /// table. Takes `&self` — a cell mutates no lab state, which is
-    /// what lets [`Lab::sweep`] fan cells out across threads while
+    /// what lets [`Lab::sweep_cells`] fan cells out across threads while
     /// sharing one `Lab` and one [`NormTable`]. A table measured under
     /// another lab state (seed, `st_budget`, warm-up, norm reference or
     /// machine) is refused with [`SimError::InvalidConfig`]: its IPCs
@@ -934,8 +937,9 @@ impl Lab {
         })
     }
 
-    /// Runs a batch of `mix × config` cells and returns their results
-    /// in input order.
+    /// Runs a batch of `mix × config` cells and returns their
+    /// per-cell [`CellOutcome`]s, in input order, with a
+    /// [`SweepHealth`] summary.
     ///
     /// Phase 1 serially precomputes every normalization run the cells
     /// need ([`Lab::norm_table`]); the immutable table is then shared
@@ -943,19 +947,9 @@ impl Lab {
     /// [`Lab::effective_jobs`] scoped worker threads. Each cell is
     /// panic-isolated: a panicking cell yields [`SimError::CellPanic`]
     /// — rendered `n/a` by the figure layer — instead of killing the
-    /// sweep. Results are merged by input index, so the output (and
+    /// sweep. Outcomes are merged by input index, so the output (and
     /// every figure rendered from it) is byte-identical at any job
     /// count, including the serial `jobs = 1` path.
-    ///
-    /// This is [`Lab::sweep_cells`] stripped down to the classic
-    /// result vector; all resilience features (result cache,
-    /// watchdog, retries) apply.
-    pub fn sweep(&mut self, cells: &[SweepCell]) -> Vec<Result<MixRun, SimError>> {
-        self.sweep_cells(cells).results()
-    }
-
-    /// The resilient sweep: [`Lab::sweep`] returning per-cell
-    /// [`CellOutcome`]s and a [`SweepHealth`] summary.
     ///
     /// When a result cache is armed ([`Lab::with_cache`] /
     /// `SMTSIM_JOURNAL`), cells already stored under the current
@@ -1019,7 +1013,7 @@ impl Lab {
         SweepReport::new(index.iter().map(|&i| outcomes[i].clone()).collect())
     }
 
-    /// [`Lab::sweep`] with tracing armed on every cell (see
+    /// [`Lab::sweep_cells`] with tracing armed on every cell (see
     /// [`Lab::run_cell_traced`]). Same two-phase structure, same
     /// panic isolation, same watchdog and retry loop, same
     /// input-order merge — the traced output is byte-identical at any
@@ -1277,7 +1271,7 @@ mod tests {
         let run = |jobs: usize| {
             let mut lab = small_lab();
             lab.jobs = Some(jobs);
-            format!("{:?}", lab.sweep(&cells))
+            format!("{:?}", lab.sweep_cells(&cells).results())
         };
         let serial = run(1);
         assert_eq!(serial, run(4), "job count changed sweep results");
@@ -1293,7 +1287,9 @@ mod tests {
         lab.jobs = Some(2);
         // Mix 99 does not exist: instantiating it panics. The sweep
         // must convert that to a typed per-cell error, not die.
-        let rs = lab.sweep(&[(1, RobConfig::Baseline(32)), (99, RobConfig::Baseline(32))]);
+        let rs = lab
+            .sweep_cells(&[(1, RobConfig::Baseline(32)), (99, RobConfig::Baseline(32))])
+            .results();
         assert!(rs[0].is_ok(), "healthy cell poisoned: {:?}", rs[0]);
         match &rs[1] {
             Err(SimError::CellPanic { reason }) => {
@@ -1322,13 +1318,13 @@ mod tests {
         match &rs[1] {
             Err(e @ SimError::CellPanic { reason }) => {
                 assert!(reason.contains("out of range"), "{reason}");
-                // The stable kind string the trace bin interpolates
+                // The stable kind string the trace runner interpolates
                 // into its `n/a (...)` row for a failed cell.
                 assert_eq!(e.kind(), "panic");
             }
             other => panic!("expected CellPanic, got {other:?}"),
         }
-        let untraced = lab.sweep(&[(1, RobConfig::Baseline(32))]);
+        let untraced = lab.sweep_cells(&[(1, RobConfig::Baseline(32))]).results();
         assert_eq!(
             format!("{:?}", traced.run),
             format!("{:?}", untraced[0].as_ref().expect("healthy cell")),
@@ -1446,7 +1442,7 @@ mod tests {
         let unique = [(1, b32), (9, b32), (1, r16)];
         let back = [0, 1, 0, 2, 1];
         let lab = || small_lab().with_warmup(2_000);
-        let reference = lab().sweep(&unique);
+        let reference = lab().sweep_cells(&unique).results();
         let expected: Vec<_> = back.iter().map(|&i| &reference[i]).collect();
         for jobs in [1, 4] {
             let dir = std::env::temp_dir().join(format!(
@@ -1551,7 +1547,7 @@ mod tests {
             (2usize, RobConfig::Baseline(32)),
         ];
         // Reference: the same lab with no fault and no retries.
-        let clean = small_lab().sweep(&cells);
+        let clean = small_lab().sweep_cells(&cells).results();
         // Fault plan that deadlocks mix 1 — but only on attempt 1.
         let mut lab = small_lab();
         lab.retries = 2;
@@ -1565,7 +1561,7 @@ mod tests {
             // Deadlock-cycle setting changes the machine, so rebuild
             // the reference under the identical machine config.
             let _ = clean;
-            clean_faulty_machine.sweep(&cells)
+            clean_faulty_machine.sweep_cells(&cells).results()
         };
         let report = lab.sweep_cells(&cells);
         assert_eq!(
@@ -1640,7 +1636,7 @@ mod tests {
             (1, RobConfig::TwoLevel(TwoLevelConfig::r_rob(16))),
             (2, RobConfig::Baseline(32)),
         ];
-        let plain = small_lab().sweep(&cells);
+        let plain = small_lab().sweep_cells(&cells).results();
         // Generous budgets and armed retries that never fire must not
         // change a single byte of the results.
         let mut lab = small_lab();
@@ -1663,7 +1659,7 @@ mod tests {
             (1usize, RobConfig::Baseline(32)),
             (2usize, RobConfig::Baseline(32)),
         ];
-        let plain = small_lab().sweep(&cells);
+        let plain = small_lab().sweep_cells(&cells).results();
         let mut lab = small_lab().with_cache(cache.clone());
         let shard = lab.cache_shard().unwrap().expect("cache armed");
         assert!(shard.is_empty(), "fresh shard is empty");

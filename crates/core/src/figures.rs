@@ -1,11 +1,15 @@
-//! Regeneration of every figure and table in the paper's evaluation
-//! (§5). Each function returns structured data; `report.rs` renders it
-//! as text, and `smtsim-bench` wraps each in a binary and a Criterion
-//! bench.
+//! The paper's evaluation (§5) as data. Every figure and table is
+//! defined by its committed `experiments/<id>.toml` spec
+//! ([`crate::spec::spec_dir`]); this module turns a spec into the cells
+//! it sweeps ([`artifact_cells`]) and the outcomes back into structured
+//! data, one spec-driven sweep per kind ([`figure_for`],
+//! [`histogram_for`], [`accuracy_for`]). `report.rs` renders the data
+//! as text; the `spec` bin in `smtsim-bench` runs any spec end to end.
 
-use crate::experiment::{Lab, MixRun, RobConfig, SweepCell};
-use crate::metrics::mean;
-use crate::twolevel::{Scheme, TwoLevelConfig};
+use crate::experiment::{CellOutcome, Lab, MixRun, RobConfig, SweepCell, SweepReport};
+use crate::metrics::{improvement, mean};
+use crate::report;
+use crate::spec::{ExperimentSpec, SpecKind};
 use smtsim_pipeline::{DodHistogram, DodOracleStats, SimError};
 
 /// All 11 paper mixes.
@@ -119,60 +123,60 @@ impl HistogramData {
     }
 }
 
-fn ft_figure(lab: &mut Lab, title: &str, configs: &[RobConfig], mixes: &[usize]) -> FigureData {
-    let variants: Vec<(String, RobConfig)> = configs.iter().map(|c| (c.label(), *c)).collect();
-    ft_sweep(lab, title, variants, mixes)
+/// The spec's title (validated present for every kind rendered here).
+fn title(spec: &ExperimentSpec) -> &str {
+    spec.title.as_deref().expect("validated at parse time")
 }
 
-/// Shared FT-figure driver: one series per labeled configuration, all
-/// `mix × config` cells dispatched through [`Lab::sweep`] as one batch
-/// (one phase-1 normalization pass, one phase-2 fan-out) and sliced
-/// back per series in input order.
-pub fn ft_sweep(
-    lab: &mut Lab,
-    title: &str,
-    variants: Vec<(String, RobConfig)>,
-    mixes: &[usize],
-) -> FigureData {
-    let cells: Vec<SweepCell> = variants
+/// The cells a figure, histogram or accuracy spec renders from, in
+/// sweep order: each scheme's mixes, scheme-major, with a histogram's
+/// `compare` reference first. The `spec` executor, the suite, the
+/// serve daemon and the per-kind sweeps below all take their cells
+/// from here, and the builders below read outcomes back in this order.
+pub fn artifact_cells(spec: &ExperimentSpec, mixes: &[usize]) -> Vec<SweepCell> {
+    spec.compare
         .iter()
-        .flat_map(|(_, cfg)| {
-            let cfg = *cfg;
-            mixes.iter().map(move |&m| (m, cfg))
-        })
-        .collect();
-    let report = lab.sweep_cells(&cells);
-    ft_figure_from(lab, title, variants, mixes, report)
+        .map(|(cmp, _)| cmp)
+        .chain(&spec.variants)
+        .flat_map(|v| mixes.iter().map(move |&m| (m, v.config)))
+        .collect()
 }
 
-/// The figure-assembly half of [`ft_sweep`]: builds the FT figure from
-/// a finished report whose outcomes are in the configuration-major
-/// `variants × mixes` order [`ft_sweep`] dispatches. Public so a
-/// caller that ran the cells itself — the serve daemon, from the
-/// outcomes its workers streamed, or the spec executor's suite, from
-/// its slice of one shared sweep — renders exactly the offline bytes.
+/// `kind = "figure"`: the spec's FT figure over `mixes`, one series
+/// per scheme, from one sweep over its [`artifact_cells`] (one phase-1
+/// normalization pass, one phase-2 fan-out).
+pub fn figure_for(lab: &mut Lab, spec: &ExperimentSpec, mixes: &[usize]) -> FigureData {
+    let report = lab.sweep_cells(&artifact_cells(spec, mixes));
+    ft_figure_from(lab, spec, mixes, report)
+}
+
+/// The figure-assembly half of [`figure_for`]: builds a figure spec's
+/// FT figure from a finished report over its [`artifact_cells`].
+/// Public so a caller that ran the cells itself — the serve daemon,
+/// from the outcomes its workers streamed — renders exactly the
+/// offline bytes.
 pub fn ft_figure_from(
     lab: &Lab,
-    title: &str,
-    variants: Vec<(String, RobConfig)>,
+    spec: &ExperimentSpec,
     mixes: &[usize],
-    report: crate::SweepReport,
+    report: SweepReport,
 ) -> FigureData {
     let health = sweep_health_note(lab, &report);
     let mut results = report.results().into_iter();
     let mut failures = Vec::new();
-    let series = variants
-        .into_iter()
-        .map(|(label, _)| {
+    let series = spec
+        .variants
+        .iter()
+        .map(|v| {
             let rows: Vec<(String, Result<MixRun, SimError>)> = mixes
                 .iter()
                 .map(|&m| (mix_name(m), results.next().expect("one result per cell")))
                 .collect();
-            Series::from_results(label, rows, &mut failures)
+            Series::from_results(v.label.clone(), rows, &mut failures)
         })
         .collect();
     FigureData {
-        title: title.to_string(),
+        title: title(spec).to_string(),
         series,
         failures,
         health,
@@ -184,30 +188,48 @@ pub fn ft_figure_from(
 /// stay byte-identical to the committed goldens. The summary itself is
 /// path-independent (see [`crate::SweepHealth`]) — a resumed sweep
 /// renders the same footer as an uninterrupted one.
-fn sweep_health_note(lab: &Lab, report: &crate::SweepReport) -> Option<String> {
+fn sweep_health_note(lab: &Lab, report: &SweepReport) -> Option<String> {
     lab.resilience_active()
         .then(|| report.health.summary_line())
 }
 
-/// Shared DoD-histogram driver: one column per mix under a single
-/// configuration, all cells dispatched through [`Lab::sweep_cells`] as
-/// one batch. [`fig1`]/[`fig3`]/[`fig7`] are fixed-wiring wrappers.
-pub fn dod_figure(lab: &mut Lab, title: &str, cfg: RobConfig, mixes: &[usize]) -> HistogramData {
-    let cells: Vec<SweepCell> = mixes.iter().map(|&m| (m, cfg)).collect();
-    let report = lab.sweep_cells(&cells);
-    dod_figure_from(lab, title, cfg, mixes, report)
+/// `kind = "histogram"`: the spec's DoD histogram over `mixes` and,
+/// when the spec names a `compare` reference, that reference's
+/// histogram (titled with its `compare_label`), from one sweep over
+/// its [`artifact_cells`].
+pub fn histogram_for(
+    lab: &mut Lab,
+    spec: &ExperimentSpec,
+    mixes: &[usize],
+) -> (HistogramData, Option<HistogramData>) {
+    let report = lab.sweep_cells(&artifact_cells(spec, mixes));
+    histograms_from(lab, spec, mixes, report.outcomes)
 }
 
-/// The histogram-assembly half of [`dod_figure`]: builds the DoD
-/// histogram from a finished report holding one outcome per mix, in
-/// `mixes` order. Public so a caller that swept the cells together
-/// with others (the spec executor's suite) renders the same bytes.
-pub fn dod_figure_from(
+/// The assembly half of [`histogram_for`], from the outcomes of the
+/// spec's [`artifact_cells`].
+fn histograms_from(
+    lab: &Lab,
+    spec: &ExperimentSpec,
+    mixes: &[usize],
+    mut outcomes: Vec<CellOutcome>,
+) -> (HistogramData, Option<HistogramData>) {
+    let own = SweepReport::new(outcomes.split_off(outcomes.len() - mixes.len()));
+    let hist = dod_figure_from(lab, title(spec), spec.variants[0].config, mixes, own);
+    let compare = spec.compare.as_ref().map(|(cmp, label)| {
+        dod_figure_from(lab, label, cmp.config, mixes, SweepReport::new(outcomes))
+    });
+    (hist, compare)
+}
+
+/// Builds one DoD histogram from a report holding one outcome per mix
+/// under `cfg`, in `mixes` order.
+fn dod_figure_from(
     lab: &Lab,
     title: &str,
     cfg: RobConfig,
     mixes: &[usize],
-    report: crate::SweepReport,
+    report: SweepReport,
 ) -> HistogramData {
     let health = sweep_health_note(lab, &report);
     let mut failures = Vec::new();
@@ -226,94 +248,41 @@ pub fn dod_figure_from(
     }
 }
 
-/// Figure 1: number of instructions dependent on a long-latency load,
-/// observed in the ROB at miss service time, on the baseline machine.
-pub fn fig1(lab: &mut Lab, mixes: &[usize]) -> HistogramData {
-    dod_figure(
-        lab,
-        "Figure 1: DoD at L2-miss service time (Baseline_32)",
-        RobConfig::Baseline(32),
-        mixes,
-    )
+/// Renders a figure or histogram spec from the outcomes of its
+/// [`artifact_cells`], in that order. Returns the text and one line
+/// per failed cell of the artifact itself (a failed `compare` cell
+/// only makes the comparison `n/a`).
+pub fn render_artifact(
+    lab: &Lab,
+    spec: &ExperimentSpec,
+    mixes: &[usize],
+    outcomes: Vec<CellOutcome>,
+) -> (String, Vec<String>) {
+    if spec.kind == SpecKind::Figure {
+        let fig = ft_figure_from(lab, spec, mixes, SweepReport::new(outcomes));
+        return (report::render_figure(&fig), fig.failures);
+    }
+    let (hist, compare) = histograms_from(lab, spec, mixes, outcomes);
+    let mut text = report::render_histogram(&hist);
+    if let Some(base) = compare {
+        text.push_str(&compare_line(
+            hist.pooled_mean(),
+            base.pooled_mean(),
+            &base.title,
+        ));
+    }
+    (text, hist.failures)
 }
 
-/// Figure 2: FT of 2-Level R-ROB16 vs Baseline_32 and Baseline_128.
-pub fn fig2(lab: &mut Lab, mixes: &[usize]) -> FigureData {
-    ft_figure(
-        lab,
-        "Figure 2: FT with 2-Level R-ROB",
-        &[
-            RobConfig::Baseline(32),
-            RobConfig::Baseline(128),
-            RobConfig::TwoLevel(TwoLevelConfig::r_rob(16)),
-        ],
-        mixes,
-    )
-}
-
-/// Figure 3: DoD distribution under 2-Level R-ROB16 (the paper reports
-/// a 56 % increase in captured dependents over Figure 1).
-pub fn fig3(lab: &mut Lab, mixes: &[usize]) -> HistogramData {
-    dod_figure(
-        lab,
-        "Figure 3: DoD at L2-miss service time (2-Level R-ROB16)",
-        RobConfig::TwoLevel(TwoLevelConfig::r_rob(16)),
-        mixes,
-    )
-}
-
-/// Figure 4: FT of 2-Level Relaxed R-ROB15.
-pub fn fig4(lab: &mut Lab, mixes: &[usize]) -> FigureData {
-    ft_figure(
-        lab,
-        "Figure 4: FT with 2-Level Relaxed R-ROB15",
-        &[
-            RobConfig::Baseline(32),
-            RobConfig::Baseline(128),
-            RobConfig::TwoLevel(TwoLevelConfig::relaxed_r_rob(15)),
-        ],
-        mixes,
-    )
-}
-
-/// Figure 5: FT of 2-Level CDR-ROB15 (32-cycle count delay).
-pub fn fig5(lab: &mut Lab, mixes: &[usize]) -> FigureData {
-    ft_figure(
-        lab,
-        "Figure 5: FT with 2-Level CDR-ROB15",
-        &[
-            RobConfig::Baseline(32),
-            RobConfig::Baseline(128),
-            RobConfig::TwoLevel(TwoLevelConfig::cdr_rob(15)),
-        ],
-        mixes,
-    )
-}
-
-/// Figure 6: FT of 2-Level P-ROB3 and P-ROB5.
-pub fn fig6(lab: &mut Lab, mixes: &[usize]) -> FigureData {
-    ft_figure(
-        lab,
-        "Figure 6: FT with 2-Level P-ROB",
-        &[
-            RobConfig::Baseline(32),
-            RobConfig::Baseline(128),
-            RobConfig::TwoLevel(TwoLevelConfig::p_rob(3)),
-            RobConfig::TwoLevel(TwoLevelConfig::p_rob(5)),
-        ],
-        mixes,
-    )
-}
-
-/// Figure 7: DoD distribution under 2-Level P-ROB (the paper reports a
-/// 120 % increase in captured dependents over Figure 1).
-pub fn fig7(lab: &mut Lab, mixes: &[usize]) -> HistogramData {
-    dod_figure(
-        lab,
-        "Figure 7: DoD at L2-miss service time (2-Level P-ROB5)",
-        RobConfig::TwoLevel(TwoLevelConfig::p_rob(5)),
-        mixes,
-    )
+/// Formats the pooled-mean comparison a histogram spec's `compare`
+/// key asks for. A histogram whose every mix failed pools to a 0 (or
+/// NaN) mean; the comparison is then undefined, not "+0 %".
+fn compare_line(pooled: f64, base: f64, label: &str) -> String {
+    let vs = match improvement(pooled, base) {
+        Some(d) => format!("{:+.1}%", d * 100.0),
+        None => "n/a".to_string(),
+    };
+    format!("mean dependents vs {label}: {vs}\n")
 }
 
 /// One row of the DoD-accuracy table: how well the dynamic machinery
@@ -357,40 +326,17 @@ impl AccuracyData {
     }
 }
 
-/// DoD-accuracy table over `mixes`: the dynamic DoD counter and the
-/// P-ROB predictor cross-checked against the static dependence bounds,
-/// under the paper's reactive (R-ROB16) and predictive (P-ROB5)
-/// configurations.
-pub fn accuracy(lab: &mut Lab, mixes: &[usize]) -> AccuracyData {
-    accuracy_for(
-        lab,
-        "DoD accuracy: dynamic counter & predictor vs. static bounds",
-        &[
-            RobConfig::TwoLevel(TwoLevelConfig::r_rob(16)),
-            RobConfig::TwoLevel(TwoLevelConfig::p_rob(5)),
-        ],
-        mixes,
-    )
-}
-
-/// Generic DoD-accuracy driver over an arbitrary configuration list —
-/// the entry point `kind = "accuracy"` specs render through.
-pub fn accuracy_for(
-    lab: &mut Lab,
-    title: &str,
-    configs: &[RobConfig],
-    mixes: &[usize],
-) -> AccuracyData {
-    let cells: Vec<SweepCell> = configs
-        .iter()
-        .flat_map(|&cfg| mixes.iter().map(move |&m| (m, cfg)))
-        .collect();
-    let report = lab.sweep_cells(&cells);
+/// `kind = "accuracy"`: the DoD-accuracy table over the spec's
+/// schemes and `mixes`, from one sweep over its [`artifact_cells`] —
+/// the dynamic DoD counter and, for P-ROB, the predictor,
+/// cross-checked against the static dependence bounds.
+pub fn accuracy_for(lab: &mut Lab, spec: &ExperimentSpec, mixes: &[usize]) -> AccuracyData {
+    let report = lab.sweep_cells(&artifact_cells(spec, mixes));
     let health = sweep_health_note(lab, &report);
     let mut results = report.results().into_iter();
     let mut rows = Vec::new();
     let mut failures = Vec::new();
-    for cfg in configs {
+    for v in &spec.variants {
         for &m in mixes {
             match results.next().expect("one result per cell") {
                 Ok(run) => {
@@ -405,63 +351,16 @@ pub fn accuracy_for(
                         pred_coverage: predictive.map(|tl| tl.coverage()),
                     });
                 }
-                Err(e) => failures.push(failure_line(&mix_name(m), &cfg.label(), &e)),
+                Err(e) => failures.push(failure_line(&mix_name(m), &v.config.label(), &e)),
             }
         }
     }
     AccuracyData {
-        title: title.to_string(),
+        title: title(spec).to_string(),
         rows,
         failures,
         health,
     }
-}
-
-/// §5.2 text: DoD-threshold sweep for the reactive scheme
-/// ("thresholds ranging from 1 to 16"; higher values clog the IQ).
-pub fn threshold_sweep(lab: &mut Lab, mixes: &[usize], thresholds: &[u32]) -> FigureData {
-    let mut configs = vec![RobConfig::Baseline(32)];
-    configs.extend(
-        thresholds
-            .iter()
-            .map(|&t| RobConfig::TwoLevel(TwoLevelConfig::r_rob(t))),
-    );
-    ft_figure(lab, "DoD threshold sweep (2-Level R-ROB)", &configs, mixes)
-}
-
-/// Ablation A1 (DESIGN.md §6): design-choice sensitivity of the
-/// reactive scheme — recheck cadence, CDR snapshot delay, release
-/// policy, and second-level size.
-pub fn ablation(lab: &mut Lab, mixes: &[usize]) -> FigureData {
-    use crate::twolevel::ReleasePolicy;
-    let mut variants: Vec<(String, TwoLevelConfig)> = Vec::new();
-    let base = TwoLevelConfig::r_rob(16);
-    variants.push(("R-ROB16 (paper)".into(), base));
-    for interval in [1, 5, 20] {
-        let mut c = base;
-        c.recheck_interval = interval;
-        variants.push((format!("recheck={interval}"), c));
-    }
-    for delay in [8, 16, 64] {
-        let mut c = TwoLevelConfig::cdr_rob(15);
-        c.scheme = Scheme::CountDelayed { delay };
-        variants.push((format!("CDR delay={delay}"), c));
-    }
-    {
-        let mut c = base;
-        c.release = ReleasePolicy::DrainOnly;
-        variants.push(("release=drain-only".into(), c));
-    }
-    for l2 in [96, 192, 768] {
-        let mut c = base;
-        c.l2_entries = l2;
-        variants.push((format!("L2={l2}"), c));
-    }
-    let variants: Vec<(String, RobConfig)> = variants
-        .into_iter()
-        .map(|(label, cfg)| (label, RobConfig::TwoLevel(cfg)))
-        .collect();
-    ft_sweep(lab, "Ablation: two-level design choices", variants, mixes)
 }
 
 #[cfg(test)]
@@ -471,6 +370,21 @@ mod tests {
 
     fn lab() -> Lab {
         Lab::new(11).with_budgets(6_000, 6_000)
+    }
+
+    /// The committed `experiments/<id>.toml`: the tests exercise the
+    /// specs the product runs.
+    fn spec(id: &str) -> ExperimentSpec {
+        ExperimentSpec::load(&crate::spec::spec_dir().join(format!("{id}.toml")))
+            .expect("committed spec parses")
+    }
+
+    fn fig1(lab: &mut Lab, mixes: &[usize]) -> HistogramData {
+        histogram_for(lab, &spec("fig1"), mixes).0
+    }
+
+    fn fig2(lab: &mut Lab, mixes: &[usize]) -> FigureData {
+        figure_for(lab, &spec("fig2"), mixes)
     }
 
     #[test]
@@ -534,7 +448,7 @@ mod tests {
     #[test]
     fn fig6_includes_both_p_rob_thresholds() {
         let mut lab = lab();
-        let f = fig6(&mut lab, &[2]);
+        let f = figure_for(&mut lab, &spec("fig6"), &[2]);
         let labels: Vec<&str> = f.series.iter().map(|s| s.label.as_str()).collect();
         assert!(labels.contains(&"2-Level P-ROB3"));
         assert!(labels.contains(&"2-Level P-ROB5"));
@@ -543,15 +457,17 @@ mod tests {
     #[test]
     fn threshold_sweep_labels() {
         let mut lab = lab();
-        let f = threshold_sweep(&mut lab, &[1], &[4, 16]);
-        assert_eq!(f.series.len(), 3);
-        assert_eq!(f.series[1].label, "2-Level R-ROB4");
+        let f = figure_for(&mut lab, &spec("threshold_sweep"), &[1]);
+        assert_eq!(f.series.len(), 9, "Baseline_32 plus eight thresholds");
+        assert_eq!(f.series[0].label, "Baseline_32");
+        assert_eq!(f.series[1].label, "2-Level R-ROB1");
+        assert_eq!(f.series[8].label, "2-Level R-ROB32");
     }
 
     #[test]
     fn accuracy_table_checks_fills_without_violations() {
         let mut lab = lab();
-        let a = accuracy(&mut lab, &[1]);
+        let a = accuracy_for(&mut lab, &spec("accuracy"), &[1]);
         assert_eq!(a.rows.len(), 2, "R-ROB16 and P-ROB5 rows");
         assert!(a.failures.is_empty());
         assert_eq!(a.total_violations(), 0, "static bound must hold");

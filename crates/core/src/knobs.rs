@@ -43,7 +43,6 @@ pub enum Knob {
     CheckThreads,
     CheckL2,
     Jobs,
-    BenchIters,
     NoSkip,
     DeadlockCycles,
     InvariantInterval,
@@ -124,7 +123,6 @@ pub const KNOBS: &[KnobRow] = &[
     row(Knob::CheckL2,      "CHECK_L2",      Some("check_l2"),      Value(2), CHECK_BOUND, false),
     // 0 = the machine's available parallelism.
     row(Knob::Jobs,       "SMTSIM_JOBS",    None, Value(0), ANY, false),
-    row(Knob::BenchIters, "BENCH_ITERS",    None, Value(5), U32, false),
     // Any nonzero value disables cycle skipping (timing-transparent).
     row(Knob::NoSkip,     "SMTSIM_NO_SKIP", None, Value(0), ANY, false),
     row(Knob::DeadlockCycles,       "DEADLOCK_CYCLES",        None, Value(1_000_000), ANY, true),
@@ -401,7 +399,6 @@ mod tests {
             "FAULT_DELAY_FILL",
             "FAULT_CORRUPT_DOD",
             "FAULT_WITHHOLD_RELEASE",
-            "BENCH_ITERS",
             "SMTSIM_CELL_RETRIES",
         ] {
             let err = knobs(&[(env, "4294967297")]).expect_err(env);

@@ -14,7 +14,8 @@
 //! * [`metrics`] — weighted IPC and the Fair Throughput (harmonic-mean)
 //!   metric the paper reports;
 //! * [`Lab`] / [`figures`] — the experiment driver regenerating every
-//!   figure and table of §5 over the Table 2 benchmark mixes;
+//!   figure and table of §5 over the Table 2 benchmark mixes, each
+//!   defined by its committed [`spec`] file;
 //! * [`report`] — text rendering in the paper's row/series layout;
 //! * [`cache`] — the persistent content-addressed result cache offline
 //!   sweeps and the serve daemon share;
@@ -54,7 +55,7 @@ pub use figures::{AccuracyData, AccuracyRow, FigureData, HistogramData, Series, 
 pub use journal::{Journal, JournalEntry, JournalError};
 pub use knobs::{Knob, Knobs, KNOBS};
 pub use metrics::{fair_throughput, harmonic_mean, improvement, mean, weighted_ipc};
-pub use spec::{ExperimentSpec, SpecError, SpecKind, SpecVariant};
+pub use spec::{spec_dir, ExperimentSpec, SpecError, SpecKind, SpecVariant};
 pub use twolevel::{
     DodPredictorKind, ReleasePolicy, Scheme, SchemeKind, TenureView, TwoLevelConfig, TwoLevelRob,
     TwoLevelStats,

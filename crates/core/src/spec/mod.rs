@@ -3,10 +3,11 @@
 //! An [`ExperimentSpec`] is the data-driven description of one
 //! experiment: which machine, which ROB schemes, which normalization
 //! reference, which mixes, which knob scales, and what kind of output
-//! (figure, histogram, table, accuracy table, episode dump, …). Every
-//! figure/table binary in `smtsim-bench` is a thin wrapper that loads
-//! a committed spec and hands it to the spec executor; a new scenario
-//! is a new `.toml` file, not a new bin.
+//! (figure, histogram, table, accuracy table, episode dump, …). The
+//! committed specs under [`spec_dir`] are the only definitions of the
+//! paper's experiments: the `spec` bin in `smtsim-bench` runs any of
+//! them, the serve daemon serves them and [`crate::figures`] sweeps
+//! them, so a new scenario is a new `.toml` file, not new code.
 //!
 //! The pipeline is `parse → resolve → lower`:
 //!
@@ -40,9 +41,16 @@ use crate::knobs::{Knob, KNOBS};
 use crate::twolevel::{DodPredictorKind, ReleasePolicy, Scheme, TwoLevelConfig};
 use smtsim_pipeline::{MachineConfig, SimError};
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use self::toml::{Item, Section, Value};
+
+/// The committed `experiments/` directory, pinned to the source tree
+/// so binaries and tests find it from any working directory.
+#[must_use]
+pub fn spec_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../experiments")
+}
 
 /// A typed spec-layer failure, carrying the offending file and line.
 /// Converts into [`SimError::InvalidConfig`] (exit code 2 through the
@@ -71,8 +79,8 @@ impl From<SpecError> for SimError {
     }
 }
 
-/// What a spec produces — the output-kind family covering all of the
-/// harness binaries.
+/// What a spec produces — the output-kind family covering every
+/// artifact the `spec` bin writes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpecKind {
     /// An FT bar-chart figure (one series per scheme).
@@ -751,14 +759,24 @@ fn resolve_scheme_section(file: &str, s: &Section) -> Result<SchemeOverrides, Sp
         name: name.to_string(),
         ..SchemeOverrides::default()
     };
+    // Sizes and the recheck cadence must be positive: the allocator
+    // cannot be built with an empty level or a zero cadence.
+    let positive = |item: &Item| match expect_int(file, item)? {
+        0 => Err(spec_err(
+            file,
+            item.line,
+            format!("key `{}`: must be at least 1", item.key),
+        )),
+        n => Ok(Some(n)),
+    };
     for item in &s.items {
         match item.key.as_str() {
             "base" => cs.base = expect_str(file, item)?.to_string(),
             "label" => cs.label = Some(expect_str(file, item)?.to_string()),
-            "l1_entries" => cs.l1_entries = Some(expect_int(file, item)?),
-            "l2_entries" => cs.l2_entries = Some(expect_int(file, item)?),
+            "l1_entries" => cs.l1_entries = positive(item)?,
+            "l2_entries" => cs.l2_entries = positive(item)?,
             "dod_threshold" => cs.dod_threshold = Some(expect_int(file, item)?),
-            "recheck_interval" => cs.recheck_interval = Some(expect_int(file, item)?),
+            "recheck_interval" => cs.recheck_interval = positive(item)?,
             "release" => cs.release = Some(expect_str(file, item)?.to_string()),
             "cdr_delay" => cs.cdr_delay = Some(expect_int(file, item)?),
             "require_oldest" => cs.require_oldest = Some(expect_bool(file, item)?),
@@ -1081,6 +1099,30 @@ cdr_delay = 8
                  schemes = [\"r-rob-16\"]\nmixes = [0]\n",
                 6,
                 "out of range 1..=11",
+            ),
+            (
+                "[experiment]\nid = \"x\"\nkind = \"figure\"\ntitle = \"t\"\n\
+                 schemes = [\"baseline-0\"]\n",
+                5,
+                "at least one entry",
+            ),
+            (
+                "[experiment]\nid = \"x\"\nkind = \"figure\"\ntitle = \"t\"\n\
+                 schemes = [\"v\"]\n\n[scheme.v]\nbase = \"r-rob-16\"\nl1_entries = 0\n",
+                9,
+                "key `l1_entries`: must be at least 1",
+            ),
+            (
+                "[experiment]\nid = \"x\"\nkind = \"figure\"\ntitle = \"t\"\n\
+                 schemes = [\"v\"]\n\n[scheme.v]\nbase = \"r-rob-16\"\nl2_entries = 0\n",
+                9,
+                "key `l2_entries`: must be at least 1",
+            ),
+            (
+                "[experiment]\nid = \"x\"\nkind = \"figure\"\ntitle = \"t\"\n\
+                 schemes = [\"v\"]\n\n[scheme.v]\nbase = \"r-rob-16\"\nrecheck_interval = 0\n",
+                9,
+                "key `recheck_interval`: must be at least 1",
             ),
         ];
         for &(text, line, frag) in cases {

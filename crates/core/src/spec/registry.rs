@@ -2,8 +2,8 @@
 //!
 //! Every name an `experiments/*.toml` spec may reference resolves
 //! here, in one place, so adding a machine, scheme family, fetch
-//! policy, mix set or knob preset is a registry edit — not a new
-//! figure bin. Ids are kebab-case and *stable*: they appear in
+//! policy, mix set or knob preset is a registry edit — not new figure
+//! code. Ids are kebab-case and *stable*: they appear in
 //! committed spec files and in spec fingerprints, so renaming one is
 //! a breaking change.
 //!
@@ -71,6 +71,9 @@ pub fn rob_config(id: &str) -> Result<RobConfig, String> {
     let (family, digits) = (&id[..dash], &id[dash + 1..]);
     let n: u32 = digits.parse().map_err(|_| unknown())?;
     match family {
+        "baseline" if n == 0 => Err(format!(
+            "scheme id `{id}`: a baseline ROB needs at least one entry"
+        )),
         "baseline" => Ok(RobConfig::Baseline(n as usize)),
         "r-rob" => Ok(RobConfig::TwoLevel(TwoLevelConfig::r_rob(n))),
         "relaxed-r-rob" => Ok(RobConfig::TwoLevel(TwoLevelConfig::relaxed_r_rob(n))),

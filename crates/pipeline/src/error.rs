@@ -45,7 +45,7 @@ pub enum SimError {
         reason: String,
     },
     /// A sweep cell panicked. The crash-isolated sweep engine
-    /// (`Lab::sweep` in `smtsim-rob2`) catches the unwind, converts it
+    /// (`Lab::sweep_cells` in `smtsim-rob2`) catches the unwind, converts it
     /// to this typed error and keeps the remaining cells running; the
     /// cell renders as `n/a` like any other failed cell.
     CellPanic {

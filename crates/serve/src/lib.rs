@@ -1,6 +1,6 @@
 //! Sweep-as-a-service: the `smtsim-serve` daemon (DESIGN.md §17).
 //!
-//! Every figure binary rebuilds its world per invocation: labs,
+//! An offline `spec` run rebuilds its world per invocation: labs,
 //! normalization runs and sweep results all die with the process. This
 //! crate turns the sweep engine into a long-running service. A daemon
 //! listens on a Unix socket for line-delimited JSON requests carrying

@@ -537,19 +537,7 @@ fn run_admitted(shared: &Arc<Shared>, stream: &mut UnixStream, source: &SpecSour
     };
     // Terminal line: the figure assembled from the streamed outcomes
     // by the same code the offline spec bin renders through.
-    let title = spec.title.as_deref().unwrap_or(&spec.id);
-    let pairs: Vec<(String, RobConfig)> = spec
-        .variants
-        .iter()
-        .map(|v| (v.label.clone(), v.config))
-        .collect();
-    let fig = figures::ft_figure_from(
-        &req.lab,
-        title,
-        pairs,
-        &req.mixes,
-        SweepReport::new(outcomes),
-    );
+    let fig = figures::ft_figure_from(&req.lab, &spec, &req.mixes, SweepReport::new(outcomes));
     let figure = report::render_figure(&fig);
     send_line(stream, &protocol::done_line(id, cells_n, &stats, &figure));
     shared.bump("serve.requests_completed");
@@ -621,18 +609,23 @@ fn prepare_request(
     // Phase 1, serial, warm-started through the cache from this
     // universe's earlier requests.
     let norm = lab.norm_table(&mixes);
-    // The cell matrix in the engine's canonical config-major order.
-    let mut cells = Vec::with_capacity(spec.variants.len() * mixes.len());
-    for v in &spec.variants {
-        for &m in &mixes {
-            cells.push(CellJob {
-                mix: m,
-                config: v.config,
-                label: v.label.clone(),
-                key: cell_key(m, &v.config.fingerprint()),
-            });
-        }
-    }
+    // The cell matrix the offline executor sweeps, in its order; a
+    // figure spec's cells are scheme-major, which pairs each with its
+    // series label.
+    let labels = spec
+        .variants
+        .iter()
+        .flat_map(|v| mixes.iter().map(move |_| &v.label));
+    let cells = figures::artifact_cells(spec, &mixes)
+        .into_iter()
+        .zip(labels)
+        .map(|((mix, config), label)| CellJob {
+            mix,
+            config,
+            label: label.clone(),
+            key: cell_key(mix, &config.fingerprint()),
+        })
+        .collect();
     Ok(Arc::new(RequestRun {
         id: shared.next_request.fetch_add(1, Ordering::SeqCst),
         lab,
@@ -988,6 +981,28 @@ mod tests {
         // Registry submissions need a registry.
         let reg = roundtrip(&socket, "{\"op\":\"submit\",\"spec\":\"fig2\"}");
         assert!(reg[0].contains("no spec registry"), "{}", reg[0]);
+        // A scheme the allocator cannot be built with is a typed parse
+        // error, not a panic on the connection thread, so the request's
+        // admission slot is released.
+        let zero = roundtrip(
+            &socket,
+            &format!(
+                "{{\"op\":\"submit\",\"spec_toml\":{}}}",
+                smtsim_rob2::journal::json_string(
+                    &TINY_SPEC.replace("schemes = [\"baseline-32\"]", "schemes = [\"baseline-0\"]")
+                )
+            ),
+        );
+        assert!(
+            zero.first().is_some_and(|l| l.contains("invalid-config")),
+            "{zero:?}"
+        );
+        let metrics = roundtrip(&socket, "{\"op\":\"metrics\"}");
+        assert!(
+            metrics[0].contains("\"active_requests\":0"),
+            "{}",
+            metrics[0]
+        );
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -66,8 +66,10 @@ fn sweep_is_byte_identical_at_any_job_count() {
             .with_budgets(6_000, 6_000)
             .with_warmup(10_000)
             .with_jobs(Some(jobs));
-        let runs = format!("{:?}", lab.sweep(&cells));
-        let fig = smtsim_rob2::figures::fig2(&mut lab, &[2, 6]);
+        let runs = format!("{:?}", lab.sweep_cells(&cells).results());
+        let fig2 = smtsim_rob2::ExperimentSpec::load(&smtsim_rob2::spec_dir().join("fig2.toml"))
+            .expect("fig2.toml parses");
+        let fig = smtsim_rob2::figures::figure_for(&mut lab, &fig2, &[2, 6]);
         (runs, smtsim_rob2::report::render_figure(&fig))
     };
     let serial = run(1);

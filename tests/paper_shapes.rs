@@ -2,7 +2,7 @@
 //! reproduction's success criteria (DESIGN.md §5): the *shape* of every
 //! headline claim must hold at laptop-scale budgets.
 
-use smtsim_rob2::{figures, Lab, RobConfig, TwoLevelConfig};
+use smtsim_rob2::{figures, ExperimentSpec, HistogramData, Lab, RobConfig, TwoLevelConfig};
 
 /// Memory-bound mixes, where the mechanism is designed to win.
 const MEMORY_MIXES: [usize; 4] = [1, 3, 5, 9];
@@ -11,6 +11,14 @@ fn lab() -> Lab {
     let mut lab = Lab::new(42).with_budgets(25_000, 25_000);
     lab.warmup = 60_000;
     lab
+}
+
+/// The committed histogram spec `experiments/<id>.toml`, swept over
+/// `mixes`: its histogram and its `compare` reference's, if any.
+fn histogram(lab: &mut Lab, id: &str, mixes: &[usize]) -> (HistogramData, Option<HistogramData>) {
+    let spec = ExperimentSpec::load(&smtsim_rob2::spec_dir().join(format!("{id}.toml")))
+        .expect("committed spec parses");
+    figures::histogram_for(lab, &spec, mixes)
 }
 
 fn avg_ft(lab: &mut Lab, cfg: RobConfig, mixes: &[usize]) -> f64 {
@@ -105,7 +113,7 @@ fn figure1_dod_distribution_is_small_and_skewed() {
     // Figure 1: "a typical number of load-dependent instructions is
     // fairly small for all simulated mixes".
     let mut lab = lab();
-    let fig = figures::fig1(&mut lab, &[1, 2, 4]);
+    let (fig, _) = histogram(&mut lab, "fig1", &[1, 2, 4]);
     for (name, h) in &fig.mixes {
         assert!(h.samples > 50, "{name}: too few fill samples");
         assert!(
@@ -130,9 +138,16 @@ fn deeper_windows_capture_more_dependents() {
     // most misses — captures at least as much as the reactive one.
     let mut lab = lab();
     let mixes = [1usize, 3, 4];
-    let base = figures::fig1(&mut lab, &mixes).pooled_mean();
-    let reactive = figures::fig3(&mut lab, &mixes).pooled_mean();
-    let predictive = figures::fig7(&mut lab, &mixes).pooled_mean();
+    // Figures 3 and 7 each carry Figure 1 as their `compare` reference.
+    let (reactive, Some(base)) = histogram(&mut lab, "fig3", &mixes) else {
+        panic!("fig3 compares against Figure 1")
+    };
+    let (predictive, _) = histogram(&mut lab, "fig7", &mixes);
+    let (base, reactive, predictive) = (
+        base.pooled_mean(),
+        reactive.pooled_mean(),
+        predictive.pooled_mean(),
+    );
     assert!(
         reactive > base * 1.1,
         "R-ROB mean DoD ({reactive:.2}) must exceed baseline ({base:.2})"

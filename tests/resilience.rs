@@ -20,7 +20,8 @@
 use smtsim_obs::MetricsRegistry;
 use smtsim_pipeline::{FaultPlan, SimError};
 use smtsim_rob2::{
-    figures, report, JournalError, Lab, ResultCache, RobConfig, SweepCell, TwoLevelConfig,
+    figures, report, ExperimentSpec, FigureData, JournalError, Lab, ResultCache, RobConfig,
+    SweepCell,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -65,23 +66,25 @@ fn on_file(lab: &Lab) -> usize {
         .len()
 }
 
+/// The committed Figure 2 spec, the one the product runs.
+fn fig2_spec() -> ExperimentSpec {
+    ExperimentSpec::load(&smtsim_rob2::spec_dir().join("fig2.toml")).expect("fig2.toml parses")
+}
+
 /// The Figure 2 cell matrix in dispatch order (configuration-major).
 fn fig2_cells(mixes: &[usize]) -> Vec<SweepCell> {
-    [
-        RobConfig::Baseline(32),
-        RobConfig::Baseline(128),
-        RobConfig::TwoLevel(TwoLevelConfig::r_rob(16)),
-    ]
-    .iter()
-    .flat_map(|&cfg| mixes.iter().map(move |&m| (m, cfg)))
-    .collect()
+    figures::artifact_cells(&fig2_spec(), mixes)
+}
+
+fn fig2(lab: &mut Lab, mixes: &[usize]) -> FigureData {
+    figures::figure_for(lab, &fig2_spec(), mixes)
 }
 
 /// An uninterrupted cache-armed fig2 render (on its own fresh cache).
 fn reference_fig2(tag: &str, mixes: &[usize]) -> String {
     let dir = scratch(tag);
     let mut lab = armed(small_lab(), &dir);
-    let text = report::render_figure(&figures::fig2(&mut lab, mixes));
+    let text = report::render_figure(&fig2(&mut lab, mixes));
     let _ = fs::remove_dir_all(&dir);
     text
 }
@@ -102,7 +105,7 @@ fn kill_and_resume_is_byte_identical_at_any_job_count() {
         // Relaunch: a fresh lab and cache handle on the same directory.
         let mut lab = armed(small_lab().with_jobs(Some(jobs)), &dir);
         assert_eq!(on_file(&lab), 2, "the two completed cells are on file");
-        let resumed = report::render_figure(&figures::fig2(&mut lab, &mixes));
+        let resumed = report::render_figure(&fig2(&mut lab, &mixes));
         assert_eq!(
             resumed, reference,
             "resumed sweep at jobs={jobs} must be byte-identical"
@@ -135,7 +138,7 @@ fn truncated_final_record_is_tolerated_and_recovered() {
     // lost cell and the figure matches an uninterrupted reference.
     let mut lab = armed(small_lab(), &dir);
     assert_eq!(on_file(&lab), 1, "truncated final line tolerated");
-    let resumed = report::render_figure(&figures::fig2(&mut lab, &[1]));
+    let resumed = report::render_figure(&fig2(&mut lab, &[1]));
     assert_eq!(resumed, reference_fig2("truncated-ref", &[1]));
     let _ = fs::remove_dir_all(&dir);
 }
@@ -221,7 +224,7 @@ fn wedged_cell_is_terminated_and_rendered_na_while_rest_completes() {
     plan.drop_fill = 1;
     lab.set_fault(Some(1), plan);
 
-    let fig = figures::fig2(&mut lab, &[1, 9]);
+    let fig = fig2(&mut lab, &[1, 9]);
     // Mix 1 times out in every configuration; Mix 9 completes.
     assert_eq!(fig.failures.len(), 3);
     for line in &fig.failures {
@@ -247,7 +250,7 @@ fn transient_fault_recovers_via_retry_and_reports_health() {
     let reference = {
         let mut lab = small_lab();
         lab.machine.deadlock_cycles = 3_000;
-        lab.sweep(&fig2_cells(&mixes))
+        lab.sweep_cells(&fig2_cells(&mixes)).results()
     };
 
     let mut lab = small_lab();

@@ -3,16 +3,17 @@
 //! Subcommands:
 //!
 //! * `lint` — source-level policy checks (below);
-//! * `determinism` — runs representative figure binaries (plus the
-//!   `trace` structured-dump bin) at `SMTSIM_JOBS=1` and
+//! * `determinism` — runs representative committed specs (figure,
+//!   histogram, accuracy table, the `trace` structured dump and the
+//!   model checker) through the `spec` bin at `SMTSIM_JOBS=1` and
 //!   `SMTSIM_JOBS=4` and fails unless their stdout is byte-identical:
 //!   the parallel sweep engine is *defined* to produce the serial
 //!   output at any job count. Budget knobs (`BUDGET`/`WARMUP`/
 //!   `MIXES`…) are honored when already set in the environment;
-//!   otherwise a fast CI-scale budget is used. Bins run in a scratch
+//!   otherwise a fast CI-scale budget is used. Runs use a scratch
 //!   CWD so reduced-budget artifacts never overwrite the committed
-//!   `results/`. The `trace` and `accuracy` outputs (the contents of
-//!   `results/episodes.txt` and `results/accuracy.txt` at CI scale)
+//!   `results/`. The `fig2`, `fig1`, `accuracy` and `trace` outputs
+//!   (the last is the contents of `results/episodes.txt` at CI scale)
 //!   are additionally pinned byte-for-byte against the committed
 //!   golden files in `tests/golden/`; `--bless` rewrites the goldens
 //!   after an intended change. Golden comparison is skipped when any
@@ -24,12 +25,12 @@
 //!   `spec` bin against the committed malformed-spec fixture and
 //!   requires exit code 2 with an error naming the offending key —
 //!   the typed-spec-error contract, pinned end to end.
-//! * `conform` — runs the `conform` differential-conformance bin
+//! * `conform` — runs the `conform` differential-conformance spec
 //!   (committed mixes + fuzz corpus replay + fresh-seed smoke) at
 //!   `SMTSIM_JOBS=1` and `SMTSIM_JOBS=4` and fails unless both runs
 //!   pass with byte-identical stdout: generated fuzz programs and
 //!   verdicts must be a pure function of `FUZZ_SEED`.
-//! * `check` — runs the `check` bounded-model-checking bin (exhaustive
+//! * `check` — runs the `check` bounded-model-checking spec (exhaustive
 //!   protocol exploration at CI bounds + live-trace conformance) twice
 //!   and fails unless both runs pass with byte-identical stdout, then
 //!   runs the `smtsim-check` mutation self-test on both sides of the
@@ -67,10 +68,12 @@
 //!   machine- and load-dependent. Marker: `// xtask: allow-wall-clock`.
 //! * **scheme-wiring-outside-registry** — `RobConfig::Baseline(…)`,
 //!   `RobConfig::TwoLevel(…)` or `TwoLevelConfig::…` constructions in
-//!   `crates/bench/src`. The bench layer executes committed
-//!   `experiments/*.toml` specs; every scheme it runs must resolve
-//!   through the spec registry so the spec files stay the single
-//!   source of experiment truth. Marker: `// xtask: allow-scheme-wiring`.
+//!   `crates/bench/src`, `crates/serve/src` and
+//!   `crates/core/src/figures.rs`. These layers execute or serve
+//!   committed `experiments/*.toml` specs; every scheme they run must
+//!   resolve through the spec registry so the spec files stay the
+//!   single source of experiment truth. Marker:
+//!   `// xtask: allow-scheme-wiring`.
 //! * **stale-allow-marker** — any `xtask: allow-*` marker whose own
 //!   line and next line contain nothing the marker suppresses. Stale
 //!   allowances are refused outright: left in place, they silently
@@ -235,14 +238,15 @@ fn test_code_start(lines: &[&str]) -> usize {
 /// Scans one production source file. `is_env_funnel` marks the single
 /// file allowed to read the process environment; `is_wall_exempt`
 /// marks the file where wall-clock reads are the point (the cell
-/// watchdog).
+/// watchdog); `runs_specs` marks the layers that must take every
+/// scheme from a spec.
 fn scan_file(
     path: &Path,
     in_pipeline: bool,
     is_stats: bool,
     is_env_funnel: bool,
     is_wall_exempt: bool,
-    in_bench: bool,
+    runs_specs: bool,
     out: &mut Vec<Violation>,
 ) {
     let Ok(text) = std::fs::read_to_string(path) else {
@@ -325,7 +329,7 @@ fn scan_file(
                     .into(),
             });
         }
-        if in_bench
+        if runs_specs
             && has_scheme_wiring(code)
             && !allowed(&lines, idx, "xtask: allow-scheme-wiring")
         {
@@ -333,7 +337,7 @@ fn scan_file(
                 file: path.to_path_buf(),
                 line: lineno,
                 rule: "scheme-wiring-outside-registry",
-                message: "hardcoded ROB scheme construction in the bench layer: resolve \
+                message: "hardcoded ROB scheme construction outside the registry: resolve \
                           the configuration through the spec registry (a scheme id in the \
                           experiment spec) so `experiments/*.toml` stays the single source \
                           of experiment truth (or annotate `// xtask: allow-scheme-wiring`)"
@@ -378,14 +382,16 @@ fn run_lints(root: &Path) -> Vec<Violation> {
         // Wall-clock reads are the *purpose* of the cell watchdog;
         // everywhere else they are a determinism hazard.
         let is_wall_exempt = rel == Path::new("crates/pipeline/src/budget.rs");
-        let in_bench = rel.starts_with("crates/bench/src");
+        let runs_specs = rel.starts_with("crates/bench/src")
+            || rel.starts_with("crates/serve/src")
+            || rel == Path::new("crates/core/src/figures.rs");
         scan_file(
             f,
             in_pipeline,
             is_stats,
             is_env_funnel,
             is_wall_exempt,
-            in_bench,
+            runs_specs,
             &mut out,
         );
     }
@@ -407,20 +413,23 @@ const DETERMINISM_DEFAULTS: &[(&str, &str)] = &[
     ("CHECK_L2", "2"),
 ];
 
-/// Runs one `smtsim-bench` binary at the given job count and captures
-/// stdout. Knobs already present in the environment win over the
-/// `defaults`; otherwise a fast CI-scale budget keeps the check under
-/// a minute. `forced` entries are set unconditionally — they override
-/// both the defaults and the caller's environment (used for legs that
-/// deliberately flip a knob, like the `SMTSIM_NO_SKIP` comparison).
+/// Runs the committed spec `experiments/<id>.toml` through the `spec`
+/// bin at the given job count and captures stdout. Knobs already
+/// present in the environment win over the `defaults`; otherwise a
+/// fast CI-scale budget keeps the check under a minute. `forced`
+/// entries are set unconditionally — they override both the defaults
+/// and the caller's environment (used for legs that deliberately flip
+/// a knob, like the `SMTSIM_NO_SKIP` comparison). `SMTSIM_SPEC` is
+/// always forced to the absolute spec path, so a caller's own
+/// `SMTSIM_SPEC` cannot redirect a leg.
 fn run_bench_bin(
     root: &Path,
-    bin: &str,
+    id: &str,
     jobs: usize,
     defaults: &[(&str, &str)],
     forced: &[(&str, &str)],
 ) -> Result<String, String> {
-    // Bins write `results/` relative to their CWD; run them in a
+    // Specs write `results/` relative to their CWD; run them in a
     // scratch directory so this reduced-budget check never overwrites
     // the committed full-budget artifacts.
     let scratch = root.join("target/xtask-determinism");
@@ -429,11 +438,16 @@ fn run_bench_bin(
         .join("Cargo.toml")
         .canonicalize()
         .map_err(|e| format!("cannot resolve workspace manifest: {e}"))?;
+    let spec = root
+        .join("experiments")
+        .join(format!("{id}.toml"))
+        .canonicalize()
+        .map_err(|e| format!("cannot resolve experiments/{id}.toml: {e}"))?;
     let mut cmd = std::process::Command::new("cargo");
     cmd.current_dir(&scratch)
         .args(["run", "--release", "-q", "--manifest-path"])
         .arg(manifest)
-        .args(["-p", "smtsim-bench", "--bin", bin])
+        .args(["-p", "smtsim-bench", "--bin", "spec"])
         .env("SMTSIM_JOBS", jobs.to_string());
     for &(k, v) in defaults {
         if std::env::var_os(k).is_none() {
@@ -443,12 +457,13 @@ fn run_bench_bin(
     for &(k, v) in forced {
         cmd.env(k, v);
     }
+    cmd.env("SMTSIM_SPEC", spec);
     let out = cmd
         .output()
-        .map_err(|e| format!("cannot spawn cargo for {bin}: {e}"))?;
+        .map_err(|e| format!("cannot spawn cargo for {id}: {e}"))?;
     if !out.status.success() {
         return Err(format!(
-            "{bin} (SMTSIM_JOBS={jobs}) failed with {}:\n{}",
+            "{id} (SMTSIM_JOBS={jobs}) failed with {}:\n{}",
             out.status,
             String::from_utf8_lossy(&out.stderr)
         ));
@@ -474,17 +489,22 @@ fn report_first_divergence(label_a: &str, a: &str, label_b: &str, b: &str) {
     );
 }
 
-/// The bins whose CI-scale stdout is pinned byte-for-byte under
+/// The specs whose CI-scale stdout is pinned byte-for-byte under
 /// `tests/golden/` (the stdout of `trace` is exactly the
 /// `results/episodes.txt` table; `accuracy` prints the
 /// `results/accuracy.txt` table).
-const GOLDEN_BINS: &[(&str, &str)] = &[("trace", "episodes.txt"), ("accuracy", "accuracy.txt")];
+const GOLDEN_BINS: &[(&str, &str)] = &[
+    ("fig2", "fig2.txt"),
+    ("fig1", "fig1.txt"),
+    ("trace", "episodes.txt"),
+    ("accuracy", "accuracy.txt"),
+];
 
-/// Compares one bin's captured stdout against its committed golden
+/// Compares one spec's captured stdout against its committed golden
 /// file (or rewrites the golden when `bless` is set). Only meaningful
 /// when the caller is running at the default CI-scale knob values —
 /// with knobs overridden in the environment the comparison is skipped.
-fn check_golden(root: &Path, bin: &str, golden: &str, output: &str, bless: bool) -> Result<(), ()> {
+fn check_golden(root: &Path, id: &str, golden: &str, output: &str, bless: bool) -> Result<(), ()> {
     let path = root.join("tests/golden").join(golden);
     if bless {
         if let Some(dir) = path.parent() {
@@ -495,7 +515,7 @@ fn check_golden(root: &Path, bin: &str, golden: &str, output: &str, bless: bool)
         }
         return match std::fs::write(&path, output) {
             Ok(()) => {
-                println!("xtask determinism: {bin}: blessed tests/golden/{golden}");
+                println!("xtask determinism: {id}: blessed tests/golden/{golden}");
                 Ok(())
             }
             Err(e) => {
@@ -506,12 +526,12 @@ fn check_golden(root: &Path, bin: &str, golden: &str, output: &str, bless: bool)
     }
     match std::fs::read_to_string(&path) {
         Ok(expected) if expected == output => {
-            println!("xtask determinism: {bin}: matches tests/golden/{golden}");
+            println!("xtask determinism: {id}: matches tests/golden/{golden}");
             Ok(())
         }
         Ok(expected) => {
             eprintln!(
-                "xtask determinism: {bin}: OUTPUT DRIFTED from tests/golden/{golden} \
+                "xtask determinism: {id}: OUTPUT DRIFTED from tests/golden/{golden} \
                  (run `cargo xtask determinism --bless` if the change is intended)"
             );
             report_first_divergence("golden", &expected, "actual", output);
@@ -519,7 +539,7 @@ fn check_golden(root: &Path, bin: &str, golden: &str, output: &str, bless: bool)
         }
         Err(e) => {
             eprintln!(
-                "xtask determinism: {bin}: cannot read {} ({e}); \
+                "xtask determinism: {id}: cannot read {} ({e}); \
                  run `cargo xtask determinism --bless` to record it",
                 path.display()
             );
@@ -568,7 +588,7 @@ fn check_malformed_spec(root: &Path) -> Result<(), String> {
 /// parallel output of one FT figure, one DoD histogram, the accuracy
 /// table and the structured-trace episode summary (the figure kinds
 /// the sweep engine feeds, plus the traced sweep variant). The
-/// `trace`/`accuracy` outputs are additionally pinned against the
+/// [`GOLDEN_BINS`] outputs are additionally pinned against the
 /// committed golden files in `tests/golden/` (skipped when the budget
 /// knobs are overridden in the environment, since the goldens are
 /// recorded at the default CI-scale settings); `--bless` rewrites the
@@ -580,8 +600,8 @@ fn run_determinism(root: &Path, bless: bool) -> ExitCode {
         .iter()
         .chain([&("SEED", ""), &("ST_BUDGET", "")])
         .all(|(k, _)| std::env::var_os(k).is_none());
-    for bin in ["fig2", "fig1", "accuracy", "trace", "check"] {
-        let serial = match run_bench_bin(root, bin, 1, DETERMINISM_DEFAULTS, &[]) {
+    for id in ["fig2", "fig1", "accuracy", "trace", "check"] {
+        let serial = match run_bench_bin(root, id, 1, DETERMINISM_DEFAULTS, &[]) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("xtask determinism: {e}");
@@ -589,7 +609,7 @@ fn run_determinism(root: &Path, bless: bool) -> ExitCode {
                 continue;
             }
         };
-        let parallel = match run_bench_bin(root, bin, 4, DETERMINISM_DEFAULTS, &[]) {
+        let parallel = match run_bench_bin(root, id, 4, DETERMINISM_DEFAULTS, &[]) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("xtask determinism: {e}");
@@ -598,19 +618,19 @@ fn run_determinism(root: &Path, bless: bool) -> ExitCode {
             }
         };
         if serial == parallel {
-            println!("xtask determinism: {bin}: identical at jobs 1 and 4");
+            println!("xtask determinism: {id}: identical at jobs 1 and 4");
         } else {
             failed = true;
-            eprintln!("xtask determinism: {bin}: OUTPUT DIFFERS between jobs 1 and 4");
+            eprintln!("xtask determinism: {id}: OUTPUT DIFFERS between jobs 1 and 4");
             report_first_divergence("jobs=1", &serial, "jobs=4", &parallel);
         }
-        if let Some(&(_, golden)) = GOLDEN_BINS.iter().find(|&&(b, _)| b == bin) {
+        if let Some(&(_, golden)) = GOLDEN_BINS.iter().find(|&&(b, _)| b == id) {
             if knobs_default {
-                if check_golden(root, bin, golden, &serial, bless).is_err() {
+                if check_golden(root, id, golden, &serial, bless).is_err() {
                     failed = true;
                 }
             } else {
-                println!("xtask determinism: {bin}: golden comparison skipped (knobs overridden)");
+                println!("xtask determinism: {id}: golden comparison skipped (knobs overridden)");
             }
         }
         // Cycle skipping is defined to be timing-transparent
@@ -618,21 +638,21 @@ fn run_determinism(root: &Path, bless: bool) -> ExitCode {
         // the machine in exactly the state the cycle-by-cycle loop
         // would have reached. Pin that with a third fig2 leg run under
         // `SMTSIM_NO_SKIP=1` and byte-compared against the default.
-        if bin == "fig2" {
+        if id == "fig2" {
             match run_bench_bin(
                 root,
-                bin,
+                id,
                 1,
                 DETERMINISM_DEFAULTS,
                 &[("SMTSIM_NO_SKIP", "1")],
             ) {
                 Ok(noskip) if noskip == serial => {
-                    println!("xtask determinism: {bin}: identical with SMTSIM_NO_SKIP=1");
+                    println!("xtask determinism: {id}: identical with SMTSIM_NO_SKIP=1");
                 }
                 Ok(noskip) => {
                     failed = true;
                     eprintln!(
-                        "xtask determinism: {bin}: OUTPUT DIFFERS with SMTSIM_NO_SKIP=1 \
+                        "xtask determinism: {id}: OUTPUT DIFFERS with SMTSIM_NO_SKIP=1 \
                          (cycle skipping is not timing-transparent)"
                     );
                     report_first_divergence("skip", &serial, "no-skip", &noskip);
@@ -671,7 +691,7 @@ const CONFORM_DEFAULTS: &[(&str, &str)] = &[
     ("FUZZ_SEED", "2026"),
 ];
 
-/// The `conform` subcommand: runs the differential conformance bin at
+/// The `conform` subcommand: runs the differential conformance spec at
 /// `SMTSIM_JOBS=1` and `SMTSIM_JOBS=4` and fails unless (a) both runs
 /// pass and (b) their stdout is byte-identical — the acceptance
 /// criterion that the fuzzer's generated programs and verdicts are a
@@ -748,7 +768,7 @@ fn run_mutation_selftest(root: &Path, seeded: bool) -> Result<(), String> {
 }
 
 /// The `check` subcommand: runs the bounded model checker + trace
-/// conformance bin twice and fails unless both runs pass with
+/// conformance spec twice and fails unless both runs pass with
 /// byte-identical stdout (the checker's report — state counts,
 /// counterexamples, conformance tallies — must be a pure function of
 /// its knobs), then runs the mutation self-test on both sides of the
@@ -933,8 +953,9 @@ mod tests {
     #[test]
     fn seeded_scheme_wiring_violation_fails() {
         // The fixture plants inline RobConfig/TwoLevelConfig
-        // constructions in a bench bin; the lint must refuse the bare
-        // ones and accept the annotated one.
+        // constructions in a bench bin and in the core figure module;
+        // the lint must refuse the bare ones and accept the annotated
+        // one.
         let violations = run_lints(&fixture_root());
         let wiring: Vec<_> = violations
             .iter()
@@ -942,17 +963,21 @@ mod tests {
             .collect();
         assert_eq!(
             wiring.len(),
-            2,
-            "expected exactly the two bare hardwired.rs constructions, got: {wiring:?}"
+            3,
+            "expected the two bare hardwired.rs constructions and the figures.rs one, \
+             got: {wiring:?}"
         );
-        assert!(wiring
-            .iter()
-            .all(|v| v.file.ends_with("crates/bench/src/bin/hardwired.rs")));
-        // Core is out of scope: the registry itself constructs configs.
-        assert!(!violations
-            .iter()
-            .any(|v| v.rule == "scheme-wiring-outside-registry"
-                && !v.file.to_string_lossy().contains("crates/bench/")));
+        assert!(wiring.iter().all(|v| {
+            v.file.ends_with("crates/bench/src/bin/hardwired.rs")
+                || v.file.ends_with("crates/core/src/figures.rs")
+        }));
+        // Core outside `figures.rs` is out of scope: the registry
+        // itself constructs configs.
+        assert!(!violations.iter().any(|v| {
+            v.rule == "scheme-wiring-outside-registry"
+                && v.file.to_string_lossy().contains("crates/core/")
+                && !v.file.ends_with("crates/core/src/figures.rs")
+        }));
     }
 
     #[test]
