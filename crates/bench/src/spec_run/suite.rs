@@ -10,7 +10,8 @@
 //! failure notes and its health footer are exactly what the `spec`
 //! bin prints for that spec alone. After the sweep the suite prints
 //! one deterministic work counter to stderr:
-//! `cells: <requested> requested, <distinct> distinct, <n> from cache`.
+//! `cells: <requested> requested, <distinct> distinct, <n> from cache;
+//! <k> normalization runs`.
 //!
 //! Sweeps are crash-isolated: a cell whose run fails (deadlock,
 //! invariant violation, panic) renders as `n/a` in its figure and is
@@ -69,7 +70,8 @@ fn sub_cells(sub: &ExperimentSpec, mixes: &[usize]) -> Result<Vec<SweepCell>, Bi
 }
 
 /// The suite's work counter: cells requested, distinct cells among
-/// them, and distinct cells the result cache served instead of running.
+/// them, distinct cells the result cache served instead of running,
+/// and the solo runs phase 1 performed.
 fn work_line(cells: &[SweepCell], sweep: &SweepReport) -> String {
     let mut distinct: BTreeMap<String, bool> = BTreeMap::new();
     for (&(m, cfg), o) in cells.iter().zip(&sweep.outcomes) {
@@ -77,9 +79,10 @@ fn work_line(cells: &[SweepCell], sweep: &SweepReport) -> String {
     }
     let cached = distinct.values().filter(|&&hit| hit).count();
     format!(
-        "cells: {} requested, {} distinct, {cached} from cache",
+        "cells: {} requested, {} distinct, {cached} from cache; {} normalization runs",
         cells.len(),
-        distinct.len()
+        distinct.len(),
+        sweep.norm_runs
     )
 }
 

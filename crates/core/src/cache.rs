@@ -24,7 +24,8 @@
 //! [`JournalError::Corrupt`], never silently recomputed-or-wrong bytes.
 //! Alongside the on-disk shards the cache keeps the warm normalization
 //! tables per universe in memory (not on disk), so a later sweep in an
-//! already-normalized universe skips phase 1 within one process.
+//! already-normalized universe skips the solo runs of every program it
+//! shares with earlier sweeps of the same process.
 
 use crate::experiment::{Lab, NormTable};
 use crate::journal::{fingerprint_str, Journal, JournalError};

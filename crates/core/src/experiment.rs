@@ -1,18 +1,20 @@
 //! Experiment harness: runs Table 2 mixes under ROB configurations and
 //! computes the paper's metrics.
 //!
-//! The [`Lab`] memoizes the single-threaded normalization runs (one per
-//! `(mix, thread-slot)`, keyed by the full run-relevant state — see
-//! [`NormKey`]) so sweeping many ROB configurations — as every figure
-//! does — pays the normalization cost once.
+//! The [`Lab`] memoizes the single-threaded normalization runs, one per
+//! distinct program — a benchmark at a thread slot, keyed by the full
+//! run-relevant state (see [`NormKey`]) — so sweeping many ROB
+//! configurations, as every figure does, pays the normalization cost
+//! once, and a program that several mixes name runs alone once.
 //!
-//! Sweeps run in two phases ([`Lab::sweep_cells`]): phase 1 serially
-//! precomputes every normalization run the cells need into an
-//! immutable [`NormTable`]; phase 2 fans the distinct `mix × config`
-//! cells out across scoped worker threads (`SMTSIM_JOBS` via the
-//! `spec` bin), each through the one per-cell attempt loop
-//! ([`Lab::run_cell_with_retries`]), and merges results in input
-//! order — so rendered figures are byte-identical at any job count.
+//! Sweeps run in two phases ([`Lab::sweep_cells`]): phase 1 runs every
+//! distinct program the cells need and has not memoized, fanned out
+//! across the sweep's workers, into an immutable [`NormTable`]; phase
+//! 2 fans the distinct `mix × config` cells out across scoped worker
+//! threads (`SMTSIM_JOBS` via the `spec` bin), each through the one
+//! per-cell attempt loop ([`Lab::run_cell_with_retries`]). Both phases
+//! merge results in input order, so rendered figures are
+//! byte-identical at any job count.
 //! Which cells a figure sweeps comes from its committed spec
 //! ([`crate::figures::artifact_cells`]); [`Lab::run_mix`] and
 //! [`Lab::try_run_mix`] are the one-cell library entry points.
@@ -36,15 +38,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Static per-load DoD bound tables for a set of workloads, one table
-/// per hardware thread. The bounds come from the interprocedural
-/// dependence analysis (`smtsim-analysis`) over the same first-level
-/// window the hardware counter scans; the simulator cross-checks its
-/// exact dependent count against them at every L2 fill.
-fn static_bounds(wls: &[Arc<Workload>]) -> Vec<DodBounds> {
-    wls.iter()
-        .map(|w| DodBounds::new(DodAnalysis::compute(&w.program, L1_WINDOW).max_map()))
-        .collect()
+/// The static per-load DoD bound table of one workload's program. The
+/// bounds come from the interprocedural dependence analysis
+/// (`smtsim-analysis`) over the same first-level window the hardware
+/// counter scans; the simulator cross-checks its exact dependent count
+/// against them at every L2 fill.
+fn static_bounds(w: &Workload) -> DodBounds {
+    DodBounds::new(DodAnalysis::compute(&w.program, L1_WINDOW).max_map())
 }
 
 /// A ROB configuration under test.
@@ -152,32 +152,68 @@ struct NormState {
     machine: String,
 }
 
-/// Cache key of one memoized normalization run: a `(mix, slot)` under
+/// The program a normalization run measures: one benchmark at one
+/// thread slot. `Mix::instantiate_single` builds it from these two
+/// plus the seed, which [`NormState`] covers, so every `(mix, slot)`
+/// that names the same pair runs the same program (ammp at slot 0 in
+/// Mixes 1, 3, 5 and 7, for one).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Program {
+    bench: &'static str,
+    slot: usize,
+}
+
+impl Program {
+    /// The program slot `slot` of mix `mix_idx` runs.
+    fn of(mix_idx: usize, slot: usize) -> Program {
+        Program {
+            bench: mix(mix_idx).benchmarks[slot],
+            slot,
+        }
+    }
+}
+
+/// Cache key of one memoized normalization run: a [`Program`] under
 /// one [`NormState`]. Mutating any field the state covers on the
 /// [`Lab`] therefore misses the cache instead of silently serving an
 /// IPC measured under the old state.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct NormKey {
-    mix: usize,
-    slot: usize,
+    program: Program,
     state: NormState,
+}
+
+/// One program's entry in a [`NormTable`]: its reference IPC (or the
+/// typed error its run produced) and its static DoD bounds, filled by
+/// the solo run that measured it or, failing that, by the first cell
+/// that needs them.
+#[derive(Clone, Debug)]
+struct Solo {
+    ipc: Result<f64, SimError>,
+    bounds: OnceLock<DodBounds>,
 }
 
 /// Immutable product of a sweep's phase 1: the single-threaded
 /// reference IPC (or the typed error its run produced) for every
 /// `(mix, slot)` the sweep's cells need, all measured under
-/// [`Lab::norm`]. Computed serially in deterministic `(mix, slot)`
-/// order, then shared read-only by the phase-2 workers.
+/// [`Lab::norm`]. Each distinct program is measured once, and every
+/// `(mix, slot)` that names it reads its entry. Shared read-only by
+/// the phase-2 workers.
 ///
 /// The table also records the lab state it was measured under, and
-/// [`Lab::run_cell`] refuses a table from any other state. It carries
-/// one lazily filled memo of per-slot static DoD bounds per mix: the
-/// first cell of a mix runs the analysis, later cells clone it.
+/// [`Lab::run_cell`] refuses a table from any other state. Each
+/// program carries a memo of its static DoD bounds: the solo run that
+/// measured it fills it, and phase-2 cells clone it. A program the
+/// memo already knew is not rerun, so its bounds stay empty until the
+/// first cell that needs them runs the analysis.
 #[derive(Clone, Debug)]
 pub struct NormTable {
     state: NormState,
-    entries: BTreeMap<(usize, usize), Result<f64, SimError>>,
-    bounds: BTreeMap<usize, OnceLock<Vec<DodBounds>>>,
+    /// The program each covered `(mix, slot)` runs.
+    slots: BTreeMap<(usize, usize), Program>,
+    programs: BTreeMap<Program, Solo>,
+    /// Solo runs the phase 1 that built this table performed.
+    runs: usize,
 }
 
 impl NormTable {
@@ -185,8 +221,8 @@ impl NormTable {
     /// normalization run produced. A missing entry (the table was
     /// built for a different mix set) is an [`SimError::InvalidConfig`].
     pub fn get(&self, mix: usize, slot: usize) -> Result<f64, SimError> {
-        match self.entries.get(&(mix, slot)) {
-            Some(r) => r.clone(),
+        match self.slots.get(&(mix, slot)) {
+            Some(p) => self.programs[p].ipc.clone(),
             None => Err(SimError::InvalidConfig {
                 reason: format!("normalization table has no entry for mix {mix} slot {slot}"),
             }),
@@ -195,7 +231,14 @@ impl NormTable {
 
     /// Number of `(mix, slot)` entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
+    }
+
+    /// Solo runs the [`Lab::norm_table`] call that built this table
+    /// performed: its distinct programs the lab had not memoized. A
+    /// deterministic work counter, never rendered.
+    pub fn runs(&self) -> usize {
+        self.runs
     }
 
     /// Folds `other`'s entries into this table; on overlap the entry
@@ -207,51 +250,54 @@ impl NormTable {
         if other.state != self.state {
             return;
         }
-        for (k, v) in &other.entries {
-            self.entries.insert(*k, v.clone());
-        }
-        for (m, memo) in &other.bounds {
-            self.bounds.entry(*m).or_insert_with(|| memo.clone());
-        }
+        self.slots.extend(&other.slots);
+        self.programs
+            .extend(other.programs.iter().map(|(p, s)| (*p, s.clone())));
     }
 
     /// True when the table holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// The static DoD bounds of `wls`, mix `mix_idx` instantiated
-    /// under the table's seed. The first call per mix runs the
-    /// analysis and later calls clone its result: the bounds depend
-    /// only on `(mix, seed)`, and a cell only reaches here after
-    /// [`Lab::run_cell`] checked that its seed is the table's. A mix
-    /// the table does not cover is analyzed on every call.
+    /// under the table's seed, one per thread slot. Each slot's
+    /// program bounds are analyzed at most once per table and cloned
+    /// after that: they depend only on the program and the seed, and
+    /// a cell only reaches here after [`Lab::run_cell`] checked that
+    /// its seed is the table's. A slot the table does not cover is
+    /// analyzed on every call.
     fn dod_bounds(&self, mix_idx: usize, wls: &[Arc<Workload>]) -> Vec<DodBounds> {
-        match self.bounds.get(&mix_idx) {
-            Some(memo) => memo.get_or_init(|| static_bounds(wls)).clone(),
-            None => static_bounds(wls),
-        }
+        wls.iter()
+            .enumerate()
+            .map(|(slot, w)| match self.slots.get(&(mix_idx, slot)) {
+                Some(p) => self.programs[p]
+                    .bounds
+                    .get_or_init(|| static_bounds(w))
+                    .clone(),
+                None => static_bounds(w),
+            })
+            .collect()
     }
 }
 
 /// One cell of a sweep: a mix index under a ROB configuration.
 pub type SweepCell = (usize, RobConfig);
 
-/// The distinct cells of `cells` by [`cell_key`], in first-occurrence
-/// order, and for each input cell its index into them. The key map is
-/// dropped on return, before any cell runs.
-fn distinct_cells(cells: &[SweepCell]) -> (Vec<SweepCell>, Vec<usize>) {
+/// The distinct cells of `cells` by [`cell_key`], each with its key,
+/// in first-occurrence order, and for each input cell its index into
+/// them. The key map is dropped on return, before any cell runs.
+fn distinct_cells(cells: &[SweepCell]) -> (Vec<(SweepCell, String)>, Vec<usize>) {
     let mut seen: BTreeMap<String, usize> = BTreeMap::new();
     let mut distinct = Vec::new();
     let index = cells
         .iter()
         .map(|&(m, cfg)| {
-            *seen
-                .entry(cell_key(m, &cfg.fingerprint()))
-                .or_insert_with(|| {
-                    distinct.push((m, cfg));
-                    distinct.len() - 1
-                })
+            let key = cell_key(m, &cfg.fingerprint());
+            *seen.entry(key.clone()).or_insert_with(|| {
+                distinct.push(((m, cfg), key));
+                distinct.len() - 1
+            })
         })
         .collect();
     (distinct, index)
@@ -367,14 +413,22 @@ pub struct SweepReport {
     pub outcomes: Vec<CellOutcome>,
     /// The path-independent health summary over `outcomes`.
     pub health: SweepHealth,
+    /// Solo normalization runs the sweep's phase 1 performed
+    /// ([`NormTable::runs`]). Path-dependent like
+    /// [`SweepReport::journal_hits`], so never rendered into figures.
+    pub norm_runs: usize,
 }
 
 impl SweepReport {
     /// A report over `outcomes` (one per cell, in input order), with
-    /// the health summary folded from them.
+    /// the health summary folded from them and no normalization runs.
     pub fn new(outcomes: Vec<CellOutcome>) -> SweepReport {
         let health = SweepHealth::from_outcomes(&outcomes);
-        SweepReport { outcomes, health }
+        SweepReport {
+            outcomes,
+            health,
+            norm_runs: 0,
+        }
     }
 
     /// Strips the report down to the classic result vector.
@@ -417,10 +471,13 @@ pub struct Lab {
     /// (Baseline_32 alone), so FT values are directly comparable across
     /// the paper's bar charts.
     pub norm: RobConfig,
-    /// Worker threads for [`Lab::sweep_cells`]: `None` (the default) uses
+    /// Worker threads for both sweep phases: the solo runs of
+    /// [`Lab::norm_table`], one per distinct program, and the cells of
+    /// [`Lab::sweep_cells`]. `None` (the default) uses
     /// [`std::thread::available_parallelism`]; `Some(1)` forces the
-    /// serial path. The `spec` bin sets this from the
-    /// `SMTSIM_JOBS` environment knob. The sweep output is
+    /// serial path. The `spec` bin sets this from the `SMTSIM_JOBS`
+    /// environment knob; the serve daemon pins its request labs to 1,
+    /// because its worker pool is its parallelism. The sweep output is
     /// byte-identical at any job count.
     pub jobs: Option<usize>,
     single_cache: BTreeMap<NormKey, f64>,
@@ -615,27 +672,37 @@ impl Lab {
         rob: RobConfig,
     ) -> Result<f64, SimError> {
         let key = NormKey {
-            mix: mix_idx,
-            slot,
+            program: Program::of(mix_idx, slot),
             state: self.norm_state(rob),
         };
         if let Some(&v) = self.single_cache.get(&key) {
             return Ok(v);
         }
+        let (ipc, _) = self.solo_run(mix_idx, slot, rob)?;
+        self.single_cache.insert(key, ipc);
+        Ok(ipc)
+    }
+
+    /// Runs slot `slot` of `mix_idx` alone under `rob`, unmemoized,
+    /// and returns its IPC with the static DoD bounds it ran under.
+    fn solo_run(
+        &self,
+        mix_idx: usize,
+        slot: usize,
+        rob: RobConfig,
+    ) -> Result<(f64, DodBounds), SimError> {
         let wl = Arc::new(mix(mix_idx).instantiate_single(slot, self.seed));
-        let bounds = static_bounds(std::slice::from_ref(&wl));
+        let bounds = static_bounds(&wl);
         let mut cfg = self.machine.clone();
         cfg.num_threads = 1;
         cfg.fetch_threads = 1;
         let mut sim = Simulator::builder(cfg, vec![wl], rob.build(), self.seed)
-            .dod_bounds(bounds)
+            .dod_bounds(vec![bounds.clone()])
             .warmup(self.warmup)
             .cycle_skip(self.cycle_skip)
             .build()?;
         sim.try_run(StopCondition::AnyThreadCommitted(self.st_budget))?;
-        let ipc = sim.stats().threads[0].ipc(sim.cycle());
-        self.single_cache.insert(key, ipc);
-        Ok(ipc)
+        Ok((sim.stats().threads[0].ipc(sim.cycle()), bounds))
     }
 
     /// The [`NormState`] a normalization run under `rob` would be
@@ -674,9 +741,10 @@ impl Lab {
         }
     }
 
-    /// Number of distinct normalization runs currently memoized
-    /// (distinct [`NormKey`]s — mutating budgets, seed, warm-up or the
-    /// machine grows this rather than overwriting entries).
+    /// Number of distinct normalization runs currently memoized:
+    /// distinct [`NormKey`]s, so one per program however many mixes
+    /// name it (mutating budgets, seed, warm-up or the machine grows
+    /// this rather than overwriting entries).
     pub fn cached_norm_runs(&self) -> usize {
         self.single_cache.len()
     }
@@ -689,14 +757,13 @@ impl Lab {
     /// healthy entries are seeded: errors are never cached, exactly as
     /// in [`Lab::try_single_ipc`].
     pub fn seed_norm_cache(&mut self, table: &NormTable) {
-        for (&(mix, slot), r) in &table.entries {
-            if let Ok(v) = r {
+        for (&program, solo) in &table.programs {
+            if let Ok(v) = solo.ipc {
                 let key = NormKey {
-                    mix,
-                    slot,
+                    program,
                     state: table.state.clone(),
                 };
-                self.single_cache.insert(key, *v);
+                self.single_cache.insert(key, v);
             }
         }
     }
@@ -714,39 +781,79 @@ impl Lab {
             .max(1)
     }
 
-    /// Phase 1 of a sweep: computes (and memoizes) the normalization
-    /// run of every `(mix, slot)` in `mixes` under [`Lab::norm`],
-    /// serially, in ascending `(mix, slot)` order, and snapshots the
-    /// results into an immutable [`NormTable`]. A mix whose very
-    /// instantiation panics is skipped here — its phase-2 cells hit
-    /// the same panic and report it per cell. With a [`Lab::cache`]
-    /// armed, the memo is first warmed from the cache's table for the
-    /// lab's universe and the result is folded back into it.
+    /// Phase 1 of a sweep: the normalization runs of every `(mix,
+    /// slot)` in `mixes` under [`Lab::norm`], snapshotted into an
+    /// immutable [`NormTable`]. Each distinct program the memo lacks
+    /// runs once, panic-isolated, fanned out over
+    /// [`Lab::effective_jobs`] workers; successes are memoized, errors
+    /// never are, and every `(mix, slot)` naming a program reads its
+    /// one result. A mix whose very instantiation panics is skipped
+    /// here — its phase-2 cells hit the same panic and report it per
+    /// cell. With a [`Lab::cache`] armed, the memo is first warmed
+    /// from the cache's table for the lab's universe and the result is
+    /// folded back into it.
     pub fn norm_table(&mut self, mixes: &[usize]) -> NormTable {
         let warm = self.cache.clone().map(|c| (c, self.journal_universe()));
         if let Some((cache, universe)) = &warm {
             cache.seed_lab(universe, self);
         }
+        let norm = self.norm;
+        let state = self.norm_state(norm);
+        let key = |program| NormKey {
+            program,
+            state: state.clone(),
+        };
         let mut sorted: Vec<usize> = mixes.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let mut entries = BTreeMap::new();
-        let mut bounds = BTreeMap::new();
-        let norm = self.norm;
+        let mut slots = BTreeMap::new();
+        let mut programs = BTreeMap::new();
+        // Each program the memo lacks, with a mix that names it.
+        let mut todo: BTreeMap<Program, usize> = BTreeMap::new();
         for m in sorted {
-            let Ok(slots) = catch_cell(|| mix(m).benchmarks.len()) else {
+            let Ok(benchmarks) = catch_cell(|| mix(m).benchmarks) else {
                 continue;
             };
-            bounds.insert(m, OnceLock::new());
-            for slot in 0..slots {
-                let r = catch_cell(|| self.try_single_ipc(m, slot, norm)).and_then(|r| r);
-                entries.insert((m, slot), r);
+            for (slot, bench) in benchmarks.into_iter().enumerate() {
+                let program = Program { bench, slot };
+                slots.insert((m, slot), program);
+                if let Some(&ipc) = self.single_cache.get(&key(program)) {
+                    let solo = Solo {
+                        ipc: Ok(ipc),
+                        bounds: OnceLock::new(),
+                    };
+                    programs.insert(program, solo);
+                } else {
+                    todo.entry(program).or_insert(m);
+                }
             }
         }
+        let todo: Vec<(Program, usize)> = todo.into_iter().collect();
+        let ran = self.fan_out(todo.len(), |i| {
+            let (program, m) = todo[i];
+            catch_cell(|| self.solo_run(m, program.slot, norm)).and_then(|r| r)
+        });
+        for (&(program, _), result) in todo.iter().zip(ran) {
+            let solo = match result {
+                Ok((ipc, bounds)) => {
+                    self.single_cache.insert(key(program), ipc);
+                    Solo {
+                        ipc: Ok(ipc),
+                        bounds: OnceLock::from(bounds),
+                    }
+                }
+                Err(e) => Solo {
+                    ipc: Err(e),
+                    bounds: OnceLock::new(),
+                },
+            };
+            programs.insert(program, solo);
+        }
         let table = NormTable {
-            state: self.norm_state(norm),
-            entries,
-            bounds,
+            state,
+            slots,
+            programs,
+            runs: todo.len(),
         };
         if let Some((cache, universe)) = &warm {
             cache.store_norm(universe, &table);
@@ -900,7 +1007,7 @@ impl Lab {
         }
     }
 
-    /// Phase 2 of every sweep: evaluates `cell(i)` for `i in 0..n`
+    /// Both phases of every sweep: evaluates `cell(i)` for `i in 0..n`
     /// across [`Lab::effective_jobs`] scoped workers pulling from a
     /// shared counter, and returns the results in index order — so the
     /// output is identical at any job count, including the serial
@@ -941,15 +1048,16 @@ impl Lab {
     /// per-cell [`CellOutcome`]s, in input order, with a
     /// [`SweepHealth`] summary.
     ///
-    /// Phase 1 serially precomputes every normalization run the cells
-    /// need ([`Lab::norm_table`]); the immutable table is then shared
-    /// read-only by phase 2, which fans the cells out across
-    /// [`Lab::effective_jobs`] scoped worker threads. Each cell is
-    /// panic-isolated: a panicking cell yields [`SimError::CellPanic`]
-    /// — rendered `n/a` by the figure layer — instead of killing the
-    /// sweep. Outcomes are merged by input index, so the output (and
-    /// every figure rendered from it) is byte-identical at any job
-    /// count, including the serial `jobs = 1` path.
+    /// Phase 1 runs the normalization runs the cells need
+    /// ([`Lab::norm_table`]), once per distinct program; the immutable
+    /// table is then shared read-only by phase 2, which fans the cells
+    /// out across [`Lab::effective_jobs`] scoped worker threads. Each
+    /// cell is panic-isolated: a panicking cell yields
+    /// [`SimError::CellPanic`] — rendered `n/a` by the figure layer —
+    /// instead of killing the sweep. Outcomes are merged by input
+    /// index, so the output (and every figure rendered from it) is
+    /// byte-identical at any job count, including the serial
+    /// `jobs = 1` path.
     ///
     /// When a result cache is armed ([`Lab::with_cache`] /
     /// `SMTSIM_JOURNAL`), cells already stored under the current
@@ -958,7 +1066,9 @@ impl Lab {
     /// it finishes — so a killed sweep, relaunched on the same cache,
     /// resumes after the last completed cell and produces
     /// byte-identical results. Failed cells are never stored; they
-    /// re-run (still deterministically) on resume.
+    /// re-run (still deterministically) on resume. Phase 1 normalizes
+    /// only the mixes with at least one cell the cache cannot serve,
+    /// so a resumed sweep whose cells all hit runs no solo run.
     ///
     /// Every cell that runs goes through [`Lab::run_cell_with_retries`]
     /// (`SMTSIM_CELL_RETRIES`), so the outcome vector stays
@@ -981,13 +1091,20 @@ impl Lab {
             Err(e) => panic!("result cache unusable: {e}"),
         };
         let shard = shard.as_deref();
-        let mixes: Vec<usize> = cells.iter().map(|&(m, _)| m).collect();
-        let norm = self.norm_table(&mixes);
         let (distinct, index) = distinct_cells(cells);
+        // Phase 1 only for the mixes with a cell the cache cannot serve
+        // yet: shard records only grow, so a cell that hits now still
+        // hits when a worker reaches it.
+        let misses: Vec<usize> = distinct
+            .iter()
+            .filter(|(_, key)| !shard.is_some_and(|j| j.contains(key)))
+            .map(|&((m, _), _)| m)
+            .collect();
+        let norm = self.norm_table(&misses);
         let outcomes = self.fan_out(distinct.len(), |i| {
-            let (m, cfg) = distinct[i];
-            let key = cell_key(m, &cfg.fingerprint());
-            if let Some(hit) = shard.and_then(|j| j.lookup(&key)) {
+            let (cell, key) = &distinct[i];
+            let (m, cfg) = *cell;
+            if let Some(hit) = shard.and_then(|j| j.lookup(key)) {
                 return CellOutcome {
                     result: Ok(hit.run),
                     attempts: hit.attempts,
@@ -997,7 +1114,7 @@ impl Lab {
             let (result, attempts) = self.run_cell_with_retries::<NoopTracer>(m, cfg, &norm);
             let result = result.map(|(run, _)| run);
             if let (Some(j), Ok(run)) = (shard, &result) {
-                if let Err(e) = j.record(&key, run, attempts) {
+                if let Err(e) = j.record(key, run, attempts) {
                     // A dying disk must not kill a healthy sweep:
                     // degrade to non-durable execution (results
                     // unchanged; only resumability is lost).
@@ -1010,7 +1127,9 @@ impl Lab {
                 from_journal: false,
             }
         });
-        SweepReport::new(index.iter().map(|&i| outcomes[i].clone()).collect())
+        let mut report = SweepReport::new(index.iter().map(|&i| outcomes[i].clone()).collect());
+        report.norm_runs = norm.runs();
+        report
     }
 
     /// [`Lab::sweep_cells`] with tracing armed on every cell (see
@@ -1120,6 +1239,7 @@ impl Lab {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn small_lab() -> Lab {
         Lab::new(7).with_budgets(8_000, 8_000)
@@ -1403,35 +1523,113 @@ mod tests {
     }
 
     #[test]
-    fn static_bounds_are_computed_lazily_once_per_mix() {
+    fn static_bounds_are_computed_once_per_program() {
         let mut lab = small_lab().with_warmup(2_000);
-        let table = lab.norm_table(&[1, 9]);
-        let filled = |t: &NormTable| -> Vec<usize> {
-            t.bounds
+        let filled = |t: &NormTable| -> BTreeSet<Program> {
+            t.programs
                 .iter()
-                .filter_map(|(&m, memo)| memo.get().map(|_| m))
+                .filter_map(|(&p, solo)| solo.bounds.get().map(|_| p))
                 .collect()
         };
+        let programs = |m: usize| (0..4).map(move |slot| Program::of(m, slot));
+        // Mixes 1 and 3 share ammp at slot 0: 7 programs, each analyzed
+        // once, by the solo run that measured it.
+        let cold = lab.norm_table(&[1, 3]);
+        assert_eq!(cold.runs(), 7);
+        assert_eq!(filled(&cold), programs(1).chain(programs(3)).collect());
+        for m in [1, 3] {
+            for (slot, w) in mix(m).instantiate(lab.seed).iter().enumerate() {
+                let solo = &cold.programs[&cold.slots[&(m, slot)]];
+                assert_eq!(
+                    format!("{:?}", solo.bounds.get()),
+                    format!("{:?}", Some(static_bounds(w))),
+                    "mix {m} slot {slot}"
+                );
+            }
+        }
+        // A phase 1 the memo fully serves runs nothing, so it analyzes
+        // nothing until a cell needs the bounds.
+        let warm = lab.norm_table(&[1, 3]);
+        assert_eq!(warm.runs(), 0);
         assert!(
-            filled(&table).is_empty(),
+            filled(&warm).is_empty(),
             "phase 1 must not run the analysis"
         );
-        lab.run_cell(1, RobConfig::Baseline(32), &table).unwrap();
-        assert_eq!(filled(&table), vec![1]);
-        let wls: Vec<Arc<Workload>> = mix(1)
-            .instantiate(lab.seed)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        let fresh = format!("{:?}", static_bounds(&wls));
-        assert_eq!(format!("{:?}", table.bounds[&1].get().unwrap()), fresh);
-        // A later cell of the mix reuses the memo and runs identically
-        // to one on a fresh table.
+        lab.run_cell(1, RobConfig::Baseline(32), &warm).unwrap();
+        assert_eq!(filled(&warm), programs(1).collect());
+        // A later cell reuses the memo and runs identically to one on
+        // a fresh table.
         let cfg = RobConfig::TwoLevel(TwoLevelConfig::r_rob(16));
-        let memo = lab.run_cell(1, cfg, &table).unwrap();
-        let fresh_table = small_lab().with_warmup(2_000).norm_table(&[1]);
-        let cold = lab.run_cell(1, cfg, &fresh_table).unwrap();
-        assert_eq!(format!("{memo:?}"), format!("{cold:?}"));
+        let memo = lab.run_cell(3, cfg, &warm).unwrap();
+        assert_eq!(filled(&warm), filled(&cold));
+        let fresh_table = small_lab().with_warmup(2_000).norm_table(&[3]);
+        let fresh = lab.run_cell(3, cfg, &fresh_table).unwrap();
+        assert_eq!(format!("{memo:?}"), format!("{fresh:?}"));
+    }
+
+    /// A lab small enough that normalizing all eleven mixes is quick.
+    fn tiny_lab() -> Lab {
+        Lab::new(7).with_budgets(2_000, 2_000).with_warmup(1_000)
+    }
+
+    #[test]
+    fn cache_norm_table_runs_each_program_once() {
+        let mut lab = tiny_lab().with_jobs(Some(2));
+        let all: Vec<usize> = (1..=11).collect();
+        let table = lab.norm_table(&all);
+        // The 44 slots name 29 programs: 29 solo runs, not 44.
+        assert_eq!(table.len(), 44);
+        assert_eq!(table.runs(), 29);
+        assert_eq!(lab.cached_norm_runs(), 29);
+        let again = lab.norm_table(&all);
+        assert_eq!(again.runs(), 0, "every program is memoized");
+        assert_eq!(lab.cached_norm_runs(), 29);
+    }
+
+    #[test]
+    fn cache_shared_programs_are_bit_identical_across_mixes() {
+        let mut lab = tiny_lab();
+        let table = lab.norm_table(&(1..=11).collect::<Vec<_>>());
+        let ammp: Vec<u64> = [1, 3, 5, 7]
+            .iter()
+            .map(|&m| table.get(m, 0).unwrap().to_bits())
+            .collect();
+        assert!(ammp.iter().all(|&b| b == ammp[0]), "{ammp:?}");
+        // Every slot, measured alone in a lab that has never run its
+        // program, reads the bits the shared entry holds.
+        for m in 1..=11 {
+            for slot in 0..4 {
+                let alone = tiny_lab().try_single_ipc(m, slot, RobConfig::Baseline(32));
+                assert_eq!(
+                    alone.unwrap().to_bits(),
+                    table.get(m, slot).unwrap().to_bits(),
+                    "mix {m} slot {slot}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cache_norm_table_is_identical_at_any_job_count() {
+        let all: Vec<usize> = (1..=11).collect();
+        let table = |jobs| format!("{:?}", tiny_lab().with_jobs(Some(jobs)).norm_table(&all));
+        assert_eq!(table(1), table(4), "job count changed the table");
+    }
+
+    #[test]
+    fn cache_failed_solo_run_reaches_every_slot_and_is_not_memoized() {
+        let mut lab = tiny_lab();
+        lab.machine.iq_size = 0;
+        // Mixes 1, 3, 5 and 7 name 12 programs, ammp at slot 0 in all.
+        let table = lab.norm_table(&[1, 3, 5, 7]);
+        assert_eq!(table.runs(), 12);
+        for m in [1, 3, 5, 7] {
+            let err = table.get(m, 0).expect_err("the solo run failed");
+            assert_eq!(err.kind(), "invalid-config", "mix {m}: {err}");
+            assert!(err.to_string().contains("iq_size"), "mix {m}: {err}");
+        }
+        assert_eq!(lab.cached_norm_runs(), 0, "an error was memoized");
+        assert_eq!(lab.norm_table(&[1, 3, 5, 7]).runs(), 12, "failures rerun");
     }
 
     #[test]
@@ -1665,19 +1863,32 @@ mod tests {
         assert!(shard.is_empty(), "fresh shard is empty");
         let first = lab.sweep_cells(&cells);
         assert_eq!(first.journal_hits(), 0);
+        assert_eq!(first.norm_runs, 8, "Mixes 1 and 2 share no program");
         // Second sweep over the same universe: both cells come from
         // the cache, and the bytes are identical to a plain sweep.
         let second = lab.sweep_cells(&cells);
         assert_eq!(second.journal_hits(), 2);
         assert_eq!(second.health, first.health);
         assert_eq!(format!("{:?}", second.results()), format!("{plain:?}"));
+        // A resumed sweep, in a process with no warm table, whose cells
+        // all hit normalizes no mix.
+        let resumed = small_lab()
+            .with_cache(Some(Arc::new(ResultCache::new(&dir))))
+            .sweep_cells(&cells);
+        assert_eq!(resumed.journal_hits(), 2);
+        assert_eq!(resumed.norm_runs, 0, "an all-hit resume ran phase 1");
+        assert_eq!(format!("{:?}", resumed.results()), format!("{plain:?}"));
         // Mutating the lab moves it to a new universe: its sweeps
         // address a different, empty shard and never see the old cells.
         lab.mt_budget = 4_000;
         let moved = lab.cache_shard().unwrap().expect("cache armed");
         assert_ne!(moved.path(), shard.path());
         assert!(moved.is_empty());
-        assert_eq!(lab.sweep_cells(&cells).journal_hits(), 0);
+        let rerun = lab.sweep_cells(&cells);
+        assert_eq!(rerun.journal_hits(), 0);
+        // The solo runs do not depend on the multithreaded budget, so
+        // the memo still serves them.
+        assert_eq!(rerun.norm_runs, 0);
         assert_eq!(shard.len(), 2, "the old shard is untouched");
         let _ = std::fs::remove_dir_all(&dir);
     }

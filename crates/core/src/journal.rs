@@ -211,6 +211,15 @@ impl Journal {
             .cloned()
     }
 
+    /// True when a record for `key` is held; [`Journal::lookup`]
+    /// without cloning the record.
+    pub fn contains(&self, key: &str) -> bool {
+        self.entries
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .contains_key(key)
+    }
+
     /// Number of records held.
     pub fn len(&self) -> usize {
         self.entries.lock().unwrap_or_else(|e| e.into_inner()).len()

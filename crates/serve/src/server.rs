@@ -10,9 +10,10 @@
 //!   full admission queue still answers `queue-full` immediately.
 //! * **connection threads** (1 per live client) — parse the request,
 //!   run admission + spec lowering + the *serial* phase-1
-//!   normalization (warm-started from the cache), enqueue the
-//!   request's cells, then stream completions back in completion
-//!   order and finish with the figure rendered from those outcomes.
+//!   normalization (warm-started from the cache, and only for mixes
+//!   with a cell the cache cannot serve), enqueue the request's cells,
+//!   then stream completions back in completion order and finish with
+//!   the figure rendered from those outcomes.
 //! * **worker pool** (N threads) — pull one cell at a time, round-
 //!   robin across admitted requests (fair multi-client progress).
 //!   Cache hits resolve under the scheduler lock; misses run the cell
@@ -583,8 +584,9 @@ fn resolve_spec(shared: &Shared, source: &SpecSource) -> Result<ExperimentSpec, 
 }
 
 /// Lowers the spec onto the daemon's cache, opens the universe's shard
-/// and runs the warm-started serial phase-1 normalization. `tx` is the
-/// completion channel the connection thread keeps the receiver of.
+/// and runs the warm-started serial phase-1 normalization for the
+/// mixes the shard cannot serve yet. `tx` is the completion channel
+/// the connection thread keeps the receiver of.
 fn prepare_request(
     shared: &Shared,
     spec: &ExperimentSpec,
@@ -594,10 +596,12 @@ fn prepare_request(
     let cancel = CancelToken::new();
     // Content addressing: identity is the lowered lab state (see
     // `smtsim_rob2::cache`), and the daemon's cache replaces any
-    // env-armed one.
+    // env-armed one. One job: the worker pool is the daemon's
+    // parallelism, so phase 1 stays serial on this connection thread.
     let mut lab = lab
         .with_cancel_token(Some(cancel.clone()))
-        .with_cache(Some(shared.cache.clone()));
+        .with_cache(Some(shared.cache.clone()))
+        .with_jobs(Some(1));
     let universe = lab.journal_universe();
     let journal = shared.cache.shard(&universe).map_err(|e| Reject {
         kind: match e {
@@ -606,9 +610,6 @@ fn prepare_request(
         },
         reason: e.to_string(),
     })?;
-    // Phase 1, serial, warm-started through the cache from this
-    // universe's earlier requests.
-    let norm = lab.norm_table(&mixes);
     // The cell matrix the offline executor sweeps, in its order; a
     // figure spec's cells are scheme-major, which pairs each with its
     // series label.
@@ -616,7 +617,7 @@ fn prepare_request(
         .variants
         .iter()
         .flat_map(|v| mixes.iter().map(move |_| &v.label));
-    let cells = figures::artifact_cells(spec, &mixes)
+    let cells: Vec<CellJob> = figures::artifact_cells(spec, &mixes)
         .into_iter()
         .zip(labels)
         .map(|((mix, config), label)| CellJob {
@@ -626,6 +627,17 @@ fn prepare_request(
             key: cell_key(mix, &config.fingerprint()),
         })
         .collect();
+    // Phase 1, warm-started through the cache from this universe's
+    // earlier requests, for the mixes with a cell the shard cannot
+    // serve: records only grow, so a cell that hits now still hits
+    // when a worker claims it, and an all-hit request runs no solo run.
+    let misses: Vec<usize> = cells
+        .iter()
+        .filter(|c| !journal.contains(&c.key))
+        .map(|c| c.mix)
+        .collect();
+    let norm = lab.norm_table(&misses);
+    shared.bump_by("serve.norm_runs", norm.runs() as u64);
     Ok(Arc::new(RequestRun {
         id: shared.next_request.fetch_add(1, Ordering::SeqCst),
         lab,
@@ -933,12 +945,14 @@ mod tests {
         let done_cold = cold.last().expect("done line");
         assert!(done_cold.contains("\"cache_misses\":1"), "{done_cold}");
         assert_eq!(server.counter("serve.cache_misses"), 1);
+        assert_eq!(server.counter("serve.norm_runs"), 4, "Mix 1's programs");
 
         let warm = roundtrip(&socket, &submit);
         assert!(warm[1].contains("\"cached\":true"), "{}", warm[1]);
         let done_warm = warm.last().expect("done line");
         assert!(done_warm.contains("\"cache_hits\":1"), "{done_warm}");
         assert_eq!(server.counter("serve.cache_hits"), 1);
+        assert_eq!(server.counter("serve.norm_runs"), 4, "an all-hit request");
         // The figure bytes are identical cold vs warm.
         let fig = |lines: &[String]| {
             lines

@@ -2,9 +2,10 @@
 //! (DESIGN.md §17): SIGKILL the daemon mid-sweep, restart it on the
 //! same cache directory, and the durably journaled cells must be
 //! served warm — with the final figure byte-identical to the offline
-//! `spec` bin. A deliberately corrupted cache record must surface as
-//! the typed `journal-corrupt` protocol error, never as silently
-//! recomputed-or-wrong bytes.
+//! `spec` bin — and a restart whose request is all hits runs no
+//! normalization run. A deliberately corrupted cache record must
+//! surface as the typed `journal-corrupt` protocol error, never as
+//! silently recomputed-or-wrong bytes.
 
 use smtsim_bench::serve_support as client;
 use std::io::{BufRead, BufReader, Write as _};
@@ -130,6 +131,9 @@ fn sigkilled_daemon_restarts_warm_and_byte_identical() {
                 other => panic!("unexpected line {other:?}: {line}"),
             }
         }
+        // Phase 1 ran before `accepted`: one solo run per program of
+        // Mixes 1 and 2, which share none.
+        assert_eq!(client::counter_of(&socket, "serve.norm_runs").unwrap(), 8);
         first.kill().expect("SIGKILL the daemon");
         let _ = first.wait();
     }
@@ -166,6 +170,20 @@ fn sigkilled_daemon_restarts_warm_and_byte_identical() {
     );
 
     shutdown(&socket, second);
+
+    // A restarted daemon answering an all-hit request normalizes no
+    // mix: no phase 1 runs at all.
+    let third = spawn_daemon(&socket, &cache);
+    wait_ready(&socket);
+    let warm = client::request_lines(&socket, &client::submit_registry("fig2")).unwrap();
+    let done = client::terminal_line(&warm, "done").unwrap();
+    assert_eq!(client::line_u64(done, "cache_hits"), Some(6));
+    assert_eq!(client::counter_of(&socket, "serve.norm_runs").unwrap(), 0);
+    assert_eq!(
+        client::figure_of(&warm).unwrap(),
+        client::figure_of(&lines).unwrap()
+    );
+    shutdown(&socket, third);
     let _ = std::fs::remove_dir_all(&cache);
 }
 
