@@ -20,7 +20,7 @@
 //! * [`liveness`] — per-block register liveness;
 //! * [`lint`] — well-formedness lints (use-before-def, unreachable
 //!   blocks, no-progress trap loops, dangling stream ids);
-//! * [`cfg`] — shared semantic-CFG scaffolding.
+//! * [`cfg`](mod@cfg) — shared semantic-CFG scaffolding.
 //!
 //! The `analyze` binary drives all of them over generated workloads.
 

@@ -8,9 +8,9 @@
 //!
 //! One runner per output kind:
 //!
-//! * figure / histogram / table1 / table2 / accuracy — [`figures`],
+//! * figure / histogram / table1 / table2 / accuracy — `figures`,
 //!   over the spec-driven sweeps of [`smtsim_rob2::figures`];
-//! * episodes (trace dump) — [`trace`];
+//! * episodes (trace dump) — `trace`;
 //! * conform / check — the differential and model-checking suites;
 //! * suite — renders each listed sibling spec into `results/<id>.txt`
 //!   from one shared sweep.

@@ -11,7 +11,7 @@
 //!
 //! * **Down from the spec** — [`model`] is a small executable abstract
 //!   model of the protocol (per-thread episode state machines × the
-//!   shared partition), and [`explore`] exhaustively enumerates every
+//!   shared partition), and [`explore`](mod@explore) exhaustively enumerates every
 //!   interleaving within bounds, checking safety invariants as
 //!   reachability and the lost-wakeup liveness property by backward
 //!   reachability, reporting a *minimal* counterexample trace.

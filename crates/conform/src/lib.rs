@@ -7,7 +7,7 @@
 //!
 //! Three pieces (DESIGN.md §12):
 //!
-//! * [`reference`] — a small in-order functional executor over
+//! * [`reference`](mod@reference) — a small in-order functional executor over
 //!   `smtsim-isa` programs producing the canonical per-thread commit
 //!   stream (PC, destination register, value fingerprint, memory
 //!   effects). It reimplements the `smtsim-workload` executor semantics

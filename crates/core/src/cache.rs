@@ -22,28 +22,32 @@
 //! [`Journal::open`]: a restarted process pointed at the same directory
 //! comes back warm, and a damaged record is a typed
 //! [`JournalError::Corrupt`], never silently recomputed-or-wrong bytes.
-//! Alongside the on-disk shards the cache keeps the warm normalization
-//! tables per universe in memory (not on disk), so a later sweep in an
-//! already-normalized universe skips the solo runs of every program it
-//! shares with earlier sweeps of the same process.
+//! Alongside the on-disk shards the cache holds, in memory only, the
+//! solo-run memo every lab armed with it shares. The memo is keyed by
+//! program and normalization state, not by universe, so a later sweep
+//! or daemon request skips the solo runs of every program an earlier
+//! one in the same process ran under the same normalization state, even
+//! when a multithreaded knob moved it to another universe.
+//!
+//! [`Lab::journal_universe`]: crate::Lab::journal_universe
 
-use crate::experiment::{Lab, NormTable};
+use crate::experiment::Solos;
 use crate::journal::{fingerprint_str, Journal, JournalError};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// A directory of per-universe journal shards plus warm in-memory
-/// normalization tables. Cheap to share (`Arc` it).
+/// A directory of per-universe journal shards plus the in-memory
+/// solo-run memo its labs share. Cheap to share (`Arc` it).
 pub struct ResultCache {
     dir: PathBuf,
     /// Open shard handles, one per universe seen so far. Keeping them
     /// open means every sweep in one universe appends to one shared
     /// [`Journal`] whose in-memory view is live.
     shards: Mutex<BTreeMap<String, Arc<Journal>>>,
-    /// Warm phase-1 tables per universe, merged across sweeps.
-    norms: Mutex<BTreeMap<String, NormTable>>,
+    /// The solo-run memo of every lab armed with this cache.
+    solos: Solos,
 }
 
 impl std::fmt::Debug for ResultCache {
@@ -61,7 +65,7 @@ impl ResultCache {
         ResultCache {
             dir: dir.into(),
             shards: Mutex::new(BTreeMap::new()),
-            norms: Mutex::new(BTreeMap::new()),
+            solos: Solos::default(),
         }
     }
 
@@ -95,40 +99,16 @@ impl ResultCache {
         Ok(journal)
     }
 
-    /// Seeds `lab`'s single-thread normalization cache from the warm
-    /// table held for `universe`, if any.
-    pub fn seed_lab(&self, universe: &str, lab: &mut Lab) {
-        let norms = self.norms.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(table) = norms.get(universe) {
-            lab.seed_norm_cache(table);
-        }
-    }
-
-    /// Folds a freshly computed normalization table into the warm
-    /// store for `universe`.
-    pub fn store_norm(&self, universe: &str, table: &NormTable) {
-        let mut norms = self.norms.lock().unwrap_or_else(|e| e.into_inner());
-        norms
-            .entry(universe.to_string())
-            .and_modify(|warm| warm.merge(table))
-            .or_insert_with(|| table.clone());
-    }
-
-    /// Number of warm normalization entries held for `universe`
-    /// (observability for tests and metrics).
-    pub fn warm_norm_entries(&self, universe: &str) -> usize {
-        self.norms
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(universe)
-            .map_or(0, NormTable::len)
+    /// The solo-run memo every lab armed with this cache shares.
+    pub(crate) fn solos(&self) -> &Solos {
+        &self.solos
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RobConfig;
+    use crate::{Lab, RobConfig};
     use smtsim_obs::NoopTracer;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -175,34 +155,22 @@ mod tests {
     }
 
     #[test]
-    fn warm_norms_merge_and_seed() {
-        let dir = scratch("norm");
-        let cache = ResultCache::new(&dir);
-        let mut lab = small_lab(42);
-        let uni = lab.journal_universe();
-        assert_eq!(cache.warm_norm_entries(&uni), 0);
-        let t1 = lab.norm_table(&[1]);
-        cache.store_norm(&uni, &t1);
-        let n1 = cache.warm_norm_entries(&uni);
-        assert!(n1 > 0);
-        let t2 = lab.norm_table(&[2]);
-        cache.store_norm(&uni, &t2);
-        assert!(
-            cache.warm_norm_entries(&uni) > n1,
-            "tables merge, not replace"
-        );
-        // A fresh same-universe lab seeded from the warm table covers
-        // both mixes without re-running any phase-1 work.
-        let mut fresh = small_lab(42);
-        cache.seed_lab(&uni, &mut fresh);
-        let before = fresh.cached_norm_runs();
-        let again = fresh.norm_table(&[1, 2]);
-        assert_eq!(again.len(), t1.len() + t2.len());
-        assert_eq!(
-            fresh.cached_norm_runs(),
-            before,
-            "phase 1 fully served from the warm table"
-        );
-        let _ = fs::remove_dir_all(&dir);
+    fn cache_labs_share_solo_runs() {
+        // Phase 1 never opens a shard, so the directory stays unmade.
+        let cache = Arc::new(ResultCache::new(scratch("solos")));
+        let lab = |seed| small_lab(seed).with_cache(Some(cache.clone()));
+        assert_eq!(lab(42).norm_table(&[1]).runs(), 4);
+        // A fresh lab runs only the programs no lab on the cache ran:
+        // Mix 3 shares ammp at slot 0 with Mix 1.
+        assert_eq!(lab(42).norm_table(&[1, 3]).runs(), 3);
+        // A multithreaded knob moves the universe, not the solo runs.
+        let mut moved = lab(42);
+        moved.mt_budget = 4_000;
+        assert_ne!(moved.journal_universe(), lab(42).journal_universe());
+        assert_eq!(moved.norm_table(&[1, 3]).runs(), 0);
+        // Another seed instantiates other programs.
+        assert_eq!(lab(7).norm_table(&[1]).runs(), 4);
+        assert_eq!(lab(42).cached_norm_runs(), 11);
+        assert_eq!(small_lab(42).cached_norm_runs(), 0, "no cache armed");
     }
 }

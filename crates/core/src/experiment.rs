@@ -3,9 +3,12 @@
 //!
 //! The [`Lab`] memoizes the single-threaded normalization runs, one per
 //! distinct program — a benchmark at a thread slot, keyed by the full
-//! run-relevant state (see [`NormKey`]) — so sweeping many ROB
-//! configurations, as every figure does, pays the normalization cost
-//! once, and a program that several mixes name runs alone once.
+//! run-relevant state — so sweeping many ROB configurations, as every
+//! figure does, pays the normalization cost once, and a program that
+//! several mixes name runs alone once. Each memo entry also holds the
+//! static DoD bounds its solo run was analyzed with. A lab armed with a
+//! [`ResultCache`] uses the cache's memo, which every lab armed with
+//! that cache shares.
 //!
 //! Sweeps run in two phases ([`Lab::sweep_cells`]): phase 1 runs every
 //! distinct program the cells need and has not memoized, fanned out
@@ -36,7 +39,7 @@ use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The static per-load DoD bound table of one workload's program. The
 /// bounds come from the interprocedural dependence analysis
@@ -110,7 +113,7 @@ pub struct MixRun {
 /// Result of one mix × configuration run with tracing armed: the
 /// [`MixRun`] metrics plus the raw event stream and the two standard
 /// reductions over it (complete L2-miss episodes and the metrics
-/// registry). Produced by [`Lab::run_cell_traced`] / [`Lab::sweep_traced`].
+/// registry). Produced by [`Lab::sweep_traced`].
 #[derive(Clone, Debug)]
 pub struct TracedMixRun {
     /// The ordinary run result (identical to the untraced run: tracing
@@ -163,35 +166,29 @@ struct Program {
     slot: usize,
 }
 
-impl Program {
-    /// The program slot `slot` of mix `mix_idx` runs.
-    fn of(mix_idx: usize, slot: usize) -> Program {
-        Program {
-            bench: mix(mix_idx).benchmarks[slot],
-            slot,
-        }
-    }
-}
-
 /// Cache key of one memoized normalization run: a [`Program`] under
 /// one [`NormState`]. Mutating any field the state covers on the
 /// [`Lab`] therefore misses the cache instead of silently serving an
 /// IPC measured under the old state.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct NormKey {
+pub(crate) struct NormKey {
     program: Program,
     state: NormState,
 }
 
-/// One program's entry in a [`NormTable`]: its reference IPC (or the
-/// typed error its run produced) and its static DoD bounds, filled by
-/// the solo run that measured it or, failing that, by the first cell
-/// that needs them.
-#[derive(Clone, Debug)]
-struct Solo {
-    ipc: Result<f64, SimError>,
-    bounds: OnceLock<DodBounds>,
+/// One program's successful solo run: its reference IPC and the static
+/// DoD bounds it ran under, which every cell of every mix naming the
+/// program reuses.
+#[derive(Debug)]
+pub(crate) struct Solo {
+    ipc: f64,
+    bounds: DodBounds,
 }
+
+/// The solo-run memo: every successful solo run, keyed by its
+/// [`NormKey`]. A lab owns one and a [`ResultCache`] owns the one its
+/// labs share; see `Lab::memo`.
+pub(crate) type Solos = Mutex<BTreeMap<NormKey, Arc<Solo>>>;
 
 /// Immutable product of a sweep's phase 1: the single-threaded
 /// reference IPC (or the typed error its run produced) for every
@@ -201,17 +198,17 @@ struct Solo {
 /// the phase-2 workers.
 ///
 /// The table also records the lab state it was measured under, and
-/// [`Lab::run_cell`] refuses a table from any other state. Each
-/// program carries a memo of its static DoD bounds: the solo run that
-/// measured it fills it, and phase-2 cells clone it. A program the
-/// memo already knew is not rerun, so its bounds stay empty until the
-/// first cell that needs them runs the analysis.
+/// [`Lab::run_cell`] refuses a table from any other state. A program's
+/// entry is the lab's memo entry, static DoD bounds included, so its
+/// phase-2 cells reuse the analysis its solo run ran.
 #[derive(Clone, Debug)]
 pub struct NormTable {
     state: NormState,
     /// The program each covered `(mix, slot)` runs.
     slots: BTreeMap<(usize, usize), Program>,
-    programs: BTreeMap<Program, Solo>,
+    /// Each program's memo entry, or the typed error its solo run
+    /// produced.
+    programs: BTreeMap<Program, Result<Arc<Solo>, SimError>>,
     /// Solo runs the phase 1 that built this table performed.
     runs: usize,
 }
@@ -222,7 +219,10 @@ impl NormTable {
     /// built for a different mix set) is an [`SimError::InvalidConfig`].
     pub fn get(&self, mix: usize, slot: usize) -> Result<f64, SimError> {
         match self.slots.get(&(mix, slot)) {
-            Some(p) => self.programs[p].ipc.clone(),
+            Some(p) => self.programs[p]
+                .as_ref()
+                .map(|solo| solo.ipc)
+                .map_err(SimError::clone),
             None => Err(SimError::InvalidConfig {
                 reason: format!("normalization table has no entry for mix {mix} slot {slot}"),
             }),
@@ -242,8 +242,8 @@ impl NormTable {
     }
 
     /// Folds `other`'s entries into this table; on overlap the entry
-    /// from `other` wins. An embedding daemon uses this to keep one
-    /// warm table per universe across requests. A table measured
+    /// from `other` wins. Only the ledger's replay calls it, to keep
+    /// one table per lab identity across its sweeps. A table measured
     /// under another lab state is ignored: its IPCs and bounds would
     /// be wrong here.
     pub fn merge(&mut self, other: &NormTable) {
@@ -261,21 +261,21 @@ impl NormTable {
     }
 
     /// The static DoD bounds of `wls`, mix `mix_idx` instantiated
-    /// under the table's seed, one per thread slot. Each slot's
-    /// program bounds are analyzed at most once per table and cloned
-    /// after that: they depend only on the program and the seed, and
-    /// a cell only reaches here after [`Lab::run_cell`] checked that
-    /// its seed is the table's. A slot the table does not cover is
-    /// analyzed on every call.
+    /// under the table's seed, one per thread slot. A slot whose
+    /// program's solo run succeeded reuses the bounds that run was
+    /// analyzed with: they depend only on the program and the seed,
+    /// and a cell only reaches here after [`Lab::run_cell`] checked
+    /// that its seed is the table's. Any other slot is analyzed on
+    /// every call.
     fn dod_bounds(&self, mix_idx: usize, wls: &[Arc<Workload>]) -> Vec<DodBounds> {
         wls.iter()
             .enumerate()
-            .map(|(slot, w)| match self.slots.get(&(mix_idx, slot)) {
-                Some(p) => self.programs[p]
-                    .bounds
-                    .get_or_init(|| static_bounds(w))
-                    .clone(),
-                None => static_bounds(w),
+            .map(|(slot, w)| {
+                let program = self.slots.get(&(mix_idx, slot));
+                match program.map(|p| &self.programs[p]) {
+                    Some(Ok(solo)) => solo.bounds.clone(),
+                    _ => static_bounds(w),
+                }
             })
             .collect()
     }
@@ -480,7 +480,8 @@ pub struct Lab {
     /// because its worker pool is its parallelism. The sweep output is
     /// byte-identical at any job count.
     pub jobs: Option<usize>,
-    single_cache: BTreeMap<NormKey, f64>,
+    /// The solo-run memo of a lab with no [`Lab::cache`] armed.
+    solos: Solos,
     /// Fault plan applied to every multithreaded run (see
     /// [`Lab::set_fault`]).
     global_fault: Option<FaultPlan>,
@@ -495,7 +496,10 @@ pub struct Lab {
     /// the serve daemon shares one across requests); `None` = nothing
     /// persisted. Every sweep reads and appends the shard of the lab's
     /// *current* [`Lab::journal_universe`], so a mutated lab can never
-    /// be served another universe's cells. See [`crate::cache`].
+    /// be served another universe's cells. The cache's solo-run memo
+    /// replaces the lab's own, so labs armed with one cache share solo
+    /// runs whenever their normalization state matches, whatever their
+    /// universe. See [`crate::cache`].
     pub cache: Option<Arc<ResultCache>>,
     /// Simulated-cycle ceiling per sweep cell (`SMTSIM_CELL_CYCLES`);
     /// the deterministic watchdog. `None` = unlimited.
@@ -510,18 +514,18 @@ pub struct Lab {
     /// Event-driven cycle skipping in every simulator this lab builds
     /// (`SMTSIM_NO_SKIP` disables it). Timing-transparent by
     /// construction — results are byte-identical either way — so it is
-    /// deliberately *not* part of [`NormKey`] or the journal universe
-    /// fingerprint.
+    /// deliberately *not* part of the solo-run memo's key or the
+    /// journal universe fingerprint.
     pub cycle_skip: bool,
     /// Cooperative cancellation for every *measured* (multithreaded)
     /// cell this lab runs: an embedding daemon arms one token per
     /// request and the cycle loop polls it through [`RunBudget`]. A
     /// cancelled cell fails with a typed
     /// [`SimError::CellTimeout`]-family error — never a wrong value —
-    /// and normalization runs are unmetered, so the single-thread
-    /// cache only ever stores healthy references. Operational like
-    /// [`Lab::jobs`]: deliberately not part of [`NormKey`] or the
-    /// journal universe fingerprint.
+    /// and normalization runs are unmetered, so the solo-run memo only
+    /// ever stores healthy references. Operational like [`Lab::jobs`]:
+    /// deliberately not part of the solo-run memo's key or the journal
+    /// universe fingerprint.
     pub cancel: Option<CancelToken>,
 }
 
@@ -537,7 +541,7 @@ impl Lab {
             warmup: 60_000,
             norm: RobConfig::Baseline(32),
             jobs: None,
-            single_cache: BTreeMap::new(),
+            solos: Solos::default(),
             global_fault: None,
             mix_faults: BTreeMap::new(),
             transient_faults: BTreeMap::new(),
@@ -651,63 +655,29 @@ impl Lab {
         self.fault_for(mix_idx)
     }
 
-    /// Single-threaded IPC of `slot` in `mix_idx` under `rob` — the
-    /// thread running *alone* on that machine (memoized). `run_mix`
-    /// always normalizes with [`Lab::norm`]; this method is public so
-    /// studies can also compute per-configuration baselines.
-    pub fn single_ipc(&mut self, mix_idx: usize, slot: usize, rob: RobConfig) -> f64 {
-        match self.try_single_ipc(mix_idx, slot, rob) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`Lab::single_ipc`]: configuration errors,
-    /// deadlocks and invariant violations come back as [`SimError`]
-    /// instead of aborting the sweep.
-    pub fn try_single_ipc(
-        &mut self,
-        mix_idx: usize,
-        slot: usize,
-        rob: RobConfig,
-    ) -> Result<f64, SimError> {
-        let key = NormKey {
-            program: Program::of(mix_idx, slot),
-            state: self.norm_state(rob),
-        };
-        if let Some(&v) = self.single_cache.get(&key) {
-            return Ok(v);
-        }
-        let (ipc, _) = self.solo_run(mix_idx, slot, rob)?;
-        self.single_cache.insert(key, ipc);
-        Ok(ipc)
-    }
-
-    /// Runs slot `slot` of `mix_idx` alone under `rob`, unmemoized,
-    /// and returns its IPC with the static DoD bounds it ran under.
-    fn solo_run(
-        &self,
-        mix_idx: usize,
-        slot: usize,
-        rob: RobConfig,
-    ) -> Result<(f64, DodBounds), SimError> {
+    /// Runs slot `slot` of `mix_idx` alone under [`Lab::norm`],
+    /// unmemoized: its IPC and the static DoD bounds it ran under.
+    fn solo_run(&self, mix_idx: usize, slot: usize) -> Result<Solo, SimError> {
         let wl = Arc::new(mix(mix_idx).instantiate_single(slot, self.seed));
         let bounds = static_bounds(&wl);
         let mut cfg = self.machine.clone();
         cfg.num_threads = 1;
         cfg.fetch_threads = 1;
-        let mut sim = Simulator::builder(cfg, vec![wl], rob.build(), self.seed)
+        let mut sim = Simulator::builder(cfg, vec![wl], self.norm.build(), self.seed)
             .dod_bounds(vec![bounds.clone()])
             .warmup(self.warmup)
             .cycle_skip(self.cycle_skip)
             .build()?;
         sim.try_run(StopCondition::AnyThreadCommitted(self.st_budget))?;
-        Ok((sim.stats().threads[0].ipc(sim.cycle()), bounds))
+        Ok(Solo {
+            ipc: sim.stats().threads[0].ipc(sim.cycle()),
+            bounds,
+        })
     }
 
-    /// The [`NormState`] a normalization run under `rob` would be
-    /// measured in given the lab's *current* state.
-    fn norm_state(&self, rob: RobConfig) -> NormState {
+    /// The [`NormState`] a normalization run would be measured in
+    /// given the lab's *current* state.
+    fn norm_state(&self) -> NormState {
         // Exhaustive on purpose: a new field does not compile until it
         // is classified here.
         let Lab {
@@ -715,10 +685,10 @@ impl Lab {
             seed,
             st_budget,
             warmup,
+            norm,
             // Multithreaded-only: normalization runs are unfaulted,
-            // unmetered and unretried, and `rob` is the reference.
+            // unmetered and unretried.
             mt_budget: _,
-            norm: _,
             global_fault: _,
             mix_faults: _,
             transient_faults: _,
@@ -728,12 +698,12 @@ impl Lab {
             cancel: _,
             // Scheduling and memo state, timing-transparent skipping.
             jobs: _,
-            single_cache: _,
+            solos: _,
             cache: _,
             cycle_skip: _,
         } = self;
         NormState {
-            config: rob.fingerprint(),
+            config: norm.fingerprint(),
             st_budget: *st_budget,
             warmup: *warmup,
             seed: *seed,
@@ -741,31 +711,42 @@ impl Lab {
         }
     }
 
-    /// Number of distinct normalization runs currently memoized:
-    /// distinct [`NormKey`]s, so one per program however many mixes
-    /// name it (mutating budgets, seed, warm-up or the machine grows
-    /// this rather than overwriting entries).
-    pub fn cached_norm_runs(&self) -> usize {
-        self.single_cache.len()
+    /// The solo-run memo this lab reads and fills, locked: the armed
+    /// [`Lab::cache`]'s, which every lab armed with it shares, else
+    /// the lab's own. Picked on every call, because `cache` is a
+    /// public field. Updates only insert whole entries, so a poisoned
+    /// lock still guards a consistent map.
+    fn memo(&self) -> MutexGuard<'_, BTreeMap<NormKey, Arc<Solo>>> {
+        self.cache
+            .as_deref()
+            .map_or(&self.solos, ResultCache::solos)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Pre-warms the normalization cache from a [`NormTable`] computed
-    /// earlier. Entries are keyed under the lab state the table was
-    /// measured in, so a table from another seed, budget, warm-up,
-    /// machine or norm reference never serves an IPC to this lab: its
-    /// entries only hit once the lab is back in that state. Only
-    /// healthy entries are seeded: errors are never cached, exactly as
-    /// in [`Lab::try_single_ipc`].
+    /// Number of solo runs the memo this lab uses holds: one per
+    /// program and normalization state, however many mixes name the
+    /// program (mutating budgets, seed, warm-up, the machine or the
+    /// norm reference grows this rather than overwriting entries).
+    /// With a [`Lab::cache`] armed this counts the cache's memo, which
+    /// every lab armed with it shares.
+    pub fn cached_norm_runs(&self) -> usize {
+        self.memo().len()
+    }
+
+    /// Pre-warms the solo-run memo this lab uses from a [`NormTable`]
+    /// computed earlier. Entries are keyed under the lab state the
+    /// table was measured in, so a table from another seed, budget,
+    /// warm-up, machine or norm reference never serves an IPC to this
+    /// lab: its entries only hit once the lab is back in that state.
+    /// Only healthy entries are seeded: errors are never memoized.
     pub fn seed_norm_cache(&mut self, table: &NormTable) {
-        for (&program, solo) in &table.programs {
-            if let Ok(v) = solo.ipc {
-                let key = NormKey {
-                    program,
-                    state: table.state.clone(),
-                };
-                self.single_cache.insert(key, v);
-            }
-        }
+        let healthy = table.programs.iter().filter_map(|(&program, solo)| {
+            let solo = solo.as_ref().ok()?.clone();
+            let state = table.state.clone();
+            Some((NormKey { program, state }, solo))
+        });
+        self.memo().extend(healthy);
     }
 
     /// Worker-thread count a sweep would use right now: [`Lab::jobs`]
@@ -785,20 +766,16 @@ impl Lab {
     /// slot)` in `mixes` under [`Lab::norm`], snapshotted into an
     /// immutable [`NormTable`]. Each distinct program the memo lacks
     /// runs once, panic-isolated, fanned out over
-    /// [`Lab::effective_jobs`] workers; successes are memoized, errors
-    /// never are, and every `(mix, slot)` naming a program reads its
-    /// one result. A mix whose very instantiation panics is skipped
-    /// here — its phase-2 cells hit the same panic and report it per
-    /// cell. With a [`Lab::cache`] armed, the memo is first warmed
-    /// from the cache's table for the lab's universe and the result is
-    /// folded back into it.
+    /// [`Lab::effective_jobs`] workers, and its static DoD bounds are
+    /// analyzed inside that run; successes are memoized, errors never
+    /// are, and every `(mix, slot)` naming a program reads its one
+    /// result. The memo is locked to look the programs up and to insert
+    /// the new runs, never while they run. A mix whose very
+    /// instantiation panics is skipped here — its phase-2 cells hit the
+    /// same panic and report it per cell. With a [`Lab::cache`] armed
+    /// the memo is the cache's, so labs armed with it share solo runs.
     pub fn norm_table(&mut self, mixes: &[usize]) -> NormTable {
-        let warm = self.cache.clone().map(|c| (c, self.journal_universe()));
-        if let Some((cache, universe)) = &warm {
-            cache.seed_lab(universe, self);
-        }
-        let norm = self.norm;
-        let state = self.norm_state(norm);
+        let state = self.norm_state();
         let key = |program| NormKey {
             program,
             state: state.clone(),
@@ -810,6 +787,7 @@ impl Lab {
         let mut programs = BTreeMap::new();
         // Each program the memo lacks, with a mix that names it.
         let mut todo: BTreeMap<Program, usize> = BTreeMap::new();
+        let memo = self.memo();
         for m in sorted {
             let Ok(benchmarks) = catch_cell(|| mix(m).benchmarks) else {
                 continue;
@@ -817,48 +795,37 @@ impl Lab {
             for (slot, bench) in benchmarks.into_iter().enumerate() {
                 let program = Program { bench, slot };
                 slots.insert((m, slot), program);
-                if let Some(&ipc) = self.single_cache.get(&key(program)) {
-                    let solo = Solo {
-                        ipc: Ok(ipc),
-                        bounds: OnceLock::new(),
-                    };
-                    programs.insert(program, solo);
-                } else {
-                    todo.entry(program).or_insert(m);
+                match memo.get(&key(program)) {
+                    Some(solo) => {
+                        programs.insert(program, Ok(solo.clone()));
+                    }
+                    None => {
+                        todo.entry(program).or_insert(m);
+                    }
                 }
             }
         }
+        drop(memo);
         let todo: Vec<(Program, usize)> = todo.into_iter().collect();
         let ran = self.fan_out(todo.len(), |i| {
             let (program, m) = todo[i];
-            catch_cell(|| self.solo_run(m, program.slot, norm)).and_then(|r| r)
+            catch_cell(|| self.solo_run(m, program.slot)).and_then(|r| r)
         });
+        let mut memo = self.memo();
         for (&(program, _), result) in todo.iter().zip(ran) {
-            let solo = match result {
-                Ok((ipc, bounds)) => {
-                    self.single_cache.insert(key(program), ipc);
-                    Solo {
-                        ipc: Ok(ipc),
-                        bounds: OnceLock::from(bounds),
-                    }
-                }
-                Err(e) => Solo {
-                    ipc: Err(e),
-                    bounds: OnceLock::new(),
-                },
-            };
+            // Another lab on the same cache may have run the program
+            // meanwhile; its entry is bit-identical, and keeping it
+            // leaves one entry per key.
+            let solo =
+                result.map(|solo| memo.entry(key(program)).or_insert(Arc::new(solo)).clone());
             programs.insert(program, solo);
         }
-        let table = NormTable {
+        NormTable {
             state,
             slots,
             programs,
             runs: todo.len(),
-        };
-        if let Some((cache, universe)) = &warm {
-            cache.store_norm(universe, &table);
         }
-        table
     }
 
     /// Runs one `mix × config` cell against a phase-1 normalization
@@ -878,21 +845,7 @@ impl Lab {
             .map(|(run, _)| run)
     }
 
-    /// [`Lab::run_cell`] with tracing armed: the multithreaded run
-    /// collects the full structured event stream (warm-up excluded),
-    /// which is folded into episodes and metrics. The [`MixRun`] inside
-    /// is identical to the untraced cell's — tracing is observational.
-    pub fn run_cell_traced(
-        &self,
-        mix_idx: usize,
-        rob: RobConfig,
-        norm: &NormTable,
-    ) -> Result<TracedMixRun, SimError> {
-        self.run_cell_inner(mix_idx, rob, norm, TraceLog::new(), 1)
-            .map(|(run, log)| TracedMixRun::fold(run, log))
-    }
-
-    /// Shared body of [`Lab::run_cell`], [`Lab::run_cell_traced`] and
+    /// Shared body of [`Lab::run_cell`] and
     /// [`Lab::run_cell_with_retries`]: builds the simulator through
     /// [`Simulator::builder`] (bounds → fault plan for `attempt` →
     /// warm-up, tracing armed last), runs the mix and computes the
@@ -906,7 +859,7 @@ impl Lab {
         tracer: T,
         attempt: u32,
     ) -> Result<(MixRun, T), SimError> {
-        if norm.state != self.norm_state(self.norm) {
+        if norm.state != self.norm_state() {
             return Err(SimError::InvalidConfig {
                 reason: "normalization table was measured under another lab state (seed, \
                          st_budget, warm-up, norm reference or machine)"
@@ -921,7 +874,7 @@ impl Lab {
             .warmup(self.warmup)
             // Watchdog budgets apply to the measured (multithreaded)
             // cell run only — normalization runs are unmetered because
-            // the single-thread cache must never store a timeout (see
+            // the solo-run memo must never store a timeout (see
             // `norm_table`).
             .run_budget(RunBudget {
                 max_cycles: self.cell_cycle_budget,
@@ -1132,12 +1085,16 @@ impl Lab {
         report
     }
 
-    /// [`Lab::sweep_cells`] with tracing armed on every cell (see
-    /// [`Lab::run_cell_traced`]). Same two-phase structure, same
-    /// panic isolation, same watchdog and retry loop, same
-    /// input-order merge — the traced output is byte-identical at any
-    /// job count. Traced sweeps never touch the result cache (it
-    /// stores [`MixRun`]s, not event streams).
+    /// [`Lab::sweep_cells`] with tracing armed on every cell: each
+    /// multithreaded run collects the full structured event stream
+    /// (warm-up excluded), folded into episodes and metrics
+    /// ([`TracedMixRun`]); the [`MixRun`] inside is identical to the
+    /// untraced cell's — tracing is observational. Same two-phase
+    /// structure, same panic isolation, same watchdog and retry loop,
+    /// same input-order merge — the traced output is byte-identical at
+    /// any job count. Traced sweeps never read or append the result
+    /// cache's journal shards (they store [`MixRun`]s, not event
+    /// streams).
     pub fn sweep_traced(&mut self, cells: &[SweepCell]) -> Vec<Result<TracedMixRun, SimError>> {
         let mixes: Vec<usize> = cells.iter().map(|&(m, _)| m).collect();
         let norm = self.norm_table(&mixes);
@@ -1186,7 +1143,7 @@ impl Lab {
             retries,
             // Scheduling, memo and cancellation state only.
             jobs: _,
-            single_cache: _,
+            solos: _,
             cache: _,
             cycle_skip: _,
             cancel: _,
@@ -1239,19 +1196,29 @@ impl Lab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
 
     fn small_lab() -> Lab {
         Lab::new(7).with_budgets(8_000, 8_000)
     }
 
+    /// The reference IPC of slot `slot` of Mix 1, through phase 1.
+    fn mix1_ipc(lab: &mut Lab, slot: usize) -> f64 {
+        lab.norm_table(&[1])
+            .get(1, slot)
+            .expect("solo run succeeds")
+    }
+
     #[test]
-    fn single_ipc_is_memoized_and_positive() {
+    fn cache_norm_table_is_memoized_and_positive() {
         let mut lab = small_lab();
-        let a = lab.single_ipc(1, 0, RobConfig::Baseline(32));
-        let b = lab.single_ipc(1, 0, RobConfig::Baseline(32));
-        assert_eq!(a, b);
-        assert!(a > 0.0);
+        let a = lab.norm_table(&[1]);
+        let b = lab.norm_table(&[1]);
+        assert_eq!((a.runs(), b.runs()), (4, 0));
+        for slot in 0..4 {
+            let ipc = a.get(1, slot).unwrap();
+            assert_eq!(ipc.to_bits(), b.get(1, slot).unwrap().to_bits());
+            assert!(ipc > 0.0, "slot {slot}");
+        }
     }
 
     #[test]
@@ -1327,33 +1294,33 @@ mod tests {
     #[test]
     fn cache_invalidated_by_st_budget_change() {
         let mut lab = small_lab();
-        let a = lab.single_ipc(1, 0, RobConfig::Baseline(32));
-        assert_eq!(lab.cached_norm_runs(), 1);
+        let a = mix1_ipc(&mut lab, 0);
+        assert_eq!(lab.cached_norm_runs(), 4);
         // Regression: this used to hit the stale 8k-budget entry and
         // silently serve it for the 2k-budget request.
         lab.st_budget = 2_000;
-        let b = lab.single_ipc(1, 0, RobConfig::Baseline(32));
-        assert_eq!(lab.cached_norm_runs(), 2, "budget change must miss");
+        let b = mix1_ipc(&mut lab, 0);
+        assert_eq!(lab.cached_norm_runs(), 8, "budget change must miss");
         assert_ne!(a, b, "stale normalization IPC served across budgets");
         // Restoring the budget serves the originally measured value.
         lab.st_budget = 8_000;
-        assert_eq!(lab.single_ipc(1, 0, RobConfig::Baseline(32)), a);
-        assert_eq!(lab.cached_norm_runs(), 2);
+        assert_eq!(mix1_ipc(&mut lab, 0), a);
+        assert_eq!(lab.cached_norm_runs(), 8);
     }
 
     #[test]
     fn cache_invalidated_by_seed_warmup_and_machine_changes() {
         let mut lab = small_lab();
-        let base = lab.single_ipc(1, 1, RobConfig::Baseline(32));
+        let base = mix1_ipc(&mut lab, 1);
         lab.seed = 8;
-        let _ = lab.single_ipc(1, 1, RobConfig::Baseline(32));
-        assert_eq!(lab.cached_norm_runs(), 2, "seed change must miss");
+        let _ = mix1_ipc(&mut lab, 1);
+        assert_eq!(lab.cached_norm_runs(), 8, "seed change must miss");
         lab.warmup = 4_000;
-        let _ = lab.single_ipc(1, 1, RobConfig::Baseline(32));
-        assert_eq!(lab.cached_norm_runs(), 3, "warm-up change must miss");
+        let _ = mix1_ipc(&mut lab, 1);
+        assert_eq!(lab.cached_norm_runs(), 12, "warm-up change must miss");
         lab.machine.mem.first_chunk += 400;
-        let slow = lab.single_ipc(1, 1, RobConfig::Baseline(32));
-        assert_eq!(lab.cached_norm_runs(), 4, "machine change must miss");
+        let slow = mix1_ipc(&mut lab, 1);
+        assert_eq!(lab.cached_norm_runs(), 16, "machine change must miss");
         // Slot 1 of Mix 1 is art (memory-bound): much slower DRAM must
         // change its alone-IPC, which the stale cache used to hide.
         assert_ne!(base, slow);
@@ -1371,11 +1338,13 @@ mod tests {
         // key collapsed these into one cache entry.
         assert_eq!(a.label(), b.label());
         assert_ne!(a.fingerprint(), b.fingerprint());
-        let _ = lab.single_ipc(1, 1, a);
-        let _ = lab.single_ipc(1, 1, b);
+        lab.norm = a;
+        let _ = mix1_ipc(&mut lab, 1);
+        lab.norm = b;
+        let _ = mix1_ipc(&mut lab, 1);
         assert_eq!(
             lab.cached_norm_runs(),
-            2,
+            8,
             "equal labels used to collide into one normalization entry"
         );
     }
@@ -1525,43 +1494,40 @@ mod tests {
     #[test]
     fn static_bounds_are_computed_once_per_program() {
         let mut lab = small_lab().with_warmup(2_000);
-        let filled = |t: &NormTable| -> BTreeSet<Program> {
-            t.programs
-                .iter()
-                .filter_map(|(&p, solo)| solo.bounds.get().map(|_| p))
-                .collect()
+        let solo = |t: &NormTable, m: usize, slot: usize| -> Arc<Solo> {
+            t.programs[&t.slots[&(m, slot)]]
+                .clone()
+                .expect("solo run succeeds")
         };
-        let programs = |m: usize| (0..4).map(move |slot| Program::of(m, slot));
         // Mixes 1 and 3 share ammp at slot 0: 7 programs, each analyzed
-        // once, by the solo run that measured it.
+        // once, by the solo run that measured it, whose entry every mix
+        // naming the program reads.
         let cold = lab.norm_table(&[1, 3]);
         assert_eq!(cold.runs(), 7);
-        assert_eq!(filled(&cold), programs(1).chain(programs(3)).collect());
+        assert!(Arc::ptr_eq(&solo(&cold, 1, 0), &solo(&cold, 3, 0)));
         for m in [1, 3] {
             for (slot, w) in mix(m).instantiate(lab.seed).iter().enumerate() {
-                let solo = &cold.programs[&cold.slots[&(m, slot)]];
                 assert_eq!(
-                    format!("{:?}", solo.bounds.get()),
-                    format!("{:?}", Some(static_bounds(w))),
+                    format!("{:?}", solo(&cold, m, slot).bounds),
+                    format!("{:?}", static_bounds(w)),
                     "mix {m} slot {slot}"
                 );
             }
         }
-        // A phase 1 the memo fully serves runs nothing, so it analyzes
-        // nothing until a cell needs the bounds.
+        // A phase 1 the memo fully serves runs nothing and hands out
+        // the cold run's entries, bounds included.
         let warm = lab.norm_table(&[1, 3]);
         assert_eq!(warm.runs(), 0);
-        assert!(
-            filled(&warm).is_empty(),
-            "phase 1 must not run the analysis"
-        );
-        lab.run_cell(1, RobConfig::Baseline(32), &warm).unwrap();
-        assert_eq!(filled(&warm), programs(1).collect());
-        // A later cell reuses the memo and runs identically to one on
-        // a fresh table.
+        for (m, slot) in cold.slots.keys().copied() {
+            assert!(
+                Arc::ptr_eq(&solo(&cold, m, slot), &solo(&warm, m, slot)),
+                "mix {m} slot {slot}"
+            );
+        }
+        // A cell on the memo-served table runs identically to one on a
+        // fresh table.
         let cfg = RobConfig::TwoLevel(TwoLevelConfig::r_rob(16));
         let memo = lab.run_cell(3, cfg, &warm).unwrap();
-        assert_eq!(filled(&warm), filled(&cold));
         let fresh_table = small_lab().with_warmup(2_000).norm_table(&[3]);
         let fresh = lab.run_cell(3, cfg, &fresh_table).unwrap();
         assert_eq!(format!("{memo:?}"), format!("{fresh:?}"));
@@ -1595,13 +1561,13 @@ mod tests {
             .map(|&m| table.get(m, 0).unwrap().to_bits())
             .collect();
         assert!(ammp.iter().all(|&b| b == ammp[0]), "{ammp:?}");
-        // Every slot, measured alone in a lab that has never run its
-        // program, reads the bits the shared entry holds.
+        // Every slot, measured in a lab that has never run its program,
+        // reads the bits the shared entry holds.
         for m in 1..=11 {
+            let alone = tiny_lab().norm_table(&[m]);
             for slot in 0..4 {
-                let alone = tiny_lab().try_single_ipc(m, slot, RobConfig::Baseline(32));
                 assert_eq!(
-                    alone.unwrap().to_bits(),
+                    alone.get(m, slot).unwrap().to_bits(),
                     table.get(m, slot).unwrap().to_bits(),
                     "mix {m} slot {slot}"
                 );
@@ -1870,8 +1836,8 @@ mod tests {
         assert_eq!(second.journal_hits(), 2);
         assert_eq!(second.health, first.health);
         assert_eq!(format!("{:?}", second.results()), format!("{plain:?}"));
-        // A resumed sweep, in a process with no warm table, whose cells
-        // all hit normalizes no mix.
+        // A resumed sweep on a fresh cache, so with no solo run
+        // memoized, whose cells all hit normalizes no mix.
         let resumed = small_lab()
             .with_cache(Some(Arc::new(ResultCache::new(&dir))))
             .sweep_cells(&cells);
@@ -1887,7 +1853,7 @@ mod tests {
         let rerun = lab.sweep_cells(&cells);
         assert_eq!(rerun.journal_hits(), 0);
         // The solo runs do not depend on the multithreaded budget, so
-        // the memo still serves them.
+        // the cache's memo still serves them.
         assert_eq!(rerun.norm_runs, 0);
         assert_eq!(shard.len(), 2, "the old shard is untouched");
         let _ = std::fs::remove_dir_all(&dir);

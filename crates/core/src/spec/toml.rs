@@ -284,7 +284,7 @@ fn split_array(body: &str) -> Result<Vec<&str>, String> {
 }
 
 /// Renders one value back into subset syntax (the exact inverse of
-/// [`parse_value`], used by the canonical spec renderer).
+/// `parse_value`, used by the canonical spec renderer).
 pub fn render_value(v: &Value) -> String {
     match v {
         Value::Str(s) => {

@@ -280,7 +280,7 @@ impl Tenure {
 }
 
 /// A read-only snapshot of the live tenure, for external checkers
-/// (`smtsim-check`) and tests. Mirrors the internal [`Tenure`] record.
+/// (`smtsim-check`) and tests. Mirrors the internal `Tenure` record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TenureView {
     /// Thread holding the second-level partition.

@@ -19,9 +19,12 @@
 //! `cell_key(mix, RobConfig::fingerprint())`. Identical cells from
 //! different specs, from a daemon restarted on the same cache
 //! directory, or from an offline `spec` run that filled it are served
-//! from disk instead of recomputed, and the warm normalization tables
-//! are kept in memory per universe across requests. A corrupted record
-//! surfaces as a typed `JournalError::Corrupt`, never as wrong bytes.
+//! from disk instead of recomputed. The cache also holds, in memory
+//! only, the solo normalization runs every request has made, keyed by
+//! program and normalization state, so a request reuses the solo runs
+//! of any earlier one with the same normalization state, whatever its
+//! universe. A corrupted record surfaces as a typed
+//! `JournalError::Corrupt`, never as wrong bytes.
 //! The terminal figure is assembled from the very outcomes the workers
 //! streamed, through the same code the offline sweep renders with.
 //!

@@ -10,8 +10,10 @@
 //!   full admission queue still answers `queue-full` immediately.
 //! * **connection threads** (1 per live client) — parse the request,
 //!   run admission + spec lowering + the *serial* phase-1
-//!   normalization (warm-started from the cache, and only for mixes
-//!   with a cell the cache cannot serve), enqueue the request's cells,
+//!   normalization (through the cache's solo-run memo, so solo runs
+//!   an earlier request made under the same normalization state are
+//!   not repeated, and only for mixes with a cell the cache cannot
+//!   serve), enqueue the request's cells,
 //!   then stream completions back in completion order and finish with
 //!   the figure rendered from those outcomes.
 //! * **worker pool** (N threads) — pull one cell at a time, round-
@@ -584,8 +586,8 @@ fn resolve_spec(shared: &Shared, source: &SpecSource) -> Result<ExperimentSpec, 
 }
 
 /// Lowers the spec onto the daemon's cache, opens the universe's shard
-/// and runs the warm-started serial phase-1 normalization for the
-/// mixes the shard cannot serve yet. `tx` is the completion channel
+/// and runs the serial phase-1 normalization for the mixes the shard
+/// cannot serve yet. `tx` is the completion channel
 /// the connection thread keeps the receiver of.
 fn prepare_request(
     shared: &Shared,
@@ -627,10 +629,11 @@ fn prepare_request(
             key: cell_key(mix, &config.fingerprint()),
         })
         .collect();
-    // Phase 1, warm-started through the cache from this universe's
-    // earlier requests, for the mixes with a cell the shard cannot
-    // serve: records only grow, so a cell that hits now still hits
-    // when a worker claims it, and an all-hit request runs no solo run.
+    // Phase 1, through the cache's solo-run memo, which every request
+    // shares whatever its universe, for the mixes with a cell the shard
+    // cannot serve: records only grow, so a cell that hits now still
+    // hits when a worker claims it, and an all-hit request runs no solo
+    // run.
     let misses: Vec<usize> = cells
         .iter()
         .filter(|c| !journal.contains(&c.key))
@@ -964,6 +967,33 @@ mod tests {
                 .to_string()
         };
         assert_eq!(fig(&cold), fig(&warm));
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cache_requests_share_solo_runs_across_universes() {
+        let dir = scratch_dir("solos");
+        let server = Server::start(config(&dir), lowering()).expect("daemon starts");
+        let socket = server.socket();
+        let submit = |spec: &str| {
+            let toml = smtsim_rob2::journal::json_string(spec);
+            roundtrip(
+                &socket,
+                &format!("{{\"op\":\"submit\",\"spec_toml\":{toml}}}"),
+            )
+        };
+        let universe = |lines: &[String]| lines[0].split("\"universe\":").nth(1).map(str::to_owned);
+        let first = submit(TINY_SPEC);
+        assert_eq!(server.counter("serve.norm_runs"), 4, "Mix 1's programs");
+        // A longer multithreaded run over the same solo runs: another
+        // universe, so the cell misses, but no solo run is repeated.
+        let longer =
+            submit(&TINY_SPEC.replace("budget = 2000\n", "budget = 3000\nst_budget = 2000\n"));
+        assert_ne!(universe(&first), universe(&longer), "{first:?} {longer:?}");
+        assert!(longer[1].contains("\"cached\":false"), "{}", longer[1]);
+        assert_eq!(server.counter("serve.cache_misses"), 2);
+        assert_eq!(server.counter("serve.norm_runs"), 4, "solo runs rerun");
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

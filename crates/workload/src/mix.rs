@@ -108,23 +108,15 @@ impl Mix {
     /// `seed` perturbs program generation so different experiments can
     /// draw independent instances; thread `t` uses seed `seed + t`.
     pub fn instantiate(&self, seed: u64) -> Vec<Workload> {
-        self.benchmarks
-            .iter()
-            .enumerate()
-            .map(|(t, name)| {
-                let base = Self::THREAD_SPACE * t as u64;
-                Workload::spec(
-                    name,
-                    seed.wrapping_add(t as u64),
-                    base + 0x1_0000,
-                    base + 0x1000_0000,
-                )
-            })
+        (0..self.benchmarks.len())
+            .map(|t| self.instantiate_single(t, seed))
             .collect()
     }
 
-    /// Instantiates one benchmark of the mix alone (for the
-    /// single-threaded runs that normalize the weighted-IPC metric).
+    /// Instantiates the workload of hardware thread `thread` alone, as
+    /// the single-threaded runs that normalize the weighted-IPC metric
+    /// need it. [`Mix::instantiate`] builds every thread through here,
+    /// so a thread runs the same program alone as in the mix.
     pub fn instantiate_single(&self, thread: usize, seed: u64) -> Workload {
         let name = self.benchmarks[thread];
         let base = Self::THREAD_SPACE * thread as u64;
