@@ -255,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn committed_specs_round_trip_through_the_canonical_rendering() {
+    fn committed_specs_parse_and_are_named_by_their_files() {
         use smtsim_rob2::ExperimentSpec;
         let dir = spec_dir();
         let mut stems: Vec<String> = std::fs::read_dir(&dir)
@@ -275,16 +275,6 @@ mod tests {
             let spec = ExperimentSpec::load(&path)
                 .unwrap_or_else(|e| panic!("{stem}.toml must parse: {e}"));
             assert_eq!(&spec.id, stem, "spec id matches its file name");
-            // parse → render → parse → render is a fixed point, and
-            // the fingerprint is invariant across the round trip.
-            let rendered = spec.render();
-            let reparsed = ExperimentSpec::parse(&format!("{stem}.toml"), &rendered)
-                .unwrap_or_else(|e| panic!("{stem}.toml canonical form must re-parse: {e}"));
-            assert_eq!(reparsed.render(), rendered, "{stem}: render not canonical");
-            assert_eq!(
-                reparsed.fingerprint, spec.fingerprint,
-                "{stem}: unstable fingerprint"
-            );
         }
     }
 

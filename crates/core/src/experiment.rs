@@ -111,9 +111,9 @@ pub struct MixRun {
 }
 
 /// Result of one mix × configuration run with tracing armed: the
-/// [`MixRun`] metrics plus the raw event stream and the two standard
-/// reductions over it (complete L2-miss episodes and the metrics
-/// registry). Produced by [`Lab::sweep_traced`].
+/// [`MixRun`] metrics plus the raw event stream and the complete
+/// L2-miss episodes reconstructed from it. Produced by
+/// [`Lab::sweep_traced`].
 #[derive(Clone, Debug)]
 pub struct TracedMixRun {
     /// The ordinary run result (identical to the untraced run: tracing
@@ -123,19 +123,15 @@ pub struct TracedMixRun {
     pub events: Vec<(u64, TraceEvent)>,
     /// L2-miss episodes reconstructed from the stream.
     pub episodes: Vec<Episode>,
-    /// Counters and histograms folded from the stream.
-    pub metrics: MetricsRegistry,
 }
 
 impl TracedMixRun {
-    /// Folds a cell's collected event log into its two standard
-    /// reductions.
+    /// Folds a cell's collected event log into its episodes.
     fn fold(run: MixRun, log: TraceLog) -> TracedMixRun {
         let events = log.into_events();
         TracedMixRun {
             run,
             episodes: EpisodeReconstructor::from_events(&events),
-            metrics: MetricsRegistry::from_events(&events),
             events,
         }
     }

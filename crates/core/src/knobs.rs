@@ -110,7 +110,6 @@ const CHECK_BOUND: RangeInclusive<u64> = 1..=4;
 
 /// Every integer knob, in [`Knob`] order. Columns: knob, environment
 /// variable, spec key, default, accepted range, changes cell bytes.
-/// The spec keys render in this order too (`ExperimentSpec::render`).
 #[rustfmt::skip]
 pub const KNOBS: &[KnobRow] = &[
     row(Knob::Budget,       "BUDGET",        Some("budget"),        Value(40_000), ANY, true),

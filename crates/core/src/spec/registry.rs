@@ -4,8 +4,7 @@
 //! here, in one place, so adding a machine, scheme family, fetch
 //! policy, mix set or knob preset is a registry edit — not new figure
 //! code. Ids are kebab-case and *stable*: they appear in
-//! committed spec files and in spec fingerprints, so renaming one is
-//! a breaking change.
+//! committed spec files, so renaming one is a breaking change.
 //!
 //! Namespaces:
 //!

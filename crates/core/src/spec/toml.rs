@@ -283,33 +283,6 @@ fn split_array(body: &str) -> Result<Vec<&str>, String> {
     Ok(parts)
 }
 
-/// Renders one value back into subset syntax (the exact inverse of
-/// `parse_value`, used by the canonical spec renderer).
-pub fn render_value(v: &Value) -> String {
-    match v {
-        Value::Str(s) => {
-            let mut out = String::from("\"");
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    _ => out.push(c),
-                }
-            }
-            out.push('"');
-            out
-        }
-        Value::Int(n) => n.to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Array(items) => {
-            let inner: Vec<String> = items.iter().map(render_value).collect();
-            format!("[{}]", inner.join(", "))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,12 +318,6 @@ mod tests {
             panic!("expected string")
         };
         assert_eq!(s, "a \"q\" \\ # not a comment");
-        let rendered = render_value(&Value::Str(s.clone()));
-        let reparsed = parse("t.toml", &format!("[s]\nv = {rendered}\n")).unwrap();
-        assert_eq!(
-            reparsed.section("s").unwrap().items[0].value,
-            Value::Str(s.clone())
-        );
     }
 
     #[test]
@@ -380,21 +347,6 @@ mod tests {
             assert_eq!(e.line, line, "{text:?}: {e}");
             assert!(e.message.contains(frag), "{text:?}: {e}");
             assert_eq!(e.file, "t.toml");
-        }
-    }
-
-    #[test]
-    fn render_value_is_parse_inverse() {
-        let vals = [
-            Value::Int(384),
-            Value::Bool(false),
-            Value::Str("2-Level R-ROB16".into()),
-            Value::Array(vec![Value::Int(1), Value::Int(2), Value::Int(9)]),
-        ];
-        for v in vals {
-            let text = format!("[s]\nk = {}\n", render_value(&v));
-            let doc = parse("t.toml", &text).unwrap();
-            assert_eq!(doc.section("s").unwrap().items[0].value, v);
         }
     }
 }

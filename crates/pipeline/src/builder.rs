@@ -1,12 +1,9 @@
-//! Typed construction for [`Simulator`]: one fluent path covering DoD
-//! bounds, fault plans, warmup and tracing.
+//! Typed construction for [`Simulator`]: the one fluent path covering
+//! DoD bounds, fault plans, warmup, run budgets and tracing.
 //!
-//! Replaces the construct-then-mutate pattern
-//! (`Simulator::try_new` + `set_dod_bounds` + `set_fault_plan` +
-//! `warmup`) with a builder whose `build()` applies the pieces in a
-//! fixed order — construct, install bounds, install the fault plan,
-//! functional warmup, then enable tracing — so results are
-//! bit-identical to the historical call sequence and warmup never
+//! `build()` applies the pieces in a fixed order — construct, install
+//! bounds, install the fault plan, functional warmup, then enable
+//! tracing — so every caller sets a run up alike and warmup never
 //! pollutes a collected trace.
 //!
 //! ```
@@ -50,9 +47,9 @@ pub struct SimulatorBuilder<T: Tracer = NoopTracer> {
 }
 
 impl SimulatorBuilder {
-    /// Starts a builder over the mandatory pieces (equivalent to the
-    /// old `try_new` arguments).
-    pub fn new(
+    /// Starts a builder over the mandatory pieces (see
+    /// [`Simulator::builder`], the public entry point).
+    pub(crate) fn new(
         cfg: MachineConfig,
         workloads: Vec<Arc<Workload>>,
         alloc: Box<dyn RobAllocator>,

@@ -276,49 +276,14 @@ pub struct Simulator<T: Tracer = NoopTracer> {
 }
 
 impl Simulator {
-    /// Builds a simulator.
-    ///
-    /// Thin compatibility wrapper over [`Simulator::builder`]; new code
-    /// should use the builder, which also covers DoD bounds, fault
-    /// plans, warmup and tracing.
+    /// Starts a [`SimulatorBuilder`](crate::SimulatorBuilder) — the
+    /// one construction path, covering DoD bounds, fault plans,
+    /// warmup, run budgets and tracing.
     ///
     /// * `workloads` — one per hardware thread (`cfg.num_threads`).
     /// * `alloc` — the ROB capacity policy ([`crate::FixedRob`] for the
     ///   baselines; the two-level schemes come from `smtsim-rob2`).
     /// * `seed` — perturbs executor seeds (thread `t` uses `seed + t`).
-    ///
-    /// # Panics
-    /// Panics on invalid configuration or mismatched workload count;
-    /// [`Simulator::try_new`] reports the same conditions as
-    /// [`SimError::InvalidConfig`] instead.
-    pub fn new(
-        cfg: MachineConfig,
-        workloads: Vec<Arc<Workload>>,
-        alloc: Box<dyn RobAllocator>,
-        seed: u64,
-    ) -> Self {
-        match Self::try_new(cfg, workloads, alloc, seed) {
-            Ok(sim) => sim,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Builds a simulator, reporting structural problems as
-    /// [`SimError::InvalidConfig`] instead of panicking.
-    ///
-    /// Thin compatibility wrapper over [`Simulator::builder`].
-    pub fn try_new(
-        cfg: MachineConfig,
-        workloads: Vec<Arc<Workload>>,
-        alloc: Box<dyn RobAllocator>,
-        seed: u64,
-    ) -> Result<Self, SimError> {
-        Self::construct(cfg, workloads, alloc, seed, NoopTracer)
-    }
-
-    /// Starts a [`SimulatorBuilder`](crate::SimulatorBuilder) — the
-    /// one-stop construction path covering DoD bounds, fault plans,
-    /// warmup and tracing.
     pub fn builder(
         cfg: MachineConfig,
         workloads: Vec<Arc<Workload>>,
@@ -330,9 +295,8 @@ impl Simulator {
 }
 
 impl<T: Tracer> Simulator<T> {
-    /// Core constructor shared by [`Simulator::try_new`] and the
-    /// builder: validates the configuration and assembles the machine
-    /// with the given tracer.
+    /// Core constructor behind the builder: validates the
+    /// configuration and assembles the machine with the given tracer.
     pub(crate) fn construct(
         cfg: MachineConfig,
         workloads: Vec<Arc<Workload>>,
@@ -478,10 +442,9 @@ impl<T: Tracer> Simulator<T> {
     }
 
     /// Installs watchdog ceilings for subsequent
-    /// [`Simulator::try_run`] calls (see [`crate::RunBudget`]); the
-    /// default budget is unlimited. Also available at construction via
-    /// [`SimulatorBuilder::run_budget`](crate::SimulatorBuilder::run_budget).
-    pub fn set_run_budget(&mut self, budget: crate::RunBudget) {
+    /// [`Simulator::try_run`] calls (see [`crate::RunBudget`]); set
+    /// through [`SimulatorBuilder::run_budget`](crate::SimulatorBuilder::run_budget).
+    pub(crate) fn set_run_budget(&mut self, budget: crate::RunBudget) {
         self.budget = budget;
     }
 
@@ -513,11 +476,6 @@ impl<T: Tracer> Simulator<T> {
     /// Load-hit predictor accuracy observed so far.
     pub fn loadhit_accuracy(&self) -> f64 {
         self.loadhit.accuracy()
-    }
-
-    /// The ROB allocation policy's display name.
-    pub fn policy_name(&self) -> String {
-        self.alloc.name()
     }
 
     /// The ROB allocation policy (downcast with

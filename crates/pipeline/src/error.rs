@@ -2,17 +2,19 @@
 //!
 //! The simulator's integrity machinery — configuration validation, the
 //! no-commit-progress watchdog, and the invariant checker — reports
-//! failures as [`SimError`] values through [`Simulator::try_step`] /
+//! failures as [`SimError`] values through
+//! [`SimulatorBuilder::build`], [`Simulator::try_step`] and
 //! [`Simulator::try_run`] instead of aborting the process. The
-//! panicking entry points ([`Simulator::new`], [`Simulator::run`])
-//! remain as thin wrappers for callers that treat any model failure as
-//! fatal; harnesses that sweep many configurations (the `Lab` in
-//! `smtsim-rob2`) use the `try_` forms so one poisoned cell cannot take
-//! down a whole experiment.
+//! panicking [`Simulator::step`] and [`Simulator::run`] remain as thin
+//! wrappers for callers that treat any model failure as fatal;
+//! harnesses that sweep many configurations (the `Lab` in
+//! `smtsim-rob2`) use the `try_` forms so one poisoned cell cannot
+//! take down a whole experiment.
 //!
+//! [`SimulatorBuilder::build`]: crate::SimulatorBuilder::build
 //! [`Simulator::try_step`]: crate::Simulator::try_step
 //! [`Simulator::try_run`]: crate::Simulator::try_run
-//! [`Simulator::new`]: crate::Simulator::new
+//! [`Simulator::step`]: crate::Simulator::step
 //! [`Simulator::run`]: crate::Simulator::run
 
 use smtsim_isa::OpClass;

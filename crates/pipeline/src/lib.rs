@@ -18,9 +18,11 @@
 //! use smtsim_workload::Workload;
 //! use std::sync::Arc;
 //!
-//! let mut cfg = MachineConfig::icpp08_single();
+//! let cfg = MachineConfig::icpp08_single();
 //! let wl = Arc::new(Workload::spec("gzip", 1, 0x1_0000, 0x1000_0000));
-//! let mut sim = Simulator::new(cfg, vec![wl], Box::new(FixedRob::new(32)), 7);
+//! let mut sim = Simulator::builder(cfg, vec![wl], Box::new(FixedRob::new(32)), 7)
+//!     .build()
+//!     .expect("valid configuration");
 //! let stats = sim.run(StopCondition::AnyThreadCommitted(5_000));
 //! assert!(stats.threads[0].committed >= 5_000);
 //! ```

@@ -24,7 +24,9 @@ fn workload(program: Program, streams: Vec<StreamDesc>) -> Arc<Workload> {
 
 fn machine(wl: Arc<Workload>, seed: u64) -> Simulator {
     let cfg = MachineConfig::icpp08_single();
-    Simulator::new(cfg, vec![wl], Box::new(FixedRob::new(32)), seed)
+    Simulator::builder(cfg, vec![wl], Box::new(FixedRob::new(32)), seed)
+        .build()
+        .unwrap()
 }
 
 /// A single hot-slot stream (stride 0) at `base`.

@@ -14,7 +14,9 @@ fn arb_bench() -> impl Strategy<Value = &'static str> {
 fn run_one(bench: &str, seed: u64, rob: usize, cycles: u64) -> Simulator {
     let cfg = MachineConfig::icpp08_single();
     let wl = Arc::new(Workload::spec(bench, seed, 0x1_0000, 0x1000_0000));
-    let mut sim = Simulator::new(cfg, vec![wl], Box::new(FixedRob::new(rob)), seed);
+    let mut sim = Simulator::builder(cfg, vec![wl], Box::new(FixedRob::new(rob)), seed)
+        .build()
+        .unwrap();
     sim.run(StopCondition::Cycles(cycles));
     sim
 }
@@ -47,7 +49,7 @@ proptest! {
             .into_iter()
             .map(Arc::new)
             .collect();
-        let mut sim = Simulator::new(cfg, wls, Box::new(FixedRob::new(32)), seed);
+        let mut sim = Simulator::builder(cfg, wls, Box::new(FixedRob::new(32)), seed).build().unwrap();
         sim.run(StopCondition::Cycles(15_000));
         let s = sim.stats();
         for t in &s.threads {
@@ -89,7 +91,7 @@ proptest! {
         let mut sim = {
             let cfg = MachineConfig::icpp08_single();
             let wl = Arc::new(Workload::spec(bench, 3, 0x1_0000, 0x1000_0000));
-            Simulator::new(cfg, vec![wl], Box::new(FixedRob::new(rob)), 3)
+            Simulator::builder(cfg, vec![wl], Box::new(FixedRob::new(rob)), 3).build().unwrap()
         };
         sim.run(StopCondition::Cycles(20_000));
         let avg = sim.stats().threads[0].rob_occupancy_sum as f64 / 20_000.0;

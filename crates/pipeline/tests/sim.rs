@@ -1,15 +1,20 @@
 //! End-to-end tests of the SMT pipeline substrate.
 
 use smtsim_pipeline::{
-    DcraConfig, FetchPolicyKind, FixedRob, MachineConfig, Simulator, StopCondition,
+    DcraConfig, FetchPolicyKind, FixedRob, MachineConfig, Simulator, SimulatorBuilder,
+    StopCondition,
 };
 use smtsim_workload::{mix, Workload};
 use std::sync::Arc;
 
-fn single(bench: &str, seed: u64) -> Simulator {
+fn single_builder(bench: &str, seed: u64) -> SimulatorBuilder {
     let cfg = MachineConfig::icpp08_single();
     let wl = Arc::new(Workload::spec(bench, seed, 0x1_0000, 0x1000_0000));
-    Simulator::new(cfg, vec![wl], Box::new(FixedRob::new(32)), seed)
+    Simulator::builder(cfg, vec![wl], Box::new(FixedRob::new(32)), seed)
+}
+
+fn single(bench: &str, seed: u64) -> Simulator {
+    single_builder(bench, seed).build().unwrap()
 }
 
 fn quad(mix_idx: usize, rob: usize, policy: FetchPolicyKind, seed: u64) -> Simulator {
@@ -20,7 +25,9 @@ fn quad(mix_idx: usize, rob: usize, policy: FetchPolicyKind, seed: u64) -> Simul
         .into_iter()
         .map(Arc::new)
         .collect();
-    Simulator::new(cfg, wls, Box::new(FixedRob::new(rob)), seed)
+    Simulator::builder(cfg, wls, Box::new(FixedRob::new(rob)), seed)
+        .build()
+        .unwrap()
 }
 
 #[test]
@@ -204,7 +211,9 @@ fn larger_rob_helps_single_memory_bound_thread() {
     let ipc = |rob: usize| {
         let cfg = MachineConfig::icpp08_single();
         let wl = Arc::new(Workload::spec("art", 41, 0x1_0000, 0x1000_0000));
-        let mut sim = Simulator::new(cfg, vec![wl], Box::new(FixedRob::new(rob)), 41);
+        let mut sim = Simulator::builder(cfg, vec![wl], Box::new(FixedRob::new(rob)), 41)
+            .build()
+            .unwrap();
         let s = sim.run(StopCondition::AnyThreadCommitted(30_000));
         s.threads[0].ipc(s.cycles)
     };
@@ -244,8 +253,10 @@ fn iq_occupancy_tracked() {
 #[test]
 fn cycle_budget_fires_as_cell_timeout_at_exact_cycle() {
     use smtsim_pipeline::{RunBudget, SimError};
-    let mut sim = single("mcf", 3);
-    sim.set_run_budget(RunBudget::cycles(1_000));
+    let mut sim = single_builder("mcf", 3)
+        .run_budget(RunBudget::cycles(1_000))
+        .build()
+        .unwrap();
     match sim.try_run(StopCondition::AnyThreadCommitted(u64::MAX)) {
         Err(SimError::CellTimeout { cycle, detail }) => {
             assert_eq!(cycle, 1_000);
@@ -262,11 +273,13 @@ fn cancel_token_terminates_run() {
     use smtsim_pipeline::{CancelToken, RunBudget, SimError};
     let token = CancelToken::new();
     token.cancel(); // pre-cancelled: fires at the first poll point
-    let mut sim = single("gzip", 5);
-    sim.set_run_budget(RunBudget {
-        token: Some(token),
-        ..RunBudget::default()
-    });
+    let mut sim = single_builder("gzip", 5)
+        .run_budget(RunBudget {
+            token: Some(token),
+            ..RunBudget::default()
+        })
+        .build()
+        .unwrap();
     match sim.try_run(StopCondition::AnyThreadCommitted(u64::MAX)) {
         Err(SimError::CellTimeout { detail, .. }) => {
             assert!(detail.contains("cancelled"));
@@ -278,8 +291,10 @@ fn cancel_token_terminates_run() {
 #[test]
 fn unlimited_budget_changes_nothing() {
     let mut a = single("gzip", 9);
-    let mut b = single("gzip", 9);
-    b.set_run_budget(smtsim_pipeline::RunBudget::unlimited());
+    let mut b = single_builder("gzip", 9)
+        .run_budget(smtsim_pipeline::RunBudget::unlimited())
+        .build()
+        .unwrap();
     let sa = a.run(StopCondition::AnyThreadCommitted(5_000)).clone();
     let sb = b.run(StopCondition::AnyThreadCommitted(5_000)).clone();
     assert_eq!(format!("{sa:?}"), format!("{sb:?}"));

@@ -14,7 +14,9 @@ fn stressed(policy: FetchPolicyKind, mix_idx: usize, rob: usize, seed: u64) -> S
         .into_iter()
         .map(Arc::new)
         .collect();
-    Simulator::new(cfg, wls, Box::new(FixedRob::new(rob)), seed)
+    Simulator::builder(cfg, wls, Box::new(FixedRob::new(rob)), seed)
+        .build()
+        .unwrap()
 }
 
 /// Steps `sim` for `cycles`, validating invariants every `interval`.
@@ -83,7 +85,9 @@ fn tiny_structures_still_work() {
     cfg.int_regs = 144; // 16 renames per thread
     cfg.fp_regs = 144;
     let wls = mix(5).instantiate(23).into_iter().map(Arc::new).collect();
-    let mut sim = Simulator::new(cfg, wls, Box::new(FixedRob::new(16)), 23);
+    let mut sim = Simulator::builder(cfg, wls, Box::new(FixedRob::new(16)), 23)
+        .build()
+        .unwrap();
     run_checked(&mut sim, 40_000, 53);
     assert!(sim.stats().total_committed() > 1_000);
 }

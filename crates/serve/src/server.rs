@@ -1041,6 +1041,21 @@ mod tests {
             zero.first().is_some_and(|l| l.contains("invalid-config")),
             "{zero:?}"
         );
+        // So is a scheme number that would wrap the allocator's cycle
+        // arithmetic.
+        let wrapping = TINY_SPEC.replace("schemes = [\"baseline-32\"]", "schemes = [\"v\"]")
+            + "[scheme.v]\nbase = \"cdr-rob-15\"\ncdr_delay = 18446744073709551615\n";
+        let huge = roundtrip(
+            &socket,
+            &format!(
+                "{{\"op\":\"submit\",\"spec_toml\":{}}}",
+                smtsim_rob2::journal::json_string(&wrapping)
+            ),
+        );
+        assert!(
+            huge.first().is_some_and(|l| l.contains("invalid-config")),
+            "{huge:?}"
+        );
         let metrics = roundtrip(&socket, "{\"op\":\"metrics\"}");
         assert!(
             metrics[0].contains("\"active_requests\":0"),

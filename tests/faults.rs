@@ -186,7 +186,8 @@ fn invalid_workload_set_is_a_typed_config_error() {
         0x1_0000,
         0x1000_0000,
     ))];
-    let err = Simulator::try_new(cfg, wls, Box::new(FixedRob::new(32)), 1)
+    let err = Simulator::builder(cfg, wls, Box::new(FixedRob::new(32)), 1)
+        .build()
         .err()
         .expect("workload/thread mismatch must be rejected");
     assert_eq!(err.kind(), "invalid-config");
