@@ -3,10 +3,9 @@
 //! Bounds and budgets come pre-merged (spec `[knobs]` under explicit
 //! env).
 
-use super::{corpus_cases, corpus_dir};
+use super::corpus;
 use crate::BinError;
 use smtsim_check::{explore, replay_case, replay_mix, Bounds, ModelConfig, ReplayOutcome};
-use smtsim_conform::parse_case;
 use smtsim_rob2::{Knob, Knobs, ReleasePolicy, SchemeKind};
 
 /// The outstanding-miss bound implied by the thread bound: the full
@@ -99,27 +98,7 @@ pub(super) fn run(env: &Knobs) -> Result<(), BinError> {
     }
 
     println!("Corpus conformance (tests/corpus)");
-    let paths = corpus_cases()?;
-    if paths.is_empty() {
-        failures += 1;
-        println!("  FAIL: no .case files in {}", corpus_dir().display());
-    }
-    for path in paths {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let spec = match std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| parse_case(&t))
-        {
-            Ok(s) => s,
-            Err(e) => {
-                failures += 1;
-                println!("  {name}: FAIL (unreadable: {e})");
-                continue;
-            }
-        };
+    for (name, spec) in corpus(&mut failures)? {
         match replay_case(&spec) {
             Ok(outcomes) => {
                 println!("  {name}:");

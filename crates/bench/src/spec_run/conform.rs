@@ -3,9 +3,9 @@
 //! DESIGN.md §12). Knobs come pre-merged (spec `[knobs]` under
 //! explicit env).
 
-use super::{corpus_cases, corpus_dir};
+use super::corpus;
 use crate::BinError;
-use smtsim_conform::{check_workloads, parse_case, run_fresh_cases, CaseVerdict};
+use smtsim_conform::{check_workloads, run_fresh_cases, CaseVerdict};
 use smtsim_rob2::{Knob, Knobs};
 use smtsim_workload::mix;
 use std::sync::Arc;
@@ -35,27 +35,7 @@ pub(super) fn run(env: &Knobs) -> Result<(), BinError> {
     }
 
     println!("Corpus replay (tests/corpus)");
-    let paths = corpus_cases()?;
-    if paths.is_empty() {
-        failures += 1;
-        println!("  FAIL: no .case files in {}", corpus_dir().display());
-    }
-    for path in paths {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let spec = match std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| parse_case(&t))
-        {
-            Ok(s) => s,
-            Err(e) => {
-                failures += 1;
-                println!("  {name}: FAIL (unreadable: {e})");
-                continue;
-            }
-        };
+    for (name, spec) in corpus(&mut failures)? {
         match smtsim_conform::run_case(&spec) {
             CaseVerdict::Pass { commits } => println!("  {name}: pass ({commits} commits)"),
             CaseVerdict::Skipped { reason } => {

@@ -10,14 +10,17 @@
 //! [`ResultCache`] uses the cache's memo, which every lab armed with
 //! that cache shares.
 //!
-//! Sweeps run in two phases ([`Lab::sweep_cells`]): phase 1 runs every
-//! distinct program the cells need and has not memoized, fanned out
-//! across the sweep's workers, into an immutable [`NormTable`]; phase
-//! 2 fans the distinct `mix × config` cells out across scoped worker
-//! threads (`SMTSIM_JOBS` via the `spec` bin), each through the one
-//! per-cell attempt loop ([`Lab::run_cell_with_retries`]). Both phases
-//! merge results in input order, so rendered figures are
-//! byte-identical at any job count.
+//! Sweeps run in two phases. Phase 1 ([`Lab::plan`]) looks the cells
+//! up in the armed result cache; the programs that the cells it lacks
+//! need and the memo does not hold run alone, fanned out across the
+//! sweep's workers, into an immutable [`NormTable`]. Phase 2 serves
+//! each cell from the cache ([`SweepPlan::cached`]) or runs it through
+//! [`Lab::run_planned`]: the one per-cell attempt loop
+//! ([`Lab::run_cell_with_retries`]) plus the cache append.
+//! [`Lab::sweep_cells`] fans phase 2 out across scoped worker threads
+//! (`SMTSIM_JOBS` via the `spec` bin); the serve daemon's worker pool
+//! calls the same two methods. Both phases merge results in input
+//! order, so rendered figures are byte-identical at any job count.
 //! Which cells a figure sweeps comes from its committed spec
 //! ([`crate::figures::artifact_cells`]); [`Lab::run_mix`] and
 //! [`Lab::try_run_mix`] are the one-cell library entry points.
@@ -280,20 +283,21 @@ impl NormTable {
 /// One cell of a sweep: a mix index under a ROB configuration.
 pub type SweepCell = (usize, RobConfig);
 
-/// The distinct cells of `cells` by [`cell_key`], each with its key,
-/// in first-occurrence order, and for each input cell its index into
-/// them. The key map is dropped on return, before any cell runs.
-fn distinct_cells(cells: &[SweepCell]) -> (Vec<(SweepCell, String)>, Vec<usize>) {
+/// The distinct cells of `cells` by [`cell_key`], in first-occurrence
+/// order, and for each input cell its index into them. The key map is
+/// dropped on return, before any cell runs.
+fn distinct_cells(cells: &[SweepCell]) -> (Vec<SweepCell>, Vec<usize>) {
     let mut seen: BTreeMap<String, usize> = BTreeMap::new();
     let mut distinct = Vec::new();
     let index = cells
         .iter()
         .map(|&(m, cfg)| {
-            let key = cell_key(m, &cfg.fingerprint());
-            *seen.entry(key.clone()).or_insert_with(|| {
-                distinct.push(((m, cfg), key));
-                distinct.len() - 1
-            })
+            *seen
+                .entry(cell_key(m, &cfg.fingerprint()))
+                .or_insert_with(|| {
+                    distinct.push((m, cfg));
+                    distinct.len() - 1
+                })
         })
         .collect();
     (distinct, index)
@@ -444,6 +448,45 @@ impl SweepReport {
     pub fn record_metrics(&self, reg: &mut MetricsRegistry) {
         self.health.record_metrics(reg);
         reg.bump_by("sweep.journal_hits", self.journal_hits() as u64);
+    }
+}
+
+/// A sweep's phase 1 ([`Lab::plan`]): its cells, each keyed by
+/// [`cell_key`], the result-cache shard that may already hold them and
+/// the normalization table of the mixes with a cell it lacks. Phase 2
+/// resolves cell `i` as [`SweepPlan::cached`] or, failing that,
+/// [`Lab::run_planned`]; [`Lab::sweep_cells`] and the serve daemon's
+/// workers both do exactly that.
+#[derive(Debug)]
+pub struct SweepPlan {
+    cells: Vec<(SweepCell, String)>,
+    /// The shard of the planning lab's universe; `None` with no cache.
+    shard: Option<Arc<Journal>>,
+    norm: NormTable,
+}
+
+impl SweepPlan {
+    /// The planned cells with their keys, in the order given to
+    /// [`Lab::plan`].
+    pub fn cells(&self) -> &[(SweepCell, String)] {
+        &self.cells
+    }
+
+    /// Cell `i` as the result cache holds it: the stored run and the
+    /// attempts it took, marked `from_journal`. `None` when the cell
+    /// must run.
+    pub fn cached(&self, i: usize) -> Option<CellOutcome> {
+        let hit = self.shard.as_ref()?.lookup(&self.cells[i].1)?;
+        Some(CellOutcome {
+            result: Ok(hit.run),
+            attempts: hit.attempts,
+            from_journal: true,
+        })
+    }
+
+    /// Solo runs the plan's phase 1 performed ([`NormTable::runs`]).
+    pub fn norm_runs(&self) -> usize {
+        self.norm.runs()
     }
 }
 
@@ -922,10 +965,10 @@ impl Lab {
     }
 
     /// One cell through the attempt loop — the only retry path, shared
-    /// by every sweep and by embedding schedulers (the serve daemon's
-    /// worker pool) that dispatch cells themselves. Each attempt runs
-    /// panic-isolated under the watchdog budgets with a fresh
-    /// `T::default()` tracer; a transiently failed attempt
+    /// by every sweep through [`Lab::run_planned`] (which the serve
+    /// daemon's worker pool calls too) and [`Lab::sweep_traced`]. Each
+    /// attempt runs panic-isolated under the watchdog budgets with a
+    /// fresh `T::default()` tracer; a transiently failed attempt
     /// ([`SimError::is_transient`]) is retried at once, up to
     /// `1 + retries` attempts. The attempt number only selects the
     /// fault plan (see [`Lab::set_transient_fault`]) and the
@@ -993,20 +1036,72 @@ impl Lab {
         })
     }
 
+    /// Phase 1 of a sweep over `cells`, taken as given (repeats are
+    /// not collapsed): opens the result-cache shard of the lab's
+    /// current universe ([`Lab::cache_shard`]), keys each cell with
+    /// [`cell_key`] and runs [`Lab::norm_table`] over the mixes with a
+    /// cell the shard cannot serve yet. Shard records only grow, so a
+    /// cell that hits now still hits when it is resolved, and a plan
+    /// whose cells all hit runs no solo run. With no cache armed every
+    /// cell's mix is normalized.
+    ///
+    /// # Errors
+    /// The shard's typed [`JournalError`] when it cannot be opened
+    /// (I/O failure or a corrupt record).
+    pub fn plan(&mut self, cells: &[SweepCell]) -> Result<SweepPlan, JournalError> {
+        let shard = self.cache_shard()?;
+        let cells: Vec<(SweepCell, String)> = cells
+            .iter()
+            .map(|&(m, cfg)| ((m, cfg), cell_key(m, &cfg.fingerprint())))
+            .collect();
+        let misses: Vec<usize> = cells
+            .iter()
+            .filter(|(_, key)| !shard.as_ref().is_some_and(|j| j.contains(key)))
+            .map(|&((m, _), _)| m)
+            .collect();
+        let norm = self.norm_table(&misses);
+        Ok(SweepPlan { cells, shard, norm })
+    }
+
+    /// Runs cell `i` of `plan` through [`Lab::run_cell_with_retries`]
+    /// against the plan's normalization table and appends a success to
+    /// the plan's shard. `plan` must come from this lab's
+    /// [`Lab::plan`], with no field changed since. A failed append
+    /// leaves the outcome as it is — only its durability is lost — and
+    /// comes back beside it for the caller to report.
+    pub fn run_planned(&self, plan: &SweepPlan, i: usize) -> (CellOutcome, Option<JournalError>) {
+        let ((m, cfg), key) = &plan.cells[i];
+        let (result, attempts) = self.run_cell_with_retries::<NoopTracer>(*m, *cfg, &plan.norm);
+        let result = result.map(|(run, _)| run);
+        let append_error = match (&plan.shard, &result) {
+            (Some(j), Ok(run)) => j.record(key, run, attempts).err(),
+            _ => None,
+        };
+        let outcome = CellOutcome {
+            result,
+            attempts,
+            from_journal: false,
+        };
+        (outcome, append_error)
+    }
+
     /// Runs a batch of `mix × config` cells and returns their
     /// per-cell [`CellOutcome`]s, in input order, with a
     /// [`SweepHealth`] summary.
     ///
-    /// Phase 1 runs the normalization runs the cells need
-    /// ([`Lab::norm_table`]), once per distinct program; the immutable
-    /// table is then shared read-only by phase 2, which fans the cells
-    /// out across [`Lab::effective_jobs`] scoped worker threads. Each
-    /// cell is panic-isolated: a panicking cell yields
-    /// [`SimError::CellPanic`] — rendered `n/a` by the figure layer —
-    /// instead of killing the sweep. Outcomes are merged by input
-    /// index, so the output (and every figure rendered from it) is
-    /// byte-identical at any job count, including the serial
-    /// `jobs = 1` path.
+    /// Repeated cells collapse to their distinct [`cell_key`]s, and
+    /// [`Lab::plan`] runs phase 1 over those. Phase 2 fans them out
+    /// across [`Lab::effective_jobs`] scoped worker threads, each
+    /// served by [`SweepPlan::cached`] or run by [`Lab::run_planned`],
+    /// and copies every outcome to each input position that names the
+    /// cell. A cell is a pure function of the lab state and its key,
+    /// so collapsing changes no byte, and an armed cache never
+    /// receives the same key twice from one sweep. Each cell is
+    /// panic-isolated: a panicking cell yields [`SimError::CellPanic`]
+    /// — rendered `n/a` by the figure layer — instead of killing the
+    /// sweep. Outcomes are merged by input index, so the output (and
+    /// every figure rendered from it) is byte-identical at any job
+    /// count, including the serial `jobs = 1` path.
     ///
     /// When a result cache is armed ([`Lab::with_cache`] /
     /// `SMTSIM_JOURNAL`), cells already stored under the current
@@ -1015,19 +1110,8 @@ impl Lab {
     /// it finishes — so a killed sweep, relaunched on the same cache,
     /// resumes after the last completed cell and produces
     /// byte-identical results. Failed cells are never stored; they
-    /// re-run (still deterministically) on resume. Phase 1 normalizes
-    /// only the mixes with at least one cell the cache cannot serve,
-    /// so a resumed sweep whose cells all hit runs no solo run.
-    ///
-    /// Every cell that runs goes through [`Lab::run_cell_with_retries`]
-    /// (`SMTSIM_CELL_RETRIES`), so the outcome vector stays
-    /// byte-identical at any `SMTSIM_JOBS`.
-    ///
-    /// Repeated cells run once: every distinct [`cell_key`] is looked
-    /// up or run a single time and its outcome is copied to each input
-    /// position that names it. A cell is a pure function of the lab
-    /// state and its key, so this changes no byte, and it means an
-    /// armed cache never receives the same key twice from one sweep.
+    /// re-run (still deterministically) on resume. A failed append
+    /// prints a warning and keeps the result in memory only.
     ///
     /// # Panics
     /// Panics if an armed cache shard cannot be opened (I/O failure or
@@ -1035,49 +1119,23 @@ impl Lab {
     /// with [`Lab::cache_shard`] and map the typed error to an exit
     /// code instead.
     pub fn sweep_cells(&mut self, cells: &[SweepCell]) -> SweepReport {
-        let shard = match self.cache_shard() {
-            Ok(shard) => shard,
+        let (distinct, index) = distinct_cells(cells);
+        let plan = match self.plan(&distinct) {
+            Ok(plan) => plan,
             Err(e) => panic!("result cache unusable: {e}"),
         };
-        let shard = shard.as_deref();
-        let (distinct, index) = distinct_cells(cells);
-        // Phase 1 only for the mixes with a cell the cache cannot serve
-        // yet: shard records only grow, so a cell that hits now still
-        // hits when a worker reaches it.
-        let misses: Vec<usize> = distinct
-            .iter()
-            .filter(|(_, key)| !shard.is_some_and(|j| j.contains(key)))
-            .map(|&((m, _), _)| m)
-            .collect();
-        let norm = self.norm_table(&misses);
         let outcomes = self.fan_out(distinct.len(), |i| {
-            let (cell, key) = &distinct[i];
-            let (m, cfg) = *cell;
-            if let Some(hit) = shard.and_then(|j| j.lookup(key)) {
-                return CellOutcome {
-                    result: Ok(hit.run),
-                    attempts: hit.attempts,
-                    from_journal: true,
-                };
-            }
-            let (result, attempts) = self.run_cell_with_retries::<NoopTracer>(m, cfg, &norm);
-            let result = result.map(|(run, _)| run);
-            if let (Some(j), Ok(run)) = (shard, &result) {
-                if let Err(e) = j.record(key, run, attempts) {
-                    // A dying disk must not kill a healthy sweep:
-                    // degrade to non-durable execution (results
-                    // unchanged; only resumability is lost).
+            plan.cached(i).unwrap_or_else(|| {
+                let (outcome, append_error) = self.run_planned(&plan, i);
+                if let Some(e) = append_error {
+                    // A dying disk must not kill a healthy sweep.
                     eprintln!("warning: result cache append failed ({e}); cell result kept in memory only");
                 }
-            }
-            CellOutcome {
-                result,
-                attempts,
-                from_journal: false,
-            }
+                outcome
+            })
         });
         let mut report = SweepReport::new(index.iter().map(|&i| outcomes[i].clone()).collect());
-        report.norm_runs = norm.runs();
+        report.norm_runs = plan.norm_runs();
         report
     }
 
@@ -1852,6 +1910,35 @@ mod tests {
         // the cache's memo still serves them.
         assert_eq!(rerun.norm_runs, 0);
         assert_eq!(shard.len(), 2, "the old shard is untouched");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cache_plan_normalizes_only_mixes_with_a_missing_cell() {
+        let dir = std::env::temp_dir().join(format!("smtsim-cache-plan-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let b32 = RobConfig::Baseline(32);
+        let filled = small_lab()
+            .with_cache(Some(Arc::new(ResultCache::new(&dir))))
+            .sweep_cells(&[(1, b32)]);
+        // A fresh cache on the same directory: its shard holds Mix 1's
+        // cell and its solo-run memo is empty.
+        let mut lab = small_lab().with_cache(Some(Arc::new(ResultCache::new(&dir))));
+        assert_eq!(lab.cached_norm_runs(), 0);
+        let plan = lab.plan(&[(1, b32), (2, b32)]).expect("shard opens");
+        assert_eq!(plan.norm_runs(), 4, "only Mix 2's programs run alone");
+        let hit = plan.cached(0).expect("Mix 1's cell is on file");
+        assert!(hit.from_journal);
+        assert_eq!(
+            format!("{:?}", hit.result),
+            format!("{:?}", filled.outcomes[0].result)
+        );
+        assert!(plan.cached(1).is_none());
+        // Running the missing cell appends it, so the plan serves it.
+        let (ran, append_error) = lab.run_planned(&plan, 1);
+        assert!(append_error.is_none());
+        assert!(ran.result.is_ok() && !ran.from_journal);
+        assert!(plan.cached(1).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -150,12 +150,10 @@ pub fn figure_for(lab: &mut Lab, spec: &ExperimentSpec, mixes: &[usize]) -> Figu
     ft_figure_from(lab, spec, mixes, report)
 }
 
-/// The figure-assembly half of [`figure_for`]: builds a figure spec's
-/// FT figure from a finished report over its [`artifact_cells`].
-/// Public so a caller that ran the cells itself — the serve daemon,
-/// from the outcomes its workers streamed — renders exactly the
-/// offline bytes.
-pub fn ft_figure_from(
+/// The figure-assembly half of [`figure_for`] and [`render_artifact`]:
+/// builds a figure spec's FT figure from a finished report over its
+/// [`artifact_cells`].
+fn ft_figure_from(
     lab: &Lab,
     spec: &ExperimentSpec,
     mixes: &[usize],
@@ -251,7 +249,9 @@ fn dod_figure_from(
 /// Renders a figure or histogram spec from the outcomes of its
 /// [`artifact_cells`], in that order. Returns the text and one line
 /// per failed cell of the artifact itself (a failed `compare` cell
-/// only makes the comparison `n/a`).
+/// only makes the comparison `n/a`). The `spec` bin, the suite and the
+/// serve daemon, from the outcomes its workers streamed, all render
+/// here, so they print the same bytes.
 pub fn render_artifact(
     lab: &Lab,
     spec: &ExperimentSpec,

@@ -169,8 +169,8 @@ impl Journal {
         let mut entries = BTreeMap::new();
         let preexisting = path.exists();
         if preexisting {
-            let text = fs::read_to_string(path).map_err(io)?;
-            entries = load_records(&text, universe)?;
+            let bytes = fs::read(path).map_err(io)?;
+            entries = load_records(&bytes, universe)?;
         }
         let mut file = fs::OpenOptions::new()
             .create(true)
@@ -267,19 +267,28 @@ fn record_line(key: &str, run: &MixRun, attempts: u32) -> String {
     )
 }
 
-/// Parses journal text: header validation plus record loading with the
-/// truncation-tolerance policy described in the module docs.
+/// Parses journal bytes: header validation plus record loading with
+/// the truncation-tolerance policy described in the module docs.
 fn load_records(
-    text: &str,
+    bytes: &[u8],
     universe: &str,
 ) -> Result<BTreeMap<String, JournalEntry>, JournalError> {
     let mut entries = BTreeMap::new();
     // A crash mid-append leaves a final line without its newline; that
     // partial tail (and only it) is dropped before validation.
-    let (complete, _partial_tail) = match text.rfind('\n') {
-        Some(i) => (&text[..i], &text[i + 1..]),
-        None => ("", text),
+    let complete = match bytes.iter().rposition(|&b| b == b'\n') {
+        Some(i) => &bytes[..i],
+        None => &[],
     };
+    // Every complete line was written as UTF-8, so a byte that is not
+    // is damage like any other, typed with its line.
+    let complete = std::str::from_utf8(complete).map_err(|e| {
+        let valid = &complete[..e.valid_up_to()];
+        JournalError::Corrupt {
+            line: 1 + valid.iter().filter(|&&b| b == b'\n').count(),
+            detail: format!("invalid UTF-8 at byte {}", e.valid_up_to()),
+        }
+    })?;
     let mut lines = complete.lines().enumerate();
     let Some((_, header)) = lines.next() else {
         return Err(JournalError::Corrupt {
@@ -1039,6 +1048,34 @@ mod tests {
         match Journal::open(&path, &uni) {
             Err(JournalError::Corrupt { detail, .. }) => {
                 assert!(detail.contains("crc mismatch"), "{detail}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_utf8_byte_mid_file_is_typed_corruption() {
+        let dir = std::env::temp_dir().join("smtsim-journal-test-utf8");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("j.jsonl");
+        let uni = fingerprint_str("universe-A");
+        {
+            let j = Journal::open(&path, &uni).expect("create");
+            j.record("k1", &sample_run(false), 1).unwrap();
+            j.record("k2", &sample_run(false), 1).unwrap();
+        }
+        // Flip the high bit of one byte of the first record: a complete
+        // line that is no longer UTF-8, with a record after it.
+        let mut bytes = fs::read(&path).unwrap();
+        let first_record = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        bytes[first_record + 10] ^= 0x80;
+        fs::write(&path, bytes).unwrap();
+        match Journal::open(&path, &uni) {
+            Err(JournalError::Corrupt { line, detail }) => {
+                assert_eq!(line, 2);
+                assert!(detail.contains("UTF-8"), "{detail}");
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }

@@ -48,7 +48,7 @@ pub mod twolevel;
 
 pub use cache::ResultCache;
 pub use experiment::{
-    CellOutcome, Lab, MixRun, NormTable, RobConfig, SweepCell, SweepHealth, SweepReport,
+    CellOutcome, Lab, MixRun, NormTable, RobConfig, SweepCell, SweepHealth, SweepPlan, SweepReport,
     TracedMixRun,
 };
 pub use figures::{AccuracyData, AccuracyRow, FigureData, HistogramData, Series, ALL_MIXES};

@@ -9,19 +9,16 @@
 //!   to its own connection thread; never blocks on request work, so a
 //!   full admission queue still answers `queue-full` immediately.
 //! * **connection threads** (1 per live client) — parse the request,
-//!   run admission + spec lowering + the *serial* phase-1
-//!   normalization (through the cache's solo-run memo, so solo runs
-//!   an earlier request made under the same normalization state are
-//!   not repeated, and only for mixes with a cell the cache cannot
-//!   serve), enqueue the request's cells,
-//!   then stream completions back in completion order and finish with
-//!   the figure rendered from those outcomes.
+//!   run admission + spec lowering + the *serial* phase 1
+//!   ([`Lab::plan`], the offline sweep's own), enqueue the request's
+//!   cells, then stream completions back in completion order and
+//!   finish with the figure rendered from those outcomes.
 //! * **worker pool** (N threads) — pull one cell at a time, round-
 //!   robin across admitted requests (fair multi-client progress).
-//!   Cache hits resolve under the scheduler lock; misses run the cell
-//!   through [`Lab::run_cell_with_retries`] outside any lock — full
-//!   watchdog/panic-isolation/retry semantics — and append to the
-//!   shard journal. A cell another request is *already computing* is
+//!   Cache hits ([`SweepPlan::cached`]) resolve under the scheduler
+//!   lock; misses run through [`Lab::run_planned`] outside any lock —
+//!   full watchdog/panic-isolation/retry semantics plus the cache
+//!   append. A cell another request is *already computing* is
 //!   deferred (single-flight) and re-armed as a cache hit when the
 //!   computation lands.
 //!
@@ -31,13 +28,11 @@
 //! immediately and a running cell aborts at the next watchdog poll.
 
 use crate::protocol::{self, error_kind, CellStatus, DoneStats, Request, SpecSource};
-use smtsim_obs::{MetricsRegistry, NoopTracer};
-use smtsim_pipeline::{CancelToken, SimError};
-use smtsim_rob2::journal::{cell_key, mix_run_to_json};
-use smtsim_rob2::{
-    figures, report, CellOutcome, ExperimentSpec, Journal, JournalError, Knobs, Lab,
-};
-use smtsim_rob2::{NormTable, ResultCache, RobConfig, SpecKind, SweepReport};
+use smtsim_obs::MetricsRegistry;
+use smtsim_pipeline::CancelToken;
+use smtsim_rob2::journal::mix_run_to_json;
+use smtsim_rob2::{figures, CellOutcome, ExperimentSpec, JournalError, Knobs, Lab};
+use smtsim_rob2::{ResultCache, SpecKind, SweepPlan};
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -101,24 +96,12 @@ impl SpecLowering for Knobs {
     }
 }
 
-/// One cell of an admitted request's matrix.
-struct CellJob {
-    mix: usize,
-    config: RobConfig,
-    /// Series label (client display; the journal key is value-based).
-    label: String,
-    /// Content-addressed cache key: `mix|config-fingerprint`.
-    key: String,
-}
-
 /// What a worker (or the cancel path) reports back to the request's
 /// connection thread.
 enum CellMsg {
     Done {
         idx: usize,
-        cached: bool,
-        attempts: u32,
-        result: Box<Result<smtsim_rob2::MixRun, SimError>>,
+        outcome: Box<CellOutcome>,
     },
     Cancelled {
         idx: usize,
@@ -131,10 +114,13 @@ struct RequestRun {
     id: u64,
     lab: Lab,
     mixes: Vec<usize>,
-    norm: NormTable,
-    journal: Arc<Journal>,
+    /// The request's cell matrix, one position per cell (repeats are
+    /// not collapsed), planned against the daemon's cache.
+    plan: SweepPlan,
+    /// Each cell's series label (client display; the cache key is
+    /// value-based).
+    labels: Vec<String>,
     universe: String,
-    cells: Vec<CellJob>,
     cancel: CancelToken,
     tx: mpsc::Sender<CellMsg>,
 }
@@ -455,15 +441,12 @@ fn run_admitted(shared: &Arc<Shared>, stream: &mut UnixStream, source: &SpecSour
     };
     let id = req.id;
     shared.bump("serve.requests");
-    if !send_line(
-        stream,
-        &protocol::accepted_line(id, req.cells.len(), &req.universe),
-    ) {
+    let cells_n = req.plan.cells().len();
+    if !send_line(stream, &protocol::accepted_line(id, cells_n, &req.universe)) {
         // Client vanished before the stream even started.
         return;
     }
 
-    let cells_n = req.cells.len();
     enqueue(shared, &req);
     spawn_disconnect_watch(shared, stream, &req);
 
@@ -476,32 +459,18 @@ fn run_admitted(shared: &Arc<Shared>, stream: &mut UnixStream, source: &SpecSour
         let Ok(msg) = rx.recv() else {
             break;
         };
-        let line = match msg {
+        let (idx, cached, attempts, status) = match msg {
             CellMsg::Cancelled { idx } => {
                 stats.cancelled += 1;
-                let c = &req.cells[idx];
-                protocol::cell_line(
-                    idx,
-                    c.mix,
-                    &c.label,
-                    &c.key,
-                    false,
-                    0,
-                    &CellStatus::Cancelled,
-                )
+                (idx, false, 0, CellStatus::Cancelled)
             }
-            CellMsg::Done {
-                idx,
-                cached,
-                attempts,
-                result,
-            } => {
-                if cached {
+            CellMsg::Done { idx, outcome } => {
+                if outcome.from_journal {
                     stats.cache_hits += 1;
                 } else {
                     stats.cache_misses += 1;
                 }
-                let status = match &*result {
+                let status = match &outcome.result {
                     Ok(run) => CellStatus::Ok {
                         run_json: mix_run_to_json(run),
                     },
@@ -512,17 +481,14 @@ fn run_admitted(shared: &Arc<Shared>, stream: &mut UnixStream, source: &SpecSour
                         }
                     }
                 };
-                let c = &req.cells[idx];
-                let line =
-                    protocol::cell_line(idx, c.mix, &c.label, &c.key, cached, attempts, &status);
-                outcomes[idx] = Some(CellOutcome {
-                    result: *result,
-                    attempts,
-                    from_journal: cached,
-                });
-                line
+                let (cached, attempts) = (outcome.from_journal, outcome.attempts);
+                outcomes[idx] = Some(*outcome);
+                (idx, cached, attempts, status)
             }
         };
+        let ((mix, _), key) = &req.plan.cells()[idx];
+        let label = &req.labels[idx];
+        let line = protocol::cell_line(idx, *mix, label, key, cached, attempts, &status);
         if !client_gone && !send_line(stream, &line) {
             // Broken pipe: cancel the rest, but keep draining our
             // channel so the per-cell accounting stays complete.
@@ -540,8 +506,7 @@ fn run_admitted(shared: &Arc<Shared>, stream: &mut UnixStream, source: &SpecSour
     };
     // Terminal line: the figure assembled from the streamed outcomes
     // by the same code the offline spec bin renders through.
-    let fig = figures::ft_figure_from(&req.lab, &spec, &req.mixes, SweepReport::new(outcomes));
-    let figure = report::render_figure(&fig);
+    let (figure, _) = figures::render_artifact(&req.lab, &spec, &req.mixes, outcomes);
     send_line(stream, &protocol::done_line(id, cells_n, &stats, &figure));
     shared.bump("serve.requests_completed");
     // Release the disconnect watcher's read so read-to-EOF clients see
@@ -585,10 +550,11 @@ fn resolve_spec(shared: &Shared, source: &SpecSource) -> Result<ExperimentSpec, 
     Ok(spec)
 }
 
-/// Lowers the spec onto the daemon's cache, opens the universe's shard
-/// and runs the serial phase-1 normalization for the mixes the shard
-/// cannot serve yet. `tx` is the completion channel
-/// the connection thread keeps the receiver of.
+/// Lowers the spec onto the daemon's cache and plans its cell matrix
+/// ([`Lab::plan`]): phase 1 runs serially here, through the cache's
+/// solo-run memo, which every request shares whatever its universe.
+/// `tx` is the completion channel the connection thread keeps the
+/// receiver of.
 fn prepare_request(
     shared: &Shared,
     spec: &ExperimentSpec,
@@ -604,51 +570,30 @@ fn prepare_request(
         .with_cancel_token(Some(cancel.clone()))
         .with_cache(Some(shared.cache.clone()))
         .with_jobs(Some(1));
-    let universe = lab.journal_universe();
-    let journal = shared.cache.shard(&universe).map_err(|e| Reject {
-        kind: match e {
-            JournalError::Corrupt { .. } => error_kind::JOURNAL_CORRUPT,
-            _ => error_kind::CACHE_IO,
-        },
-        reason: e.to_string(),
-    })?;
-    // The cell matrix the offline executor sweeps, in its order; a
-    // figure spec's cells are scheme-major, which pairs each with its
-    // series label.
+    let plan = lab
+        .plan(&figures::artifact_cells(spec, &mixes))
+        .map_err(|e| Reject {
+            kind: match e {
+                JournalError::Corrupt { .. } => error_kind::JOURNAL_CORRUPT,
+                _ => error_kind::CACHE_IO,
+            },
+            reason: e.to_string(),
+        })?;
+    shared.bump_by("serve.norm_runs", plan.norm_runs() as u64);
+    // A figure spec's cells are scheme-major, which pairs each with
+    // its series label.
     let labels = spec
         .variants
         .iter()
-        .flat_map(|v| mixes.iter().map(move |_| &v.label));
-    let cells: Vec<CellJob> = figures::artifact_cells(spec, &mixes)
-        .into_iter()
-        .zip(labels)
-        .map(|((mix, config), label)| CellJob {
-            mix,
-            config,
-            label: label.clone(),
-            key: cell_key(mix, &config.fingerprint()),
-        })
+        .flat_map(|v| mixes.iter().map(move |_| v.label.clone()))
         .collect();
-    // Phase 1, through the cache's solo-run memo, which every request
-    // shares whatever its universe, for the mixes with a cell the shard
-    // cannot serve: records only grow, so a cell that hits now still
-    // hits when a worker claims it, and an all-hit request runs no solo
-    // run.
-    let misses: Vec<usize> = cells
-        .iter()
-        .filter(|c| !journal.contains(&c.key))
-        .map(|c| c.mix)
-        .collect();
-    let norm = lab.norm_table(&misses);
-    shared.bump_by("serve.norm_runs", norm.runs() as u64);
     Ok(Arc::new(RequestRun {
         id: shared.next_request.fetch_add(1, Ordering::SeqCst),
+        universe: lab.journal_universe(),
         lab,
         mixes,
-        norm,
-        journal,
-        universe,
-        cells,
+        plan,
+        labels,
         cancel,
         tx,
     }))
@@ -660,7 +605,7 @@ fn enqueue(shared: &Shared, req: &Arc<RequestRun>) {
         let mut sched = lock(&shared.sched);
         sched.queue.push_back(Entry {
             req: req.clone(),
-            pending: (0..req.cells.len()).collect(),
+            pending: (0..req.plan.cells().len()).collect(),
             deferred: Vec::new(),
         });
     }
@@ -695,23 +640,27 @@ fn spawn_disconnect_watch(shared: &Arc<Shared>, stream: &UnixStream, req: &Arc<R
 /// worker resolve through the worker (which observes the token).
 fn cancel_request(shared: &Shared, id: u64) {
     let mut sched = lock(&shared.sched);
-    let mut found = Vec::new();
     if let Some(pos) = sched.queue.iter().position(|e| e.req.id == id) {
-        found.push(sched.queue.remove(pos).expect("position just found"));
+        cancel_unclaimed(
+            shared,
+            sched.queue.remove(pos).expect("position just found"),
+        );
     }
     if let Some(pos) = sched.parked.iter().position(|e| e.req.id == id) {
-        found.push(sched.parked.swap_remove(pos));
+        cancel_unclaimed(shared, sched.parked.swap_remove(pos));
     }
-    let mut cancelled = 0u64;
-    for mut entry in found {
-        for idx in entry.pending.drain(..).chain(entry.deferred.drain(..)) {
-            let _ = entry.req.tx.send(CellMsg::Cancelled { idx });
-            cancelled += 1;
-        }
+}
+
+/// Resolves every cell of a dequeued `entry` that no worker claimed as
+/// cancelled. Called under the scheduler lock, which the metrics lock
+/// nests in.
+fn cancel_unclaimed(shared: &Shared, mut entry: Entry) {
+    let n = entry.pending.len() + entry.deferred.len();
+    for idx in entry.pending.drain(..).chain(entry.deferred.drain(..)) {
+        let _ = entry.req.tx.send(CellMsg::Cancelled { idx });
     }
-    drop(sched);
-    if cancelled > 0 {
-        shared.bump_by("serve.cells_cancelled", cancelled);
+    if n > 0 {
+        shared.bump_by("serve.cells_cancelled", n as u64);
     }
 }
 
@@ -743,31 +692,18 @@ fn worker_loop(shared: &Shared) {
     loop {
         if let Some(mut entry) = sched.queue.pop_front() {
             if entry.req.cancel.is_cancelled() {
-                // Resolve the whole entry as cancelled in one sweep.
-                let n = (entry.pending.len() + entry.deferred.len()) as u64;
-                for idx in entry.pending.drain(..).chain(entry.deferred.drain(..)) {
-                    let _ = entry.req.tx.send(CellMsg::Cancelled { idx });
-                }
-                drop(sched);
-                if n > 0 {
-                    shared.bump_by("serve.cells_cancelled", n);
-                }
-                sched = lock(&shared.sched);
+                cancel_unclaimed(shared, entry);
                 continue;
             }
             let idx = entry
                 .pending
                 .pop_front()
                 .expect("queued entries have pending cells");
-            let job = &entry.req.cells[idx];
-            let flight_key = (entry.req.universe.clone(), job.key.clone());
-            if let Some(hit) = entry.req.journal.lookup(&job.key) {
+            if let Some(hit) = entry.req.plan.cached(idx) {
                 // Cache hit: resolved under the lock (a map lookup).
                 let _ = entry.req.tx.send(CellMsg::Done {
                     idx,
-                    cached: true,
-                    attempts: hit.attempts,
-                    result: Box::new(Ok(hit.run)),
+                    outcome: Box::new(hit),
                 });
                 requeue(&mut sched, entry);
                 drop(sched);
@@ -775,6 +711,8 @@ fn worker_loop(shared: &Shared) {
                 sched = lock(&shared.sched);
                 continue;
             }
+            let key = &entry.req.plan.cells()[idx].1;
+            let flight_key = (entry.req.universe.clone(), key.clone());
             if sched.inflight.contains(&flight_key) {
                 // Another request is computing this exact cell:
                 // single-flight defers ours until that lands.
@@ -792,32 +730,20 @@ fn worker_loop(shared: &Shared) {
             requeue(&mut sched, entry);
             drop(sched);
 
-            let job = &req.cells[idx];
-            let outcome = if req.cancel.is_cancelled() {
-                None
-            } else {
-                let (result, attempts) = req
-                    .lab
-                    .run_cell_with_retries::<NoopTracer>(job.mix, job.config, &req.norm);
-                Some((result.map(|(run, _)| run), attempts))
-            };
-            let mut append_failed = false;
-            if let Some((Ok(run), attempts)) = &outcome {
-                append_failed = req.journal.record(&job.key, run, *attempts).is_err();
-            }
+            let ran = (!req.cancel.is_cancelled()).then(|| req.lab.run_planned(&req.plan, idx));
 
             sched = lock(&shared.sched);
             sched.inflight.remove(&flight_key);
             sched.running -= 1;
             unpark_all(&mut sched);
             drop(sched);
-            match outcome {
+            match ran {
                 None => {
                     let _ = req.tx.send(CellMsg::Cancelled { idx });
                     shared.bump("serve.cells_cancelled");
                 }
-                Some((result, attempts)) => {
-                    if req.cancel.is_cancelled() && result.is_err() {
+                Some((outcome, append_error)) => {
+                    if req.cancel.is_cancelled() && outcome.result.is_err() {
                         // The watchdog aborted the run for the token;
                         // report it as the cancellation it is.
                         let _ = req.tx.send(CellMsg::Cancelled { idx });
@@ -825,20 +751,18 @@ fn worker_loop(shared: &Shared) {
                     } else {
                         shared.bump("serve.cache_misses");
                         shared.bump("serve.cells_run");
-                        if result.is_err() {
+                        if outcome.result.is_err() {
                             shared.bump("serve.cells_failed");
                         }
                         let _ = req.tx.send(CellMsg::Done {
                             idx,
-                            cached: false,
-                            attempts,
-                            result: Box::new(result),
+                            outcome: Box::new(outcome),
                         });
                     }
+                    if append_error.is_some() {
+                        shared.bump("serve.journal_append_errors");
+                    }
                 }
-            }
-            if append_failed {
-                shared.bump("serve.journal_append_errors");
             }
             shared.work_cv.notify_all();
             sched = lock(&shared.sched);

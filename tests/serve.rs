@@ -44,7 +44,8 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn spawn(tag: &str, jobs: usize, cache: &Path) -> Daemon {
+    /// A daemon under the file's knobs plus `knobs`.
+    fn spawn(tag: &str, jobs: usize, cache: &Path, knobs: &[(&str, &str)]) -> Daemon {
         let socket = scratch(&format!("{tag}-jobs{jobs}")).with_extension("sock");
         let _ = std::fs::remove_file(&socket);
         let child = Command::new(env!("CARGO_BIN_EXE_serve"))
@@ -52,6 +53,7 @@ impl Daemon {
             .env("BUDGET", BUDGET)
             .env("WARMUP", WARMUP)
             .env("MIXES", MIXES)
+            .envs(knobs.iter().copied())
             .env("SMTSIM_JOBS", jobs.to_string())
             .env("SMTSIM_SERVE_SOCKET", &socket)
             .env("SMTSIM_SERVE_CACHE", cache)
@@ -92,21 +94,28 @@ impl Drop for Daemon {
 /// The offline reference: the generic `spec` bin under the same knobs,
 /// with a fresh result cache armed so its footer matches the daemon's
 /// cache-backed render. Returns stdout — exactly the figure bytes.
-fn offline_figure(spec_path: &Path, jobs: usize, tag: &str) -> String {
+fn offline_figure(spec_path: &Path, jobs: usize, tag: &str, knobs: &[(&str, &str)]) -> String {
     let cache = scratch(&format!("offline-{tag}-jobs{jobs}"));
     let _ = std::fs::remove_dir_all(&cache);
-    let figure = offline_figure_on(spec_path, jobs, &cache);
+    let figure = offline_figure_on(spec_path, jobs, &cache, knobs);
     let _ = std::fs::remove_dir_all(&cache);
     figure
 }
 
-/// The generic `spec` bin with `SMTSIM_JOURNAL` naming `cache`.
-fn offline_figure_on(spec_path: &Path, jobs: usize, cache: &Path) -> String {
+/// The generic `spec` bin with `SMTSIM_JOURNAL` naming `cache`, under
+/// the file's knobs plus `knobs`.
+fn offline_figure_on(
+    spec_path: &Path,
+    jobs: usize,
+    cache: &Path,
+    knobs: &[(&str, &str)],
+) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_spec"))
         .env_clear()
         .env("BUDGET", BUDGET)
         .env("WARMUP", WARMUP)
         .env("MIXES", MIXES)
+        .envs(knobs.iter().copied())
         .env("SMTSIM_JOBS", jobs.to_string())
         .env("SMTSIM_SPEC", spec_path)
         .env("SMTSIM_JOURNAL", cache)
@@ -129,7 +138,7 @@ fn concurrent_overlapping_clients_match_the_offline_bin_to_the_byte() {
     for jobs in [1usize, 4] {
         let cache = scratch("differential-cache").join(format!("jobs{jobs}"));
         let _ = std::fs::remove_dir_all(&cache);
-        let daemon = Daemon::spawn("differential", jobs, &cache);
+        let daemon = Daemon::spawn("differential", jobs, &cache, &[]);
 
         // Two clients race: fig2 by registry id, the superset inline.
         let socket_a = daemon.socket.clone();
@@ -146,12 +155,12 @@ fn concurrent_overlapping_clients_match_the_offline_bin_to_the_byte() {
         // Streamed figures == offline `spec` bin output, byte for byte.
         assert_eq!(
             client::figure_of(&lines_a).unwrap(),
-            offline_figure(&fig2_path, jobs, "fig2"),
+            offline_figure(&fig2_path, jobs, "fig2", &[]),
             "fig2 served bytes drifted from the offline bin at jobs={jobs}"
         );
         assert_eq!(
             client::figure_of(&lines_b).unwrap(),
-            offline_figure(&superset_path, jobs, "superset"),
+            offline_figure(&superset_path, jobs, "superset", &[]),
             "superset served bytes drifted from the offline bin at jobs={jobs}"
         );
 
@@ -204,9 +213,9 @@ fn a_cache_filled_offline_is_served_warm_by_the_daemon() {
     let cache = scratch("shared-cache");
     let _ = std::fs::remove_dir_all(&cache);
     let fig2_path = smtsim_bench::spec_dir().join("fig2.toml");
-    let offline = offline_figure_on(&fig2_path, 2, &cache);
+    let offline = offline_figure_on(&fig2_path, 2, &cache, &[]);
 
-    let daemon = Daemon::spawn("shared", 2, &cache);
+    let daemon = Daemon::spawn("shared", 2, &cache, &[]);
     let lines = client::request_lines(&daemon.socket, &client::submit_registry("fig2")).unwrap();
     let done = client::terminal_line(&lines, "done").unwrap();
     assert_eq!(client::line_u64(done, "cache_hits"), Some(6));
@@ -217,10 +226,63 @@ fn a_cache_filled_offline_is_served_warm_by_the_daemon() {
 }
 
 #[test]
+fn failed_cells_render_the_offline_bytes_cold_and_warm() {
+    // Dropped fills under a cycle watchdog and one retry: Mix 2 /
+    // Baseline_128 times out on both attempts, the other five cells
+    // render a value.
+    let knobs = [
+        ("FAULT_DROP_FILL", "400"),
+        ("SMTSIM_CELL_CYCLES", "60000"),
+        ("SMTSIM_CELL_RETRIES", "1"),
+    ];
+    let fig2_path = smtsim_bench::spec_dir().join("fig2.toml");
+    let offline = offline_figure(&fig2_path, 4, "faulted", &knobs);
+    assert!(
+        offline.contains("sweep health: 5 ok (0 retried), 1 timed out, 0 failed"),
+        "{offline}"
+    );
+    assert!(
+        offline.contains("failed: Mix 2 / Baseline_128"),
+        "{offline}"
+    );
+
+    let cache = scratch("faulted-cache");
+    let _ = std::fs::remove_dir_all(&cache);
+    let daemon = Daemon::spawn("faulted", 4, &cache, &knobs);
+    let submit =
+        || client::request_lines(&daemon.socket, &client::submit_registry("fig2")).unwrap();
+    // Failed cells are never cached, so the warm request runs the
+    // timed-out cell again.
+    for (pass, hits, misses) in [("cold", 0, 6), ("warm", 5, 1)] {
+        let lines = submit();
+        assert_eq!(client::figure_of(&lines).unwrap(), offline, "{pass}");
+        let done = client::terminal_line(&lines, "done").unwrap();
+        assert_eq!(client::line_u64(done, "cache_hits"), Some(hits), "{pass}");
+        assert_eq!(
+            client::line_u64(done, "cache_misses"),
+            Some(misses),
+            "{pass}"
+        );
+        assert_eq!(client::line_u64(done, "failed"), Some(1), "{pass}");
+    }
+    let counter = |key| client::counter_of(&daemon.socket, key).unwrap();
+    assert_eq!(counter("serve.cells_run"), 7);
+    assert_eq!(
+        counter("serve.cells_failed"),
+        2,
+        "the timed-out cell ran in both requests"
+    );
+    assert_eq!(counter("serve.cache_hits"), 5);
+    assert_eq!(counter("serve.cache_misses"), 7);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+#[test]
 fn streamed_cell_lines_cover_the_matrix_exactly_once() {
     let cache = scratch("cells-cache");
     let _ = std::fs::remove_dir_all(&cache);
-    let daemon = Daemon::spawn("cells", 2, &cache);
+    let daemon = Daemon::spawn("cells", 2, &cache, &[]);
     let lines = client::request_lines(&daemon.socket, &client::submit_registry("fig2")).unwrap();
 
     assert_eq!(
@@ -259,7 +321,7 @@ fn half_open_probe_does_not_wedge_the_daemon() {
     // read; the daemon must still serve others and shut down cleanly.
     let cache = scratch("halfopen-cache");
     let _ = std::fs::remove_dir_all(&cache);
-    let daemon = Daemon::spawn("halfopen", 1, &cache);
+    let daemon = Daemon::spawn("halfopen", 1, &cache, &[]);
     let idle = std::os::unix::net::UnixStream::connect(&daemon.socket).unwrap();
     let lines = client::request_lines(&daemon.socket, "{\"op\":\"ping\"}").unwrap();
     assert_eq!(client::line_str(&lines[0], "type").as_deref(), Some("pong"));
@@ -272,7 +334,7 @@ fn half_open_probe_does_not_wedge_the_daemon() {
 fn malformed_submissions_answer_typed_errors() {
     let cache = scratch("badreq-cache");
     let _ = std::fs::remove_dir_all(&cache);
-    let daemon = Daemon::spawn("badreq", 1, &cache);
+    let daemon = Daemon::spawn("badreq", 1, &cache, &[]);
     for (req, kind) in [
         ("this is not json", "invalid-request"),
         (

@@ -31,12 +31,13 @@
 //!   pass with byte-identical stdout: generated fuzz programs and
 //!   verdicts must be a pure function of `FUZZ_SEED`.
 //! * `check` — runs the `check` bounded-model-checking spec (exhaustive
-//!   protocol exploration at CI bounds + live-trace conformance) twice
-//!   and fails unless both runs pass with byte-identical stdout, then
-//!   runs the `smtsim-check` mutation self-test on both sides of the
-//!   `seeded-release-bug` feature: the explorer must be clean on the
-//!   pristine model *and* catch the planted bug with its minimal
-//!   counterexample (DESIGN.md §14).
+//!   protocol exploration at CI bounds + live-trace conformance) at
+//!   `SMTSIM_JOBS=1` and `SMTSIM_JOBS=4` and fails unless both runs
+//!   pass with byte-identical stdout, then runs the `smtsim-check`
+//!   mutation self-test on both sides of the `seeded-release-bug`
+//!   feature: the explorer must be clean on the pristine model *and*
+//!   catch the planted bug with its minimal counterexample
+//!   (DESIGN.md §14).
 //!
 //! `lint` checks are things rustc/clippy cannot express because they
 //! are *policy*, not language rules:
@@ -471,6 +472,28 @@ fn run_bench_bin(
     Ok(String::from_utf8_lossy(&out.stdout).into_owned())
 }
 
+/// Runs `experiments/<id>.toml` through the `spec` bin at
+/// `SMTSIM_JOBS=1` and `4` and byte-compares stdout. Returns the serial
+/// run's stdout when both runs succeed and agree; otherwise reports
+/// the failure or the first divergence under `label` and returns
+/// `None`.
+fn jobs_1_and_4(root: &Path, label: &str, id: &str, defaults: &[(&str, &str)]) -> Option<String> {
+    let run = |jobs| {
+        run_bench_bin(root, id, jobs, defaults, &[])
+            .map_err(|e| eprintln!("xtask {label}: {e}"))
+            .ok()
+    };
+    let serial = run(1)?;
+    let parallel = run(4)?;
+    if serial == parallel {
+        println!("xtask {label}: identical at jobs 1 and 4");
+        return Some(serial);
+    }
+    eprintln!("xtask {label}: OUTPUT DIFFERS between jobs 1 and 4");
+    report_first_divergence("jobs=1", &serial, "jobs=4", &parallel);
+    None
+}
+
 /// Reports the first line where two captured outputs diverge.
 fn report_first_divergence(label_a: &str, a: &str, label_b: &str, b: &str) {
     for (n, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
@@ -601,29 +624,13 @@ fn run_determinism(root: &Path, bless: bool) -> ExitCode {
         .chain([&("SEED", ""), &("ST_BUDGET", "")])
         .all(|(k, _)| std::env::var_os(k).is_none());
     for id in ["fig2", "fig1", "accuracy", "trace", "check"] {
-        let serial = match run_bench_bin(root, id, 1, DETERMINISM_DEFAULTS, &[]) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("xtask determinism: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        let parallel = match run_bench_bin(root, id, 4, DETERMINISM_DEFAULTS, &[]) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("xtask determinism: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        if serial == parallel {
-            println!("xtask determinism: {id}: identical at jobs 1 and 4");
-        } else {
+        let label = format!("determinism: {id}");
+        let Some(serial) = jobs_1_and_4(root, &label, id, DETERMINISM_DEFAULTS) else {
+            // The leg already fails; its golden and no-skip comparisons
+            // would add nothing.
             failed = true;
-            eprintln!("xtask determinism: {id}: OUTPUT DIFFERS between jobs 1 and 4");
-            report_first_divergence("jobs=1", &serial, "jobs=4", &parallel);
-        }
+            continue;
+        };
         if let Some(&(_, golden)) = GOLDEN_BINS.iter().find(|&&(b, _)| b == id) {
             if knobs_default {
                 if check_golden(root, id, golden, &serial, bless).is_err() {
@@ -697,29 +704,11 @@ const CONFORM_DEFAULTS: &[(&str, &str)] = &[
 /// criterion that the fuzzer's generated programs and verdicts are a
 /// pure function of `FUZZ_SEED`, independent of worker count.
 fn run_conform(root: &Path) -> ExitCode {
-    let serial = match run_bench_bin(root, "conform", 1, CONFORM_DEFAULTS, &[]) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("xtask conform: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(report) = jobs_1_and_4(root, "conform", "conform", CONFORM_DEFAULTS) else {
+        return ExitCode::FAILURE;
     };
-    let parallel = match run_bench_bin(root, "conform", 4, CONFORM_DEFAULTS, &[]) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("xtask conform: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{serial}");
-    if serial == parallel {
-        println!("xtask conform: identical at jobs 1 and 4");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("xtask conform: OUTPUT DIFFERS between jobs 1 and 4");
-        report_first_divergence("jobs=1", &serial, "jobs=4", &parallel);
-        ExitCode::FAILURE
-    }
+    print!("{report}");
+    ExitCode::SUCCESS
 }
 
 /// Knob defaults for the `check` subcommand: the model checker at its
@@ -768,33 +757,16 @@ fn run_mutation_selftest(root: &Path, seeded: bool) -> Result<(), String> {
 }
 
 /// The `check` subcommand: runs the bounded model checker + trace
-/// conformance spec twice and fails unless both runs pass with
-/// byte-identical stdout (the checker's report — state counts,
-/// counterexamples, conformance tallies — must be a pure function of
-/// its knobs), then runs the mutation self-test on both sides of the
-/// `seeded-release-bug` feature.
+/// conformance spec at `SMTSIM_JOBS=1` and `4` and fails unless both
+/// runs pass with byte-identical stdout (the checker's report — state
+/// counts, counterexamples, conformance tallies — must be a pure
+/// function of its knobs), then runs the mutation self-test on both
+/// sides of the `seeded-release-bug` feature.
 fn run_check(root: &Path) -> ExitCode {
-    let first = match run_bench_bin(root, "check", 1, CHECK_DEFAULTS, &[]) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("xtask check: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let second = match run_bench_bin(root, "check", 4, CHECK_DEFAULTS, &[]) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("xtask check: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{first}");
-    if first != second {
-        eprintln!("xtask check: OUTPUT DIFFERS between runs");
-        report_first_divergence("run 1", &first, "run 2", &second);
+    let Some(report) = jobs_1_and_4(root, "check", "check", CHECK_DEFAULTS) else {
         return ExitCode::FAILURE;
-    }
-    println!("xtask check: report identical across runs");
+    };
+    print!("{report}");
     for seeded in [false, true] {
         if let Err(e) = run_mutation_selftest(root, seeded) {
             eprintln!("xtask check: {e}");
