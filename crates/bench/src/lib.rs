@@ -256,24 +256,12 @@ mod tests {
 
     #[test]
     fn committed_specs_parse_and_are_named_by_their_files() {
-        use smtsim_rob2::ExperimentSpec;
-        let dir = spec_dir();
-        let mut stems: Vec<String> = std::fs::read_dir(&dir)
-            .expect("experiments/ is committed")
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "toml"))
-            .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
-            .collect();
-        stems.sort();
+        let specs = smtsim_rob2::committed_specs().unwrap_or_else(|e| panic!("{e}"));
         assert!(
-            stems.len() >= 17,
-            "the 16 paper artifacts and tools plus l2_partition_sweep have committed specs, got {stems:?}"
+            specs.len() >= 17,
+            "the 16 paper artifacts and tools plus l2_partition_sweep have committed specs"
         );
-        for stem in &stems {
-            let path = dir.join(format!("{stem}.toml"));
-            let spec = ExperimentSpec::load(&path)
-                .unwrap_or_else(|e| panic!("{stem}.toml must parse: {e}"));
+        for (stem, spec) in &specs {
             assert_eq!(&spec.id, stem, "spec id matches its file name");
         }
     }

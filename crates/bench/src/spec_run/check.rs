@@ -1,12 +1,13 @@
 //! Runner for `kind = "check"`: bounded model checking + trace
-//! conformance for the two-level transfer protocol (DESIGN.md §14).
+//! conformance for the two-level transfer protocol (DESIGN.md §14),
+//! replaying every two-level configuration the committed specs render.
 //! Bounds and budgets come pre-merged (spec `[knobs]` under explicit
 //! env).
 
 use super::corpus;
 use crate::BinError;
 use smtsim_check::{explore, replay_case, replay_mix, Bounds, ModelConfig, ReplayOutcome};
-use smtsim_rob2::{Knob, Knobs, ReleasePolicy, SchemeKind};
+use smtsim_rob2::{committed_variants, Knob, Knobs, ReleasePolicy, SchemeKind};
 
 /// The outstanding-miss bound implied by the thread bound: the full
 /// 3-miss product is cheap up to 3 threads; at 4 threads the state
@@ -23,8 +24,8 @@ fn misses_for(threads: usize) -> usize {
 fn print_outcomes(outcomes: &[ReplayOutcome]) {
     for o in outcomes {
         println!(
-            "    {:<24} ok ({} events, {} episodes, {} grants, {} denials, {} releases)",
-            o.label,
+            "    {:<28} ok ({} events, {} episodes, {} grants, {} denials, {} releases)",
+            o.name,
             o.conformance.events,
             o.conformance.episodes,
             o.conformance.grants,
@@ -35,6 +36,7 @@ fn print_outcomes(outcomes: &[ReplayOutcome]) {
 }
 
 pub(super) fn run(env: &Knobs) -> Result<(), BinError> {
+    let matrix = committed_variants()?;
     let mut failures = 0usize;
 
     // Both bounds are range-checked to 1..=4 by the knob table.
@@ -85,7 +87,7 @@ pub(super) fn run(env: &Knobs) -> Result<(), BinError> {
     );
     println!("Paper-mix conformance (seed={seed}, budget={budget}, warmup={warmup})");
     for &m in &env.mixes {
-        match replay_mix(m, seed, budget, warmup) {
+        match replay_mix(m, &matrix, seed, budget, warmup) {
             Ok(outcomes) => {
                 println!("  mix {m:>2}:");
                 print_outcomes(&outcomes);
@@ -99,7 +101,7 @@ pub(super) fn run(env: &Knobs) -> Result<(), BinError> {
 
     println!("Corpus conformance (tests/corpus)");
     for (name, spec) in corpus(&mut failures)? {
-        match replay_case(&spec) {
+        match replay_case(&spec, &matrix) {
             Ok(outcomes) => {
                 println!("  {name}:");
                 print_outcomes(&outcomes);

@@ -1,16 +1,17 @@
 //! Runner for `kind = "conform"`: the three-pass differential
 //! conformance suite (committed mixes, corpus replay, fresh fuzz —
-//! DESIGN.md §12). Knobs come pre-merged (spec `[knobs]` under
-//! explicit env).
+//! DESIGN.md §12) over every configuration the committed specs render.
+//! Knobs come pre-merged (spec `[knobs]` under explicit env).
 
 use super::corpus;
 use crate::BinError;
 use smtsim_conform::{check_workloads, run_fresh_cases, CaseVerdict};
-use smtsim_rob2::{Knob, Knobs};
+use smtsim_rob2::{committed_variants, Knob, Knobs};
 use smtsim_workload::mix;
 use std::sync::Arc;
 
 pub(super) fn run(env: &Knobs) -> Result<(), BinError> {
+    let matrix = committed_variants()?;
     let mut failures = 0usize;
     let (seed, budget, warmup) = (
         env.get(Knob::Seed),
@@ -18,10 +19,12 @@ pub(super) fn run(env: &Knobs) -> Result<(), BinError> {
         env.get(Knob::Warmup),
     );
 
+    let names: Vec<&str> = matrix.iter().map(|v| v.name.as_str()).collect();
+    println!("Configurations ({}): {}", names.len(), names.join(", "));
     println!("Conformance differential (committed mixes)");
     for &m in &env.mixes {
         let wls: Vec<_> = mix(m).instantiate(seed).into_iter().map(Arc::new).collect();
-        match check_workloads(&wls, seed, budget, warmup) {
+        match check_workloads(&wls, &matrix, seed, budget, warmup) {
             Ok(report) => println!(
                 "  mix {m:>2}: ok ({} commits compared, {} configs)",
                 report.commits_compared,
@@ -36,7 +39,7 @@ pub(super) fn run(env: &Knobs) -> Result<(), BinError> {
 
     println!("Corpus replay (tests/corpus)");
     for (name, spec) in corpus(&mut failures)? {
-        match smtsim_conform::run_case(&spec) {
+        match smtsim_conform::run_case(&spec, &matrix) {
             CaseVerdict::Pass { commits } => println!("  {name}: pass ({commits} commits)"),
             CaseVerdict::Skipped { reason } => {
                 failures += 1;
@@ -51,8 +54,8 @@ pub(super) fn run(env: &Knobs) -> Result<(), BinError> {
 
     let (fuzz_seed, fuzz_cases) = (env.get(Knob::FuzzSeed), env.get(Knob::FuzzCases));
     println!("Fresh fuzz (seed={fuzz_seed}, cases={fuzz_cases})");
-    let jobs = env.get(Knob::Jobs) as usize;
-    for (i, (spec, verdict)) in run_fresh_cases(fuzz_seed, fuzz_cases, jobs)
+    let jobs = env.lab().effective_jobs();
+    for (i, (spec, verdict)) in run_fresh_cases(fuzz_seed, fuzz_cases, &matrix, jobs)
         .iter()
         .enumerate()
     {

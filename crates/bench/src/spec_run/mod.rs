@@ -22,9 +22,9 @@ mod suite;
 mod trace;
 
 use crate::BinError;
-use smtsim_conform::{parse_case, CaseSpec};
+use smtsim_conform::{committed_corpus, CaseSpec};
 use smtsim_rob2::{ExperimentSpec, Knobs, Lab, SpecKind};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Loads, validates and executes one spec file. Malformed specs come
 /// back as typed configuration errors (exit 2 through [`crate::run_bin`])
@@ -65,40 +65,25 @@ fn prepared_spec_lab(env: &Knobs, spec: &ExperimentSpec) -> Result<Lab, BinError
     Ok(lab)
 }
 
-/// The committed conformance corpus (`tests/corpus/*.case`, pinned to
-/// the source tree), parsed, in file-name order: each readable case's
-/// file name and spec. An empty corpus and each unreadable case print
-/// a `FAIL` line and count in `failures`; a missing directory is a
-/// configuration error naming the path.
+/// The committed conformance corpus ([`committed_corpus`]): each
+/// readable case's file name and spec. An empty corpus and each
+/// unreadable case print a `FAIL` line and count in `failures`; an
+/// unreadable directory is a configuration error naming the path.
 fn corpus(failures: &mut usize) -> Result<Vec<(String, CaseSpec)>, BinError> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .map_err(|e| BinError::Config(format!("cannot read {}: {e}", dir.display())))?
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "case"))
-        .collect();
-    paths.sort();
-    if paths.is_empty() {
+    let cases = committed_corpus().map_err(BinError::Config)?;
+    if cases.is_empty() {
         *failures += 1;
-        println!("  FAIL: no .case files in {}", dir.display());
+        println!("  FAIL: no .case files in tests/corpus");
     }
-    let mut cases = Vec::new();
-    for path in paths {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        match std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| parse_case(&t))
-        {
-            Ok(spec) => cases.push((name, spec)),
+    let mut readable = Vec::new();
+    for (name, spec) in cases {
+        match spec {
+            Ok(spec) => readable.push((name, spec)),
             Err(e) => {
                 *failures += 1;
                 println!("  {name}: FAIL (unreadable: {e})");
             }
         }
     }
-    Ok(cases)
+    Ok(readable)
 }

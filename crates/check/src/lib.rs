@@ -36,6 +36,4 @@ pub use model::{
     Bounds, ModelConfig, Phase, State, Tenure, MAX_MISSES, MAX_THREADS,
 };
 pub use monitor::{check_episode_path, check_stream, Conformance, Nonconformance};
-pub use replay::{
-    replay_case, replay_mix, replay_workloads, two_level_configs, ReplayError, ReplayOutcome,
-};
+pub use replay::{replay_case, replay_mix, replay_workloads, ReplayError, ReplayOutcome};

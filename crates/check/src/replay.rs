@@ -1,37 +1,26 @@
 //! Replaying real simulator traces through the conformance monitor.
 //!
-//! Runs the live, cycle-accurate simulator (traced) on paper mixes or
-//! fuzz-corpus workload sets under every two-level paper configuration
-//! and checks each resulting event stream against the abstract
-//! protocol model ([`crate::monitor::check_stream`]).
+//! Runs the live, cycle-accurate simulator (traced, through
+//! [`smtsim_conform::traced_run`]) on paper mixes or fuzz-corpus
+//! workload sets under every two-level configuration of the matrix the
+//! committed specs render ([`smtsim_rob2::committed_variants`]) and
+//! checks each resulting event stream against the abstract protocol
+//! model ([`crate::monitor::check_stream`]).
 
 use crate::monitor::{check_stream, Conformance, Nonconformance};
-use smtsim_conform::{case_workloads, CaseSpec};
-use smtsim_obs::TraceLog;
-use smtsim_pipeline::{MachineConfig, Simulator, StopCondition};
-use smtsim_rob2::{RobConfig, TwoLevelConfig};
+use smtsim_conform::{case_workloads, traced_run, CaseSpec};
+use smtsim_pipeline::DodBounds;
+use smtsim_rob2::experiment::static_bounds;
+use smtsim_rob2::{RobConfig, SpecVariant};
 use smtsim_workload::{mix, Workload};
 use std::fmt;
 use std::sync::Arc;
 
-/// The four two-level configurations of the paper's §5 evaluation —
-/// the matrix every replay covers (baselines have no protocol to
-/// check).
-#[must_use]
-pub fn two_level_configs() -> Vec<TwoLevelConfig> {
-    vec![
-        TwoLevelConfig::r_rob(16),
-        TwoLevelConfig::relaxed_r_rob(15),
-        TwoLevelConfig::cdr_rob(15),
-        TwoLevelConfig::p_rob(5),
-    ]
-}
-
 /// One conforming replay: which configuration, how much evidence.
 #[derive(Clone, Debug)]
 pub struct ReplayOutcome {
-    /// Configuration label (e.g. `2-Level R-ROB16`).
-    pub label: String,
+    /// Matrix name of the configuration (e.g. `r-rob-16`).
+    pub name: String,
     /// Monitor statistics for the stream.
     pub conformance: Conformance,
 }
@@ -41,15 +30,15 @@ pub struct ReplayOutcome {
 pub enum ReplayError {
     /// The simulator could not be built or died mid-run.
     Sim {
-        /// Configuration label.
-        label: String,
+        /// Matrix name of the configuration.
+        name: String,
         /// Rendered simulator error.
         error: String,
     },
     /// The trace did not conform to the abstract protocol model.
     Nonconform {
-        /// Configuration label.
-        label: String,
+        /// Matrix name of the configuration.
+        name: String,
         /// The violation.
         violation: Nonconformance,
     },
@@ -58,66 +47,47 @@ pub enum ReplayError {
 impl fmt::Display for ReplayError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ReplayError::Sim { label, error } => {
-                write!(f, "[{label}] simulator failed: {error}")
+            ReplayError::Sim { name, error } => {
+                write!(f, "[{name}] simulator failed: {error}")
             }
-            ReplayError::Nonconform { label, violation } => {
-                write!(f, "[{label}] trace does not conform: {violation}")
+            ReplayError::Nonconform { name, violation } => {
+                write!(f, "[{name}] trace does not conform: {violation}")
             }
         }
     }
 }
 
-/// The paper machine sized to `n` hardware threads (mirrors the
-/// conformance harness so replays see the same machine the
-/// differential oracle runs).
-fn machine_for(n: usize) -> MachineConfig {
-    let mut cfg = MachineConfig::icpp08();
-    cfg.num_threads = n;
-    cfg.fetch_threads = n.min(2);
-    cfg
-}
-
-/// Runs every two-level configuration on `wls` (traced, `warmup`
-/// functional instructions, stopping once any thread commits `budget`
-/// instructions) and conformance-checks each trace.
+/// Runs every two-level configuration of `matrix` on `wls` (traced,
+/// `warmup` functional instructions, stopping once any thread commits
+/// `budget` instructions) and conformance-checks each trace. Baselines
+/// have no protocol to check and are passed over.
 ///
 /// # Errors
 /// The first [`ReplayError`], in matrix order.
 pub fn replay_workloads(
     wls: &[Arc<Workload>],
+    matrix: &[SpecVariant],
     seed: u64,
     budget: u64,
     warmup: u64,
 ) -> Result<Vec<ReplayOutcome>, ReplayError> {
+    let bounds: Vec<DodBounds> = wls.iter().map(|w| static_bounds(w)).collect();
     let mut outcomes = Vec::new();
-    for cfg in two_level_configs() {
-        let rob = RobConfig::TwoLevel(cfg);
-        let label = rob.label();
-        let sim = Simulator::builder(machine_for(wls.len()), wls.to_vec(), rob.build(), seed)
-            .warmup(warmup)
-            .tracer(TraceLog::new())
-            .build();
-        let mut sim = match sim {
-            Ok(s) => s,
+    for variant in matrix {
+        let RobConfig::TwoLevel(cfg) = variant.config else {
+            continue;
+        };
+        let name = variant.name.clone();
+        let events = match traced_run(wls, &bounds, &variant.config, seed, budget, warmup, true) {
+            Ok(sim) => sim.into_tracer().into_events(),
             Err(e) => {
-                return Err(ReplayError::Sim {
-                    label,
-                    error: e.to_string(),
-                })
+                let error = e.to_string();
+                return Err(ReplayError::Sim { name, error });
             }
         };
-        let run_err = sim.try_run(StopCondition::AnyThreadCommitted(budget)).err();
-        let events = sim.into_tracer().into_events();
-        if let Some(e) = run_err {
-            return Err(ReplayError::Sim {
-                label,
-                error: e.to_string(),
-            });
-        }
         match check_stream(&cfg, &events) {
-            Ok(conformance) => outcomes.push(ReplayOutcome { label, conformance }),
-            Err(violation) => return Err(ReplayError::Nonconform { label, violation }),
+            Ok(conformance) => outcomes.push(ReplayOutcome { name, conformance }),
+            Err(violation) => return Err(ReplayError::Nonconform { name, violation }),
         }
     }
     Ok(outcomes)
@@ -129,6 +99,7 @@ pub fn replay_workloads(
 /// The first [`ReplayError`].
 pub fn replay_mix(
     mix_index: usize,
+    matrix: &[SpecVariant],
     seed: u64,
     budget: u64,
     warmup: u64,
@@ -138,33 +109,39 @@ pub fn replay_mix(
         .into_iter()
         .map(Arc::new)
         .collect();
-    replay_workloads(&wls, seed, budget, warmup)
+    replay_workloads(&wls, matrix, seed, budget, warmup)
 }
 
-/// Replays one fuzz-corpus case (its own seed and budget, no warmup —
-/// matching how the conformance fuzzer runs it).
+/// Replays one fuzz-corpus case through the matrix (its own seed and
+/// budget, no warmup — matching how the conformance fuzzer runs it).
 ///
 /// # Errors
 /// A `Sim` error naming the case when its workloads cannot be built,
 /// else the first [`ReplayError`] from the matrix.
-pub fn replay_case(spec: &CaseSpec) -> Result<Vec<ReplayOutcome>, ReplayError> {
+pub fn replay_case(
+    spec: &CaseSpec,
+    matrix: &[SpecVariant],
+) -> Result<Vec<ReplayOutcome>, ReplayError> {
     let wls = case_workloads(spec).map_err(|e| ReplayError::Sim {
-        label: format!("case seed={}", spec.seed),
+        name: format!("case seed={}", spec.seed),
         error: e,
     })?;
-    replay_workloads(&wls, spec.seed, spec.budget, 0)
+    replay_workloads(&wls, matrix, spec.seed, spec.budget, 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smtsim_rob2::committed_variants;
 
     #[test]
     fn memory_bound_mix_conforms_across_the_matrix() {
         // Mix 1 is the most memory-bound pairing — the densest episode
         // traffic and the hardest test of the monitor's global checks.
-        let outcomes = replay_mix(1, 42, 2_000, 0).expect("traces conform");
-        assert_eq!(outcomes.len(), two_level_configs().len());
+        let matrix = committed_variants().unwrap();
+        let outcomes = replay_mix(1, &matrix, 42, 2_000, 0).expect("traces conform");
+        let two_level = |v: &&SpecVariant| matches!(v.config, RobConfig::TwoLevel(_));
+        assert_eq!(outcomes.len(), matrix.iter().filter(two_level).count());
         let grants: usize = outcomes.iter().map(|o| o.conformance.grants).sum();
         assert!(grants > 0, "replay exercised the transfer protocol");
     }
@@ -173,6 +150,6 @@ mod tests {
     fn warmup_runs_conform_too() {
         // Warmup shifts cache/predictor state without emitting events;
         // the stream must still open every episode with its detect.
-        replay_mix(2, 7, 1_500, 2_000).expect("traces conform");
+        replay_mix(2, &committed_variants().unwrap(), 7, 1_500, 2_000).expect("traces conform");
     }
 }

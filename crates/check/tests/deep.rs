@@ -7,7 +7,7 @@
 #![cfg(not(feature = "seeded-release-bug"))]
 
 use smtsim_check::{explore, replay_mix, Bounds, ModelConfig};
-use smtsim_rob2::{ReleasePolicy, SchemeKind};
+use smtsim_rob2::{committed_variants, ReleasePolicy, SchemeKind};
 
 const KINDS: [SchemeKind; 3] = [
     SchemeKind::Reactive,
@@ -63,10 +63,11 @@ fn four_threads_two_misses_full_l2_is_clean() {
 
 #[test]
 fn every_paper_mix_conforms() {
+    let matrix = committed_variants().unwrap();
     for m in 1..=11 {
-        let outcomes = replay_mix(m, 42, 1_200, 1_000)
+        let outcomes = replay_mix(m, &matrix, 42, 1_200, 1_000)
             .unwrap_or_else(|e| panic!("mix {m} failed conformance:\n{e}"));
-        assert_eq!(outcomes.len(), 4, "mix {m}: all four schemes replay");
+        assert_eq!(outcomes.len(), 23, "mix {m}: two-level configs");
         assert!(
             outcomes.iter().any(|o| o.conformance.grants > 0),
             "mix {m}: no scheme ever granted a transfer — trace too short to check anything"

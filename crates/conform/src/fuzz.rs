@@ -18,15 +18,16 @@
 
 use crate::harness::{check_workloads, ConformFailure};
 use smtsim_analysis::{has_errors, lint_workload};
+use smtsim_rob2::{fan_out, SpecVariant};
 use smtsim_workload::rng::mix64;
 use smtsim_workload::{build, IlpClass, Rng, Workload, WorkloadProfile};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Hardware threads per fuzz case (the paper machine).
 pub const FUZZ_THREADS: usize = 4;
 /// Commit budget per configuration in a fuzz run (kept modest: each
-/// case runs the full six-configuration matrix).
+/// case runs every configuration of the committed-spec matrix).
 pub const FUZZ_BUDGET: u64 = 1_500;
 /// Maximum shrink steps attempted on a failing case.
 pub const MAX_SHRINK: u32 = 6;
@@ -152,7 +153,7 @@ pub fn shrink_once(p: &WorkloadProfile) -> WorkloadProfile {
     }
 }
 
-/// The four per-thread profiles of a case (shrink steps applied).
+/// The four per-thread profiles of a case, shrunk at most to the minimal shape.
 #[must_use]
 pub fn case_profiles(spec: &CaseSpec) -> Vec<WorkloadProfile> {
     let mut rng = Rng::new(mix64(spec.seed, 0x5EED));
@@ -162,7 +163,11 @@ pub fn case_profiles(spec: &CaseSpec) -> Vec<WorkloadProfile> {
             let shape = r.below(4) as usize;
             let mut p = gen_profile(shape, &mut r);
             for _ in 0..spec.shrink {
-                p = shrink_once(&p);
+                let next = shrink_once(&p);
+                if next == p {
+                    break;
+                }
+                p = next;
             }
             p
         })
@@ -201,29 +206,29 @@ pub fn case_workloads(spec: &CaseSpec) -> Result<Vec<Arc<Workload>>, String> {
     Ok(wls)
 }
 
-/// Runs one case end to end: build, lint-filter, differential, and on
-/// failure shrink while the failure reproduces.
+/// Runs one case end to end over `matrix`: build, lint-filter,
+/// differential, and on failure shrink while the failure reproduces.
 #[must_use]
-pub fn run_case(spec: &CaseSpec) -> CaseVerdict {
+pub fn run_case(spec: &CaseSpec, matrix: &[SpecVariant]) -> CaseVerdict {
     let wls = match case_workloads(spec) {
         Ok(w) => w,
         Err(reason) => return CaseVerdict::Skipped { reason },
     };
-    match check_workloads(&wls, spec.seed, spec.budget, 0) {
+    match check_workloads(&wls, matrix, spec.seed, spec.budget, 0) {
         Ok(report) => CaseVerdict::Pass {
             commits: report.commits_compared,
         },
         Err(mut failure) => {
             let mut smallest = *spec;
             for step in 1..=MAX_SHRINK {
-                let candidate = CaseSpec {
-                    shrink: spec.shrink + step,
-                    ..*spec
+                let Some(shrink) = spec.shrink.checked_add(step) else {
+                    break;
                 };
+                let candidate = CaseSpec { shrink, ..*spec };
                 let Ok(wls) = case_workloads(&candidate) else {
                     break; // shrinking linted the program away
                 };
-                match check_workloads(&wls, candidate.seed, candidate.budget, 0) {
+                match check_workloads(&wls, matrix, candidate.seed, candidate.budget, 0) {
                     Err(f) => {
                         failure = f;
                         smallest = candidate;
@@ -239,54 +244,19 @@ pub fn run_case(spec: &CaseSpec) -> CaseVerdict {
     }
 }
 
-/// Runs `cases` fresh cases from `base` seed across `jobs` worker
-/// threads (0 = one per available core, 1 = serial). Results are
-/// merged by case index, so the output is identical at any job count.
+/// Runs `cases` fresh cases from `base` seed over `matrix` across
+/// `jobs` worker threads ([`fan_out`]: 1 = serial). Results are merged
+/// by case index, so the output is identical at any job count.
 #[must_use]
-pub fn run_fresh_cases(base: u64, cases: u64, jobs: usize) -> Vec<(CaseSpec, CaseVerdict)> {
+pub fn run_fresh_cases(
+    base: u64,
+    cases: u64,
+    matrix: &[SpecVariant],
+    jobs: usize,
+) -> Vec<(CaseSpec, CaseVerdict)> {
     let specs: Vec<CaseSpec> = (0..cases).map(|i| CaseSpec::fresh(base, i)).collect();
-    run_specs(&specs, jobs)
-}
-
-/// Runs an explicit list of specs with the same deterministic-merge
-/// contract as [`run_fresh_cases`].
-#[must_use]
-pub fn run_specs(specs: &[CaseSpec], jobs: usize) -> Vec<(CaseSpec, CaseVerdict)> {
-    let workers = match jobs {
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        n => n,
-    }
-    .min(specs.len().max(1));
-    let slots: Mutex<Vec<Option<CaseVerdict>>> = Mutex::new(vec![None; specs.len()]);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= specs.len() {
-                    break;
-                }
-                let verdict = run_case(&specs[i]);
-                if let Ok(mut guard) = slots.lock() {
-                    guard[i] = Some(verdict);
-                }
-            });
-        }
-    });
-    let slots = slots.into_inner().unwrap_or_default();
-    specs
-        .iter()
-        .copied()
-        .zip(slots)
-        .map(|(s, v)| {
-            (
-                s,
-                v.unwrap_or_else(|| CaseVerdict::Skipped {
-                    reason: "worker panicked before recording a verdict".to_owned(),
-                }),
-            )
-        })
-        .collect()
+    let run = |i: usize| (specs[i], run_case(&specs[i], matrix));
+    fan_out(jobs, specs.len(), run)
 }
 
 /// Serializes a spec as the corpus `key=value` format.
@@ -301,11 +271,9 @@ pub fn render_case(spec: &CaseSpec) -> String {
 /// Parses the corpus `key=value` format (`#` lines are comments).
 ///
 /// # Errors
-/// Describes the malformed or missing key.
+/// Describes the malformed, repeated, out-of-range or missing key.
 pub fn parse_case(text: &str) -> Result<CaseSpec, String> {
-    let mut seed = None;
-    let mut budget = None;
-    let mut shrink = None;
+    let (mut seed, mut budget, mut shrink) = (None, None, None);
     for line in text.lines() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -314,32 +282,58 @@ pub fn parse_case(text: &str) -> Result<CaseSpec, String> {
         let Some((key, value)) = line.split_once('=') else {
             return Err(format!("malformed corpus line: {line:?}"));
         };
+        let key = key.trim();
         let value: u64 = value
             .trim()
             .parse()
             .map_err(|e| format!("bad value for {key}: {e}"))?;
-        match key.trim() {
-            "seed" => seed = Some(value),
-            "budget" => budget = Some(value),
-            "shrink" => shrink = Some(value as u32),
+        let slot = match key {
+            "seed" => &mut seed,
+            "budget" => &mut budget,
+            "shrink" => &mut shrink,
             other => return Err(format!("unknown corpus key {other:?}")),
+        };
+        if slot.replace(value).is_some() {
+            return Err(format!("duplicate corpus key `{key}`"));
         }
     }
     Ok(CaseSpec {
         seed: seed.ok_or("corpus case is missing `seed`")?,
         budget: budget.ok_or("corpus case is missing `budget`")?,
-        shrink: shrink.unwrap_or(0),
+        shrink: u32::try_from(shrink.unwrap_or(0))
+            .map_err(|e| format!("bad value for shrink: {e}"))?,
     })
 }
 
-/// Placeholder type so the module-level docs can reference the fuzzer
-/// as one unit; all functionality is free functions.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Fuzzer;
+/// One committed corpus case: its file name, and its spec or why the
+/// file could not be read or parsed.
+pub type CorpusCase = (String, Result<CaseSpec, String>);
+
+/// The committed fuzz corpus (`tests/corpus/*.case` at the workspace
+/// root, pinned to the source tree), in file-name order.
+///
+/// # Errors
+/// The corpus directory cannot be read.
+pub fn committed_corpus() -> Result<Vec<CorpusCase>, String> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".case"))
+        .collect();
+    names.sort();
+    let parsed = |name: &String| {
+        let text = std::fs::read_to_string(dir.join(name)).map_err(|e| e.to_string())?;
+        parse_case(&text)
+    };
+    Ok(names.into_iter().map(|n| (n.clone(), parsed(&n))).collect())
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smtsim_rob2::committed_variants;
 
     #[test]
     fn generated_profiles_are_always_valid() {
@@ -374,6 +368,11 @@ mod tests {
             q.validate().unwrap();
         }
         assert_eq!(q.block_size, (1, 1));
+        // A case's profiles stop there, however deep its `shrink`.
+        let mut s = CaseSpec::fresh(2026, 0);
+        let minimal = case_profiles(&CaseSpec { shrink: 64, ..s });
+        s.shrink = u32::MAX;
+        assert_eq!(case_profiles(&s), minimal);
     }
 
     #[test]
@@ -395,12 +394,21 @@ mod tests {
                 shrink: 0
             }
         );
+        // Neither a wrapped `shrink` nor a repeated key may pass unseen.
+        let max = parse_case("seed=1\nbudget=5\nshrink=4294967295\n").unwrap();
+        assert_eq!(max.shrink, u32::MAX);
+        let e = parse_case("seed=1\nbudget=5\nshrink=4294967296\n").unwrap_err();
+        assert!(e.contains("shrink"), "{e}");
+        for key in ["seed", "budget", "shrink"] {
+            let e = parse_case(&format!("seed=1\nbudget=5\nshrink=1\n{key} = 2\n")).unwrap_err();
+            assert!(e.contains(&format!("duplicate corpus key `{key}`")), "{e}");
+        }
     }
 
     #[test]
     fn fresh_cases_pass_the_differential() {
         // A tiny always-on smoke: two fresh cases, serial.
-        let results = run_fresh_cases(42, 2, 1);
+        let results = run_fresh_cases(42, 2, &committed_variants().unwrap(), 1);
         for (spec, verdict) in results {
             match verdict {
                 CaseVerdict::Pass { commits } => assert!(commits > 0),
@@ -414,8 +422,9 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_verdicts_agree() {
-        let serial = run_fresh_cases(7, 3, 1);
-        let parallel = run_fresh_cases(7, 3, 3);
+        let matrix = committed_variants().unwrap();
+        let serial = run_fresh_cases(7, 3, &matrix, 1);
+        let parallel = run_fresh_cases(7, 3, &matrix, 3);
         assert_eq!(serial.len(), parallel.len());
         for ((sa, va), (sb, vb)) in serial.iter().zip(&parallel) {
             assert_eq!(sa, sb);

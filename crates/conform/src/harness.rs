@@ -1,5 +1,6 @@
-//! The differential harness: every scheme × `Baseline_32/128` over one
-//! workload set, all commit streams equal to the in-order reference.
+//! The differential harness: every configuration the committed specs
+//! render ([`smtsim_rob2::committed_variants`]) over one workload set,
+//! all commit streams equal to the in-order reference.
 //!
 //! Beyond stream equality the harness enforces two timing-side
 //! invariants that commit streams cannot observe (they are what make
@@ -20,33 +21,18 @@
 use crate::capture::{capture_streams, CaptureError};
 use crate::record::CommitRecord;
 use crate::reference::Reference;
-use smtsim_analysis::{DodAnalysis, L1_WINDOW};
 use smtsim_obs::{episode_line, Cycle, DodSource, EpisodeReconstructor, TraceEvent, TraceLog};
-use smtsim_pipeline::{DodBounds, MachineConfig, Simulator, StopCondition, DOD_WINDOW};
-use smtsim_rob2::{RobConfig, TwoLevelConfig};
+use smtsim_pipeline::{DodBounds, MachineConfig, SimError, Simulator, StopCondition, DOD_WINDOW};
+use smtsim_rob2::experiment::static_bounds;
+use smtsim_rob2::{RobConfig, SpecVariant};
 use smtsim_workload::Workload;
 use std::fmt;
 use std::sync::Arc;
 
-/// The configuration matrix the differential runs: both baselines and
-/// all four second-level allocation schemes at their paper operating
-/// points.
-#[must_use]
-pub fn conform_configs() -> Vec<RobConfig> {
-    vec![
-        RobConfig::Baseline(32),
-        RobConfig::Baseline(128),
-        RobConfig::TwoLevel(TwoLevelConfig::r_rob(16)),
-        RobConfig::TwoLevel(TwoLevelConfig::relaxed_r_rob(15)),
-        RobConfig::TwoLevel(TwoLevelConfig::cdr_rob(15)),
-        RobConfig::TwoLevel(TwoLevelConfig::p_rob(5)),
-    ]
-}
-
 /// A passing differential: how much evidence was accumulated.
 #[derive(Clone, Debug)]
 pub struct ConformReport {
-    /// Labels of the configurations compared.
+    /// Matrix names of the configurations compared.
     pub configs: Vec<String>,
     /// Total commit records compared against the reference.
     pub commits_compared: u64,
@@ -59,14 +45,14 @@ pub struct ConformReport {
 pub enum ConformFailure {
     /// The simulator itself failed (deadlock, invariant violation, …).
     Sim {
-        /// Configuration label.
+        /// Matrix name of the configuration.
         config: String,
         /// Rendered simulator error.
         error: String,
     },
     /// The commit stream was structurally corrupt before comparison.
     StreamCorrupt {
-        /// Configuration label.
+        /// Matrix name of the configuration.
         config: String,
         /// The capture-layer defect.
         error: CaptureError,
@@ -75,7 +61,7 @@ pub enum ConformFailure {
     },
     /// A fill-time DoD sample exceeded the first-level scan window.
     DodSampleOutOfRange {
-        /// Configuration label.
+        /// Matrix name of the configuration.
         config: String,
         /// Thread the sample belongs to.
         thread: usize,
@@ -90,14 +76,14 @@ pub enum ConformFailure {
     },
     /// The static-DoD oracle recorded violations.
     OracleViolations {
-        /// Configuration label.
+        /// Matrix name of the configuration.
         config: String,
         /// Number of violations recorded in `SimStats::dod_oracle`.
         violations: u64,
     },
     /// A committed record differed from the in-order reference.
     CommitDivergence {
-        /// Configuration label.
+        /// Matrix name of the configuration.
         config: String,
         /// Thread whose stream diverged.
         thread: usize,
@@ -183,18 +169,41 @@ fn episode_context(events: &[(Cycle, TraceEvent)], thread: usize, tag: u64) -> O
         .map(episode_line)
 }
 
-/// The paper machine sized to `n` hardware threads.
-fn machine_for(n: usize) -> MachineConfig {
-    let mut cfg = MachineConfig::icpp08();
-    cfg.num_threads = n;
-    cfg.fetch_threads = n.min(2);
-    cfg
+/// One traced run of `rob` over `wls` on the paper machine sized to
+/// the workload set, with the static DoD `bounds` installed: `warmup`
+/// untraced functional instructions per thread, then timed cycles until
+/// any thread commits `budget`. Every oracle (the differential, the
+/// protocol-monitor replay, skip equivalence) runs configurations here.
+///
+/// # Errors
+/// The [`SimError`] that stopped the build or the run.
+pub fn traced_run(
+    wls: &[Arc<Workload>],
+    bounds: &[DodBounds],
+    rob: &RobConfig,
+    seed: u64,
+    budget: u64,
+    warmup: u64,
+    cycle_skip: bool,
+) -> Result<Simulator<TraceLog>, SimError> {
+    let mut machine = MachineConfig::icpp08();
+    machine.num_threads = wls.len();
+    machine.fetch_threads = wls.len().min(2);
+    let mut sim = Simulator::builder(machine, wls.to_vec(), rob.build(), seed)
+        .dod_bounds(bounds.to_vec())
+        .warmup(warmup)
+        .cycle_skip(cycle_skip)
+        .tracer(TraceLog::new())
+        .build()?;
+    sim.try_run(StopCondition::AnyThreadCommitted(budget))?;
+    Ok(sim)
 }
 
 /// Runs the full differential over one workload set: every
-/// configuration from [`conform_configs`] on `wls`, all canonical
-/// commit streams equal to the in-order reference, DoD samples in
-/// range, zero oracle violations.
+/// configuration of `matrix` (normally
+/// [`smtsim_rob2::committed_variants`]) on `wls`, all canonical commit
+/// streams equal to the in-order reference, DoD samples in range, zero
+/// oracle violations.
 ///
 /// `seed` seeds the simulator (thread `t`'s executor derives
 /// `seed + t`, and the reference mirrors that); `budget` is the
@@ -206,14 +215,12 @@ fn machine_for(n: usize) -> MachineConfig {
 /// large); configurations are checked in matrix order.
 pub fn check_workloads(
     wls: &[Arc<Workload>],
+    matrix: &[SpecVariant],
     seed: u64,
     budget: u64,
     warmup: u64,
 ) -> Result<ConformReport, Box<ConformFailure>> {
-    let bounds: Vec<DodBounds> = wls
-        .iter()
-        .map(|w| DodBounds::new(DodAnalysis::compute(&w.program, L1_WINDOW).max_map()))
-        .collect();
+    let bounds: Vec<DodBounds> = wls.iter().map(|w| static_bounds(w)).collect();
 
     // Reference streams grow lazily to the longest stream any
     // configuration commits; records are position-stable so prefix
@@ -234,31 +241,17 @@ pub fn check_workloads(
         commits_compared: 0,
     };
 
-    for rob in conform_configs() {
-        let config = rob.label();
-        let sim = Simulator::builder(machine_for(wls.len()), wls.to_vec(), rob.build(), seed)
-            .dod_bounds(bounds.clone())
-            .warmup(warmup)
-            .tracer(TraceLog::new())
-            .build();
-        let mut sim = match sim {
-            Ok(s) => s,
-            Err(e) => {
-                return Err(Box::new(ConformFailure::Sim {
-                    config,
+    for variant in matrix {
+        let config = variant.name.clone();
+        let sim =
+            traced_run(wls, &bounds, &variant.config, seed, budget, warmup, true).map_err(|e| {
+                ConformFailure::Sim {
+                    config: config.clone(),
                     error: e.to_string(),
-                }))
-            }
-        };
-        let run_err = sim.try_run(StopCondition::AnyThreadCommitted(budget)).err();
+                }
+            })?;
         let violations = sim.stats().dod_oracle.violations;
         let events = sim.into_tracer().into_events();
-        if let Some(e) = run_err {
-            return Err(Box::new(ConformFailure::Sim {
-                config,
-                error: e.to_string(),
-            }));
-        }
 
         // Timing-side invariant: fill-time DoD samples never exceed the
         // first-level scan window.
@@ -332,6 +325,7 @@ pub fn check_workloads(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smtsim_rob2::committed_variants;
     use smtsim_workload::{mix, Mix};
 
     fn mix_workloads(idx: usize, seed: u64) -> Vec<Arc<Workload>> {
@@ -347,15 +341,16 @@ mod tests {
         // Mix 1 is the paper's most memory-bound pairing — the hardest
         // case for second-level tenure bookkeeping.
         let wls = mix_workloads(1, 42);
-        let report = check_workloads(&wls, 42, 2_000, 0).unwrap();
-        assert_eq!(report.configs.len(), conform_configs().len());
+        let matrix = committed_variants().unwrap();
+        let report = check_workloads(&wls, &matrix, 42, 2_000, 0).unwrap();
+        assert_eq!(report.configs.len(), matrix.len());
         assert!(report.commits_compared > 0);
     }
 
     #[test]
     fn differential_covers_warmup() {
         let wls = mix_workloads(2, 7);
-        check_workloads(&wls, 7, 1_500, 5_000).unwrap();
+        check_workloads(&wls, &committed_variants().unwrap(), 7, 1_500, 5_000).unwrap();
     }
 
     #[test]

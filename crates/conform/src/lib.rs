@@ -17,10 +17,11 @@
 //!   `TraceEvent::Commit` stream) into the same canonical form by
 //!   replaying the committed `(pc, mem_addr, taken)` sequence through
 //!   the static program.
-//! * [`harness`] — runs every scheme × `Baseline_32/128` on the same
-//!   workload set and asserts all commit streams are pairwise equal and
-//!   equal to the reference, reporting the first divergent commit with
-//!   episode context from `EpisodeReconstructor`. It also enforces two
+//! * [`harness`] — runs every configuration the committed specs render
+//!   ([`smtsim_rob2::committed_variants`]), each through [`traced_run`],
+//!   on the same workload set and asserts all commit streams equal the
+//!   reference, reporting the first divergent commit with episode
+//!   context from `EpisodeReconstructor`. It also enforces two
 //!   timing-side invariants that commit streams cannot see: every
 //!   `CounterAtFill` DoD sample stays within the first-level window,
 //!   and the static-DoD oracle records zero violations.
@@ -40,9 +41,9 @@ pub mod reference;
 
 pub use capture::{capture_streams, CaptureError, CapturedStream};
 pub use fuzz::{
-    case_profiles, case_workloads, parse_case, render_case, run_case, run_fresh_cases, run_specs,
-    shrink_once, CaseSpec, CaseVerdict, Fuzzer,
+    case_profiles, case_workloads, committed_corpus, parse_case, render_case, run_case,
+    run_fresh_cases, shrink_once, CaseSpec, CaseVerdict, CorpusCase,
 };
-pub use harness::{check_workloads, conform_configs, ConformFailure, ConformReport};
+pub use harness::{check_workloads, traced_run, ConformFailure, ConformReport};
 pub use record::{ArchState, CommitRecord};
 pub use reference::Reference;

@@ -1,55 +1,32 @@
 //! Replays the committed fuzz corpus (`tests/corpus/*.case` at the
-//! workspace root) through the differential harness, fully offline.
+//! workspace root) through the differential harness, over every
+//! configuration the committed specs render, fully offline.
 //!
 //! Every committed case must either pass the differential or be
 //! deterministically skipped by the generator lints — a `Fail` verdict
 //! on a committed case is a regression.
 
-use smtsim_conform::{parse_case, run_case, CaseVerdict};
-use std::path::PathBuf;
-
-fn corpus_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus")
-}
+use smtsim_conform::{committed_corpus, run_case, CaseVerdict};
+use smtsim_rob2::committed_variants;
 
 #[test]
 fn committed_corpus_passes_the_differential() {
-    let dir = corpus_dir();
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("corpus dir {} must exist: {e}", dir.display()))
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "case"))
-        .collect();
-    paths.sort();
-    assert!(
-        !paths.is_empty(),
-        "corpus dir {} holds no .case files",
-        dir.display()
-    );
-    for path in paths {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-        let spec = parse_case(&text).unwrap_or_else(|e| panic!("parsing {}: {e}", path.display()));
-        match run_case(&spec) {
+    let matrix = committed_variants().expect("committed specs load");
+    let corpus = committed_corpus().expect("the corpus directory is committed");
+    assert!(!corpus.is_empty(), "no committed .case files");
+    for (name, spec) in corpus {
+        let spec = spec.unwrap_or_else(|e| panic!("{name}: {e}"));
+        match run_case(&spec, &matrix) {
             CaseVerdict::Pass { commits } => {
-                assert!(
-                    commits > 0,
-                    "{}: passed but compared nothing",
-                    path.display()
-                );
+                assert!(commits > 0, "{name}: passed but compared nothing");
             }
             CaseVerdict::Skipped { reason } => {
                 panic!(
-                    "{}: committed corpus cases must simulate, but lints skipped it: {reason}",
-                    path.display()
+                    "{name}: committed corpus cases must simulate, but lints skipped it: {reason}"
                 );
             }
             CaseVerdict::Fail { failure, shrunk } => {
-                panic!(
-                    "{}: differential regression (shrunk to {shrunk:?}):\n{failure}",
-                    path.display()
-                );
+                panic!("{name}: differential regression (shrunk to {shrunk:?}):\n{failure}");
             }
         }
     }

@@ -5,13 +5,15 @@
 #![cfg(feature = "slow-tests")]
 
 use smtsim_conform::{run_fresh_cases, CaseVerdict};
+use smtsim_rob2::committed_variants;
 
 const BASE: u64 = 7;
 const CASES: u64 = 3;
 
 #[test]
 fn fresh_cases_pass_and_are_job_count_invariant() {
-    let serial = run_fresh_cases(BASE, CASES, 1);
+    let matrix = committed_variants().expect("committed specs load");
+    let serial = run_fresh_cases(BASE, CASES, &matrix, 1);
     assert_eq!(serial.len(), CASES as usize);
     for (spec, verdict) in &serial {
         match verdict {
@@ -26,7 +28,7 @@ fn fresh_cases_pass_and_are_job_count_invariant() {
             }
         }
     }
-    let parallel = run_fresh_cases(BASE, CASES, 2);
+    let parallel = run_fresh_cases(BASE, CASES, &matrix, 2);
     assert_eq!(
         format!("{serial:?}"),
         format!("{parallel:?}"),

@@ -9,6 +9,7 @@
 //! the feature disabled the identical run must be clean.
 
 use smtsim_conform::check_workloads;
+use smtsim_rob2::committed_variants;
 use smtsim_workload::{build, IlpClass, Workload, WorkloadProfile};
 use std::sync::Arc;
 
@@ -27,8 +28,8 @@ use std::sync::Arc;
 ///   unexecuted when the fill samples the counter.
 ///
 /// With the correct window (31) the sample saturates at 31; the seeded
-/// window of 32 then produces an impossible sample of 32 on
-/// `Baseline_128`, which the harness bound rejects.
+/// window of 32 then produces an impossible sample of 32, which the
+/// harness bound rejects.
 fn trigger_workloads() -> Vec<Arc<Workload>> {
     let profile = WorkloadProfile {
         name: "mutation-trigger",
@@ -65,7 +66,8 @@ fn seeded_bug_is_detected_with_episode_context() {
     use smtsim_conform::ConformFailure;
     use smtsim_pipeline::DOD_WINDOW;
 
-    let err = check_workloads(&trigger_workloads(), TRIGGER_SEED, TRIGGER_BUDGET, 0)
+    let (wls, matrix) = (trigger_workloads(), committed_variants().unwrap());
+    let err = check_workloads(&wls, &matrix, TRIGGER_SEED, TRIGGER_BUDGET, 0)
         .expect_err("the seeded off-by-one must trip the fill-sample bound");
     match *err {
         ConformFailure::DodSampleOutOfRange {
@@ -91,7 +93,8 @@ fn harness_is_clean_without_the_seeded_bug() {
     // Identical workload/seed/budget as the detection test: the only
     // difference is the feature, so a pass here plus a failure there
     // isolates the planted bug as the cause.
-    let report = check_workloads(&trigger_workloads(), TRIGGER_SEED, TRIGGER_BUDGET, 0)
+    let (wls, matrix) = (trigger_workloads(), committed_variants().unwrap());
+    let report = check_workloads(&wls, &matrix, TRIGGER_SEED, TRIGGER_BUDGET, 0)
         .expect("differential must be clean without the seeded bug");
     assert!(report.commits_compared > 0);
 }

@@ -1,7 +1,8 @@
 //! Proves event-driven cycle skipping is *timing-transparent*: for
-//! every conformance configuration × workload set, a run with skipping
-//! enabled and a run with it disabled finish at the same cycle with
-//! byte-identical statistics and identical trace-event streams.
+//! every configuration the committed specs render × workload set, a
+//! run with skipping enabled and a run with it disabled finish at the
+//! same cycle with byte-identical statistics and identical trace-event
+//! streams.
 //!
 //! This is the behavioral half of the cycle-skip soundness argument
 //! (DESIGN.md §15): the skip engine claims to replicate, in closed
@@ -9,64 +10,36 @@
 //! performed — stall counters, occupancy sums, round-robin cursors,
 //! synthesized stall/occupancy trace records — and to never skip a
 //! cycle on which any stage would have acted. Equality of the full
-//! event stream (not just the commit stream) over the paper mixes and
-//! the committed fuzz corpus is the strongest observable consequence
-//! of that claim.
+//! event stream (not just the commit stream) over the paper mixes, the
+//! committed fuzz corpus and fresh fuzz programs is the strongest
+//! observable consequence of that claim.
 
-use smtsim_analysis::{DodAnalysis, L1_WINDOW};
-use smtsim_conform::{case_workloads, conform_configs, parse_case};
-use smtsim_obs::{Cycle, TraceEvent, TraceLog};
-use smtsim_pipeline::{DodBounds, MachineConfig, Simulator, StopCondition};
-use smtsim_rob2::RobConfig;
+use smtsim_conform::{case_workloads, committed_corpus, traced_run, CaseSpec};
+use smtsim_pipeline::DodBounds;
+use smtsim_rob2::committed_variants;
+use smtsim_rob2::experiment::static_bounds;
 use smtsim_workload::{mix, Workload};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 const SEED: u64 = 42;
 
-/// One full traced run; returns (final cycle, stats rendering, events).
-fn run_once(
-    wls: &[Arc<Workload>],
-    rob: &RobConfig,
-    budget: u64,
-    warmup: u64,
-    skip: bool,
-) -> (Cycle, String, Vec<(Cycle, TraceEvent)>) {
-    let bounds: Vec<DodBounds> = wls
-        .iter()
-        .map(|w| DodBounds::new(DodAnalysis::compute(&w.program, L1_WINDOW).max_map()))
-        .collect();
-    let mut cfg = MachineConfig::icpp08();
-    cfg.num_threads = wls.len();
-    cfg.fetch_threads = wls.len().min(2);
-    let mut sim = Simulator::builder(cfg, wls.to_vec(), rob.build(), SEED)
-        .dod_bounds(bounds)
-        .warmup(warmup)
-        .cycle_skip(skip)
-        .tracer(TraceLog::new())
-        .build()
-        .expect("valid configuration");
-    sim.try_run(StopCondition::AnyThreadCommitted(budget))
-        .expect("run completes");
-    let cycle = sim.cycle();
-    let stats = format!("{:?}", sim.stats());
-    (cycle, stats, sim.into_tracer().into_events())
-}
-
 /// Asserts skip-on ≡ skip-off over one workload set for every
-/// conformance configuration.
+/// configuration of the committed-spec matrix.
 fn assert_equivalent(label: &str, wls: &[Arc<Workload>], budget: u64, warmup: u64) {
-    for rob in conform_configs() {
-        let config = rob.label();
-        let (c_on, s_on, e_on) = run_once(wls, &rob, budget, warmup, true);
-        let (c_off, s_off, e_off) = run_once(wls, &rob, budget, warmup, false);
+    let bounds: Vec<DodBounds> = wls.iter().map(|w| static_bounds(w)).collect();
+    for variant in committed_variants().expect("committed specs load") {
+        let config = &variant.name;
+        let run = |skip| {
+            let sim = traced_run(wls, &bounds, &variant.config, SEED, budget, warmup, skip)
+                .unwrap_or_else(|e| panic!("{label} / {config}: run failed: {e}"));
+            let end = (sim.cycle(), format!("{:?}", sim.stats()));
+            (end, sim.into_tracer().into_events())
+        };
+        let (on, e_on) = run(true);
+        let (off, e_off) = run(false);
         assert_eq!(
-            c_on, c_off,
-            "{label} / {config}: final cycle diverges with skipping on"
-        );
-        assert_eq!(
-            s_on, s_off,
-            "{label} / {config}: statistics diverge with skipping on"
+            on, off,
+            "{label} / {config}: final cycle or statistics diverge with skipping on"
         );
         assert_eq!(
             e_on.len(),
@@ -98,25 +71,23 @@ fn paper_mixes_are_skip_equivalent() {
 
 #[test]
 fn fuzz_corpus_is_skip_equivalent() {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("corpus dir {} must exist: {e}", dir.display()))
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "case"))
-        .collect();
-    paths.sort();
-    assert!(!paths.is_empty(), "corpus dir holds no .case files");
-    for path in paths {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-        let spec = parse_case(&text).unwrap_or_else(|e| panic!("parsing {}: {e}", path.display()));
-        let wls = case_workloads(&spec)
-            .unwrap_or_else(|e| panic!("{}: corpus case must build: {e}", path.display()));
-        let label = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        assert_equivalent(&label, &wls, 2_000, 0);
+    let corpus = committed_corpus().expect("the corpus directory is committed");
+    assert!(!corpus.is_empty(), "no committed .case files");
+    for (name, spec) in corpus {
+        let spec = spec.unwrap_or_else(|e| panic!("{name}: {e}"));
+        let wls =
+            case_workloads(&spec).unwrap_or_else(|e| panic!("{name}: corpus case must build: {e}"));
+        assert_equivalent(&name, &wls, 2_000, 0);
+    }
+}
+
+#[test]
+fn fresh_fuzz_is_skip_equivalent() {
+    // Base 7 as in the fresh-fuzz smoke; lint-rejected programs never run.
+    for i in 0..3 {
+        let spec = CaseSpec::fresh(7, i);
+        if let Ok(wls) = case_workloads(&spec) {
+            assert_equivalent(&format!("fresh case {i}"), &wls, spec.budget, 0);
+        }
     }
 }

@@ -49,7 +49,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// (`smtsim-analysis`) over the same first-level window the hardware
 /// counter scans; the simulator cross-checks its exact dependent count
 /// against them at every L2 fill.
-fn static_bounds(w: &Workload) -> DodBounds {
+#[must_use]
+pub fn static_bounds(w: &Workload) -> DodBounds {
     DodBounds::new(DodAnalysis::compute(&w.program, L1_WINDOW).max_map())
 }
 
@@ -316,6 +317,44 @@ fn catch_cell<T>(f: impl FnOnce() -> T) -> Result<T, SimError> {
             "non-string panic payload".to_string()
         };
         SimError::CellPanic { reason }
+    })
+}
+
+/// Evaluates `f(i)` for `i in 0..n` across `jobs` scoped workers
+/// pulling from a shared counter (`jobs <= 1` runs serially on the
+/// caller's thread), and returns the results in index order, so the
+/// output is identical at any job count. Both phases of every sweep
+/// and the fuzzer fan out through here. A worker's panic is re-raised
+/// on the caller.
+pub fn fan_out<R: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let jobs = jobs.min(n.max(1));
+    if jobs <= 1 {
+        return (0..n).map(&f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        let (next, f) = (&next, &f);
+        let handles: Vec<_> = (0..jobs)
+            .map(|_| {
+                s.spawn(move || {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        out.push((i, f(i)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        let mut merged = Vec::with_capacity(n);
+        for h in handles {
+            merged.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        merged.sort_by_key(|&(i, _)| i);
+        merged.into_iter().map(|(_, r)| r).collect()
     })
 }
 
@@ -846,7 +885,7 @@ impl Lab {
         }
         drop(memo);
         let todo: Vec<(Program, usize)> = todo.into_iter().collect();
-        let ran = self.fan_out(todo.len(), |i| {
+        let ran = fan_out(self.effective_jobs(), todo.len(), |i| {
             let (program, m) = todo[i];
             catch_cell(|| self.solo_run(m, program.slot)).and_then(|r| r)
         });
@@ -999,43 +1038,6 @@ impl Lab {
         }
     }
 
-    /// Both phases of every sweep: evaluates `cell(i)` for `i in 0..n`
-    /// across [`Lab::effective_jobs`] scoped workers pulling from a
-    /// shared counter, and returns the results in index order — so the
-    /// output is identical at any job count, including the serial
-    /// `jobs = 1` path.
-    fn fan_out<R: Send>(&self, n: usize, cell: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        let jobs = self.effective_jobs().min(n.max(1));
-        if jobs <= 1 {
-            return (0..n).map(&cell).collect();
-        }
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let (next, cell) = (&next, &cell);
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            out.push((i, cell(i)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            let mut merged = Vec::with_capacity(n);
-            for h in handles {
-                merged.extend(h.join().expect("cells are panic-isolated"));
-            }
-            merged.sort_by_key(|&(i, _)| i);
-            merged.into_iter().map(|(_, r)| r).collect()
-        })
-    }
-
     /// Phase 1 of a sweep over `cells`, taken as given (repeats are
     /// not collapsed): opens the result-cache shard of the lab's
     /// current universe ([`Lab::cache_shard`]), keys each cell with
@@ -1124,7 +1126,7 @@ impl Lab {
             Ok(plan) => plan,
             Err(e) => panic!("result cache unusable: {e}"),
         };
-        let outcomes = self.fan_out(distinct.len(), |i| {
+        let outcomes = fan_out(self.effective_jobs(), distinct.len(), |i| {
             plan.cached(i).unwrap_or_else(|| {
                 let (outcome, append_error) = self.run_planned(&plan, i);
                 if let Some(e) = append_error {
@@ -1152,7 +1154,7 @@ impl Lab {
     pub fn sweep_traced(&mut self, cells: &[SweepCell]) -> Vec<Result<TracedMixRun, SimError>> {
         let mixes: Vec<usize> = cells.iter().map(|&(m, _)| m).collect();
         let norm = self.norm_table(&mixes);
-        self.fan_out(cells.len(), |i| {
+        fan_out(self.effective_jobs(), cells.len(), |i| {
             let (m, cfg) = cells[i];
             let (result, _) = self.run_cell_with_retries::<TraceLog>(m, cfg, &norm);
             result.map(|(run, log)| TracedMixRun::fold(run, log))

@@ -48,14 +48,16 @@ pub mod twolevel;
 
 pub use cache::ResultCache;
 pub use experiment::{
-    CellOutcome, Lab, MixRun, NormTable, RobConfig, SweepCell, SweepHealth, SweepPlan, SweepReport,
-    TracedMixRun,
+    fan_out, CellOutcome, Lab, MixRun, NormTable, RobConfig, SweepCell, SweepHealth, SweepPlan,
+    SweepReport, TracedMixRun,
 };
 pub use figures::{AccuracyData, AccuracyRow, FigureData, HistogramData, Series, ALL_MIXES};
 pub use journal::{Journal, JournalEntry, JournalError};
 pub use knobs::{Knob, Knobs, KNOBS};
 pub use metrics::{fair_throughput, harmonic_mean, improvement, mean, weighted_ipc};
-pub use spec::{spec_dir, ExperimentSpec, SpecError, SpecKind, SpecVariant};
+pub use spec::{
+    committed_specs, committed_variants, spec_dir, ExperimentSpec, SpecError, SpecKind, SpecVariant,
+};
 pub use twolevel::{
     DodPredictorKind, ReleasePolicy, Scheme, SchemeKind, TenureView, TwoLevelConfig, TwoLevelRob,
     TwoLevelStats,

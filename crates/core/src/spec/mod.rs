@@ -48,6 +48,65 @@ pub fn spec_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../experiments")
 }
 
+/// Every committed spec under [`spec_dir`] with its file stem, in
+/// file-name order.
+///
+/// # Errors
+/// [`SimError::InvalidConfig`] when the directory cannot be read or a
+/// spec does not load.
+pub fn committed_specs() -> Result<Vec<(String, ExperimentSpec)>, SimError> {
+    let dir = spec_dir();
+    let mut stems: Vec<String> = std::fs::read_dir(&dir)
+        .map_err(|e| SimError::InvalidConfig {
+            reason: format!("cannot read {}: {e}", dir.display()),
+        })?
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter_map(|n| n.strip_suffix(".toml").map(str::to_owned))
+        .collect();
+    stems.sort();
+    let load = |stem: &String| ExperimentSpec::load(&dir.join(format!("{stem}.toml")));
+    stems
+        .into_iter()
+        .map(|s| Ok((s.clone(), load(&s)?)))
+        .collect()
+}
+
+/// The configuration matrix the correctness oracles run: each ROB
+/// configuration a committed spec resolves (`norm`, `compare` and
+/// `schemes`), once per [`RobConfig::fingerprint`], in first-resolution
+/// order. Labels repeat (nine configurations print as `2-Level
+/// R-ROB16`), so each `name` is unique instead: the registry id where
+/// a spec uses one, else `<spec id>/<scheme name>` from the first spec
+/// that resolves it (`ablation/recheck-1`).
+///
+/// # Errors
+/// [`SimError::InvalidConfig`] when a committed spec does not load.
+pub fn committed_variants() -> Result<Vec<SpecVariant>, SimError> {
+    let mut matrix: Vec<SpecVariant> = Vec::new();
+    for (_, spec) in committed_specs()? {
+        let norm = SpecVariant {
+            name: spec.norm_id,
+            label: spec.norm.label(),
+            config: spec.norm,
+        };
+        let compare = spec.compare.map(|(v, _)| v);
+        for mut v in std::iter::once(norm).chain(compare).chain(spec.variants) {
+            let fp = v.config.fingerprint();
+            let registry = registry::rob_config(&v.name).is_ok_and(|c| c.fingerprint() == fp);
+            if !registry {
+                v.name = format!("{}/{}", spec.id, v.name);
+            }
+            match matrix.iter_mut().find(|m| m.config.fingerprint() == fp) {
+                None => matrix.push(v),
+                Some(m) if registry && m.name.contains('/') => *m = v,
+                Some(_) => {}
+            }
+        }
+    }
+    Ok(matrix)
+}
+
 /// A typed spec-layer failure, carrying the offending file and line.
 /// Converts into [`SimError::InvalidConfig`] (exit code 2 through the
 /// `run_bin` policy).
@@ -1037,5 +1096,25 @@ cdr_delay = 8
         )
         .unwrap_err();
         assert!(e.message.contains("compare_label"), "{e}");
+    }
+
+    #[test]
+    fn committed_spec_matrix_holds_every_rendered_config() {
+        use std::collections::BTreeSet;
+        let matrix = committed_variants().unwrap();
+        let fps: BTreeSet<String> = matrix.iter().map(|v| v.config.fingerprint()).collect();
+        let names: BTreeSet<&str> = matrix.iter().map(|v| v.name.as_str()).collect();
+        let two_level = |v: &&SpecVariant| matches!(v.config, RobConfig::TwoLevel(_));
+        assert_eq!((matrix.len(), fps.len(), names.len()), (25, 25, 25));
+        assert_eq!(matrix.iter().filter(two_level).count(), 23);
+        // A registry id beats a local section naming the same config.
+        for name in ["r-rob-16", "p-rob-3", "ablation/recheck-1"] {
+            assert!(names.contains(name), "{name} missing from {names:?}");
+        }
+        for (_, spec) in committed_specs().unwrap() {
+            for (_, c) in crate::figures::artifact_cells(&spec, &crate::ALL_MIXES) {
+                assert!(fps.contains(&c.fingerprint()), "{}: {c:?}", spec.id);
+            }
+        }
     }
 }

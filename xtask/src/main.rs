@@ -29,7 +29,11 @@
 //!   (committed mixes + fuzz corpus replay + fresh-seed smoke) at
 //!   `SMTSIM_JOBS=1` and `SMTSIM_JOBS=4` and fails unless both runs
 //!   pass with byte-identical stdout: generated fuzz programs and
-//!   verdicts must be a pure function of `FUZZ_SEED`.
+//!   verdicts must be a pure function of `FUZZ_SEED`. It then runs the
+//!   `smtsim-conform` mutation self-test on both sides of the
+//!   `seeded-dod-bug` feature: the differential must be clean on the
+//!   pristine pipeline *and* catch the planted DoD-window off-by-one
+//!   (DESIGN.md §12).
 //! * `check` — runs the `check` bounded-model-checking spec (exhaustive
 //!   protocol exploration at CI bounds + live-trace conformance) at
 //!   `SMTSIM_JOBS=1` and `SMTSIM_JOBS=4` and fails unless both runs
@@ -702,13 +706,15 @@ const CONFORM_DEFAULTS: &[(&str, &str)] = &[
 /// `SMTSIM_JOBS=1` and `SMTSIM_JOBS=4` and fails unless (a) both runs
 /// pass and (b) their stdout is byte-identical — the acceptance
 /// criterion that the fuzzer's generated programs and verdicts are a
-/// pure function of `FUZZ_SEED`, independent of worker count.
+/// pure function of `FUZZ_SEED`, independent of worker count — then
+/// runs the mutation self-test on both sides of the `seeded-dod-bug`
+/// feature.
 fn run_conform(root: &Path) -> ExitCode {
     let Some(report) = jobs_1_and_4(root, "conform", "conform", CONFORM_DEFAULTS) else {
         return ExitCode::FAILURE;
     };
     print!("{report}");
-    ExitCode::SUCCESS
+    run_mutation_selftest(root, "conform", "smtsim-conform", "seeded-dod-bug")
 }
 
 /// Knob defaults for the `check` subcommand: the model checker at its
@@ -723,37 +729,35 @@ const CHECK_DEFAULTS: &[(&str, &str)] = &[
     ("CHECK_L2", "2"),
 ];
 
-/// Runs the `smtsim-check` mutation self-test, with or without the
-/// `seeded-release-bug` feature. Both sides must pass as cargo tests:
-/// the pristine side asserts the explorer finds nothing, the seeded
-/// side asserts it finds the planted release bug with its minimal
-/// three-step counterexample — so a checker that silently stopped
-/// checking fails here.
-fn run_mutation_selftest(root: &Path, seeded: bool) -> Result<(), String> {
-    let manifest = root
-        .join("Cargo.toml")
-        .canonicalize()
-        .map_err(|e| format!("cannot resolve workspace manifest: {e}"))?;
-    let mut cmd = std::process::Command::new("cargo");
-    cmd.args(["test", "-q", "--manifest-path"])
-        .arg(manifest)
-        .args(["-p", "smtsim-check", "--test", "mutation"]);
-    if seeded {
-        cmd.args(["--features", "seeded-release-bug"]);
+/// Runs `package`'s `mutation` test target on both sides of its
+/// seeded-bug `feature`. Both sides must pass as cargo tests: the
+/// pristine side asserts the oracle finds nothing, the seeded side
+/// asserts it catches the planted bug — so an oracle that silently
+/// stopped checking fails here.
+fn run_mutation_selftest(root: &Path, label: &str, package: &str, feature: &str) -> ExitCode {
+    for seeded in [false, true] {
+        let mut cmd = std::process::Command::new("cargo");
+        cmd.args(["test", "-q", "--manifest-path"])
+            .arg(root.join("Cargo.toml"))
+            .args(["-p", package, "--test", "mutation"]);
+        if seeded {
+            cmd.args(["--features", feature]);
+        }
+        let failure = match cmd.output() {
+            Ok(out) if out.status.success() => continue,
+            Ok(out) => format!(
+                "failed with {}:\n{}{}",
+                out.status,
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&out.stderr)
+            ),
+            Err(e) => format!("cannot spawn cargo test: {e}"),
+        };
+        eprintln!("xtask {label}: mutation self-test (seeded={seeded}) {failure}");
+        return ExitCode::FAILURE;
     }
-    let out = cmd
-        .output()
-        .map_err(|e| format!("cannot spawn cargo test: {e}"))?;
-    if out.status.success() {
-        Ok(())
-    } else {
-        Err(format!(
-            "mutation self-test (seeded={seeded}) failed with {}:\n{}{}",
-            out.status,
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr)
-        ))
-    }
+    println!("xtask {label}: mutation self-test passed (pristine clean, seeded bug caught)");
+    ExitCode::SUCCESS
 }
 
 /// The `check` subcommand: runs the bounded model checker + trace
@@ -767,14 +771,7 @@ fn run_check(root: &Path) -> ExitCode {
         return ExitCode::FAILURE;
     };
     print!("{report}");
-    for seeded in [false, true] {
-        if let Err(e) = run_mutation_selftest(root, seeded) {
-            eprintln!("xtask check: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    println!("xtask check: mutation self-test passed (pristine clean, seeded bug caught)");
-    ExitCode::SUCCESS
+    run_mutation_selftest(root, "check", "smtsim-check", "seeded-release-bug")
 }
 
 fn main() -> ExitCode {
