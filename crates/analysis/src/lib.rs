@@ -1,5 +1,5 @@
 //! Static analysis over smtsim programs: the dependence graph, exact
-//! Degree-of-Dependence bounds, register liveness, and program lints.
+//! Degree-of-Dependence bounds, and program lints.
 //!
 //! The paper's DoD counter (§4.1) and PC-indexed predictors (§4.2) are
 //! *approximations* of the true number of load-dependent in-flight
@@ -17,7 +17,6 @@
 //! * [`dod`] — per-static-load min/max dependent instructions within a
 //!   `W`-instruction window (`W` = the 32-entry first-level ROB minus
 //!   the load itself);
-//! * [`liveness`] — per-block register liveness;
 //! * [`lint`] — well-formedness lints (use-before-def, unreachable
 //!   blocks, no-progress trap loops, dangling stream ids);
 //! * [`cfg`](mod@cfg) — shared semantic-CFG scaffolding.
@@ -28,9 +27,7 @@ pub mod cfg;
 pub mod depgraph;
 pub mod dod;
 pub mod lint;
-pub mod liveness;
 
 pub use depgraph::{DepEdge, DepGraph, EntryUse};
 pub use dod::{DodAnalysis, LoadBounds, L1_WINDOW};
 pub use lint::{has_errors, lint_program, lint_workload, Finding, Rule, Severity};
-pub use liveness::Liveness;

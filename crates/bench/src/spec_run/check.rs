@@ -1,13 +1,12 @@
-//! Runner for `kind = "check"`: bounded model checking + trace
-//! conformance for the two-level transfer protocol (DESIGN.md §14),
-//! replaying every two-level configuration the committed specs render.
-//! Bounds and budgets come pre-merged (spec `[knobs]` under explicit
-//! env).
+//! Runner for `kind = "check"`: bounded model checking of the
+//! two-level transfer protocol (DESIGN.md §14) over every scheme family
+//! × release policy. Bounds come pre-merged (spec `[knobs]` under
+//! explicit env). Live traces are judged against the model by the
+//! `conform` runner's harness.
 
-use super::corpus;
 use crate::BinError;
-use smtsim_check::{explore, replay_case, replay_mix, Bounds, ModelConfig, ReplayOutcome};
-use smtsim_rob2::{committed_variants, Knob, Knobs, ReleasePolicy, SchemeKind};
+use smtsim_check::{explore, Bounds, ModelConfig};
+use smtsim_rob2::{Knob, Knobs, ReleasePolicy, SchemeKind};
 
 /// The outstanding-miss bound implied by the thread bound: the full
 /// 3-miss product is cheap up to 3 threads; at 4 threads the state
@@ -21,22 +20,7 @@ fn misses_for(threads: usize) -> usize {
     }
 }
 
-fn print_outcomes(outcomes: &[ReplayOutcome]) {
-    for o in outcomes {
-        println!(
-            "    {:<28} ok ({} events, {} episodes, {} grants, {} denials, {} releases)",
-            o.name,
-            o.conformance.events,
-            o.conformance.episodes,
-            o.conformance.grants,
-            o.conformance.denials,
-            o.conformance.releases
-        );
-    }
-}
-
 pub(super) fn run(env: &Knobs) -> Result<(), BinError> {
-    let matrix = committed_variants()?;
     let mut failures = 0usize;
 
     // Both bounds are range-checked to 1..=4 by the knob table.
@@ -80,43 +64,10 @@ pub(super) fn run(env: &Knobs) -> Result<(), BinError> {
         }
     }
 
-    let (seed, budget, warmup) = (
-        env.get(Knob::Seed),
-        env.get(Knob::Budget),
-        env.get(Knob::Warmup),
-    );
-    println!("Paper-mix conformance (seed={seed}, budget={budget}, warmup={warmup})");
-    for &m in &env.mixes {
-        match replay_mix(m, &matrix, seed, budget, warmup) {
-            Ok(outcomes) => {
-                println!("  mix {m:>2}:");
-                print_outcomes(&outcomes);
-            }
-            Err(e) => {
-                failures += 1;
-                println!("  mix {m:>2}: FAIL\n{e}");
-            }
-        }
-    }
-
-    println!("Corpus conformance (tests/corpus)");
-    for (name, spec) in corpus(&mut failures)? {
-        match replay_case(&spec, &matrix) {
-            Ok(outcomes) => {
-                println!("  {name}:");
-                print_outcomes(&outcomes);
-            }
-            Err(e) => {
-                failures += 1;
-                println!("  {name}: FAIL\n{e}");
-            }
-        }
-    }
-
     if failures > 0 {
         println!("check: {failures} check(s) FAILED");
         return Err(BinError::Runtime(format!(
-            "{failures} model/conformance check(s) failed"
+            "{failures} model check(s) failed"
         )));
     }
     println!("check: all checks passed");

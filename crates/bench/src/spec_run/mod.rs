@@ -11,7 +11,9 @@
 //! * figure / histogram / table1 / table2 / accuracy — `figures`,
 //!   over the spec-driven sweeps of [`smtsim_rob2::figures`];
 //! * episodes (trace dump) — `trace`;
-//! * conform / check — the differential and model-checking suites;
+//! * conform — the trace oracles (differential and protocol monitor)
+//!   over mixes, the corpus and fresh fuzz;
+//! * check — bounded model checking of the protocol;
 //! * suite — renders each listed sibling spec into `results/<id>.txt`
 //!   from one shared sweep.
 
@@ -22,7 +24,6 @@ mod suite;
 mod trace;
 
 use crate::BinError;
-use smtsim_conform::{committed_corpus, CaseSpec};
 use smtsim_rob2::{ExperimentSpec, Knobs, Lab, SpecKind};
 use std::path::Path;
 
@@ -63,27 +64,4 @@ fn prepared_spec_lab(env: &Knobs, spec: &ExperimentSpec) -> Result<Lab, BinError
         eprintln!("journal: resuming — {on_file} completed cell(s) on file");
     }
     Ok(lab)
-}
-
-/// The committed conformance corpus ([`committed_corpus`]): each
-/// readable case's file name and spec. An empty corpus and each
-/// unreadable case print a `FAIL` line and count in `failures`; an
-/// unreadable directory is a configuration error naming the path.
-fn corpus(failures: &mut usize) -> Result<Vec<(String, CaseSpec)>, BinError> {
-    let cases = committed_corpus().map_err(BinError::Config)?;
-    if cases.is_empty() {
-        *failures += 1;
-        println!("  FAIL: no .case files in tests/corpus");
-    }
-    let mut readable = Vec::new();
-    for (name, spec) in cases {
-        match spec {
-            Ok(spec) => readable.push((name, spec)),
-            Err(e) => {
-                *failures += 1;
-                println!("  {name}: FAIL (unreadable: {e})");
-            }
-        }
-    }
-    Ok(readable)
 }

@@ -1,13 +1,17 @@
 //! Slow-tests sweep: larger exploration bounds and the full paper-mix
 //! conformance matrix. The default `cargo test` covers the small
 //! bounds; this target (gated behind `--features slow-tests`) pushes
-//! the state space an order of magnitude further and replays every
-//! mix of Table 2 through the live simulator.
+//! the state space an order of magnitude further and runs every mix of
+//! Table 2 through `smtsim-conform`'s harness, whose protocol monitor
+//! judges each two-level trace against the model.
 
 #![cfg(not(feature = "seeded-release-bug"))]
 
-use smtsim_check::{explore, replay_mix, Bounds, ModelConfig};
+use smtsim_check::{explore, Bounds, ModelConfig};
+use smtsim_conform::check_workloads;
 use smtsim_rob2::{committed_variants, ReleasePolicy, SchemeKind};
+use smtsim_workload::mix;
+use std::sync::Arc;
 
 const KINDS: [SchemeKind; 3] = [
     SchemeKind::Reactive,
@@ -65,11 +69,12 @@ fn four_threads_two_misses_full_l2_is_clean() {
 fn every_paper_mix_conforms() {
     let matrix = committed_variants().unwrap();
     for m in 1..=11 {
-        let outcomes = replay_mix(m, &matrix, 42, 1_200, 1_000)
+        let wls: Vec<_> = mix(m).instantiate(42).into_iter().map(Arc::new).collect();
+        let report = check_workloads(&wls, &matrix, 42, 1_200, 1_000)
             .unwrap_or_else(|e| panic!("mix {m} failed conformance:\n{e}"));
-        assert_eq!(outcomes.len(), 23, "mix {m}: two-level configs");
+        assert_eq!(report.traces_judged, 23, "mix {m}: two-level configs");
         assert!(
-            outcomes.iter().any(|o| o.conformance.grants > 0),
+            report.protocol.grants > 0,
             "mix {m}: no scheme ever granted a transfer — trace too short to check anything"
         );
     }

@@ -1,13 +1,17 @@
-//! Property tests bridging the abstract model and the conformance
-//! monitor: random walks through the model's own transition relation,
-//! rendered as concrete `TraceEvent` streams (with wrong-path and
-//! squash-censored noise the allocator never sees), must always pass
-//! the monitor — and locally perturbed streams must always fail it.
+//! Tests bridging the abstract model and `smtsim-conform`'s protocol
+//! monitor: the two deny-reason tables agree, random walks through the
+//! model's own transition relation, rendered as concrete `TraceEvent`
+//! streams (with wrong-path and squash-censored noise the allocator
+//! never sees), must always pass the monitor — and locally perturbed
+//! streams must always fail it.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use smtsim_check::{check_stream, explore, successors, Action, Bounds, ModelConfig, Phase, State};
-use smtsim_obs::{Cycle, TraceEvent};
+use smtsim_check::{
+    deny_sound, explore, successors, Action, Bounds, ModelConfig, Phase, State, Tenure,
+};
+use smtsim_conform::check_stream;
+use smtsim_obs::{Cycle, DenyReason, TraceEvent};
 use smtsim_rob2::{ReleasePolicy, SchemeKind, TwoLevelConfig};
 
 const THREADS: usize = 3;
@@ -233,6 +237,60 @@ fn arb_release() -> impl Strategy<Value = ReleasePolicy> {
         ReleasePolicy::DrainAndNoMiss,
         ReleasePolicy::DrainOnly,
     ])
+}
+
+/// The monitor's deny-reason table agrees with the model's
+/// [`deny_sound`]: one detect/[grant]/deny stream per scheme family ×
+/// deny reason × free/held partition is accepted exactly when the
+/// model calls the denial sound.
+#[test]
+fn monitor_and_model_deny_tables_agree() {
+    let free = State::init();
+    let mut held = State::init();
+    held.phases[0][0] = Phase::Trigger;
+    held.tenure = Some(Tenure {
+        thread: 0,
+        episode: 0,
+        draining: false,
+    });
+    let detect = |thread, tag| TraceEvent::L2MissDetected {
+        thread,
+        tag,
+        pc: 0x100,
+        wrong_path: false,
+    };
+    let grant = TraceEvent::L2RobAllocated { thread: 0, tag: 1 };
+    for kind in [
+        SchemeKind::Reactive,
+        SchemeKind::CountDelayed,
+        SchemeKind::Predictive,
+    ] {
+        let release = ReleasePolicy::TriggerServiced;
+        let (mcfg, ccfg) = (model_config(kind, release), concrete_config(kind, release));
+        for reason in DenyReason::ALL {
+            let deny = |thread| TraceEvent::L2RobDenied {
+                thread,
+                tag: 1,
+                reason,
+            };
+            // Free: t0's miss is denied with nobody holding the
+            // partition. Held: t0 holds it when t1's miss is denied.
+            let on_free = vec![(10, detect(0, 1)), (11, deny(0))];
+            let on_held = vec![
+                (10, detect(0, 1)),
+                (10, grant),
+                (20, detect(1, 1)),
+                (21, deny(1)),
+            ];
+            for (state, events, partition) in [(&free, on_free, "free"), (&held, on_held, "held")] {
+                assert_eq!(
+                    check_stream(&ccfg, &events).is_ok(),
+                    deny_sound(&mcfg, state, reason),
+                    "{kind:?}/{reason:?} on a {partition} partition"
+                );
+            }
+        }
+    }
 }
 
 proptest! {

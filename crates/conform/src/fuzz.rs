@@ -16,7 +16,7 @@
 //! so a committed corpus under `tests/corpus/` replays fully offline —
 //! same [`CaseSpec`] → byte-identical programs and verdicts.
 
-use crate::harness::{check_workloads, ConformFailure};
+use crate::harness::{check_workloads, ConformFailure, ConformReport};
 use smtsim_analysis::{has_errors, lint_workload};
 use smtsim_rob2::{fan_out, SpecVariant};
 use smtsim_workload::rng::mix64;
@@ -63,10 +63,11 @@ impl CaseSpec {
 /// Outcome of one fuzz case.
 #[derive(Clone, Debug)]
 pub enum CaseVerdict {
-    /// The differential held over every configuration.
+    /// The differential and the protocol monitor held over every
+    /// configuration.
     Pass {
-        /// Commit records compared across the matrix.
-        commits: u64,
+        /// What the harness compared and judged across the matrix.
+        report: ConformReport,
     },
     /// The generated program failed the `smtsim-analysis` lints and was
     /// never simulated.
@@ -74,8 +75,8 @@ pub enum CaseVerdict {
         /// The first lint finding, rendered.
         reason: String,
     },
-    /// The differential failed; `shrunk` is the smallest spec that
-    /// still reproduces (its failure is the one carried here).
+    /// The harness failed; `shrunk` is the smallest spec that still
+    /// reproduces (its failure is the one carried here).
     Fail {
         /// The failure of the *shrunk* case.
         failure: Box<ConformFailure>,
@@ -206,8 +207,9 @@ pub fn case_workloads(spec: &CaseSpec) -> Result<Vec<Arc<Workload>>, String> {
     Ok(wls)
 }
 
-/// Runs one case end to end over `matrix`: build, lint-filter,
-/// differential, and on failure shrink while the failure reproduces.
+/// Runs one case end to end over `matrix`: build, lint-filter, the
+/// harness (differential and protocol monitor), and on failure shrink
+/// while the failure reproduces.
 #[must_use]
 pub fn run_case(spec: &CaseSpec, matrix: &[SpecVariant]) -> CaseVerdict {
     let wls = match case_workloads(spec) {
@@ -215,9 +217,7 @@ pub fn run_case(spec: &CaseSpec, matrix: &[SpecVariant]) -> CaseVerdict {
         Err(reason) => return CaseVerdict::Skipped { reason },
     };
     match check_workloads(&wls, matrix, spec.seed, spec.budget, 0) {
-        Ok(report) => CaseVerdict::Pass {
-            commits: report.commits_compared,
-        },
+        Ok(report) => CaseVerdict::Pass { report },
         Err(mut failure) => {
             let mut smallest = *spec;
             for step in 1..=MAX_SHRINK {
@@ -333,7 +333,7 @@ pub fn committed_corpus() -> Result<Vec<CorpusCase>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smtsim_rob2::committed_variants;
+    use smtsim_rob2::{committed_variants, Knob, Knobs};
 
     #[test]
     fn generated_profiles_are_always_valid() {
@@ -406,12 +406,34 @@ mod tests {
     }
 
     #[test]
+    fn default_fresh_cases_are_new_programs() {
+        // The committed corpus holds fresh cases of an earlier base: at
+        // the default FUZZ_SEED and FUZZ_CASES none may come back.
+        let knobs = Knobs::default();
+        let base = knobs.get(Knob::FuzzSeed);
+        let fresh: Vec<u64> = (0..knobs.get(Knob::FuzzCases))
+            .map(|i| CaseSpec::fresh(base, i).seed)
+            .collect();
+        let corpus = committed_corpus().unwrap();
+        assert!(!corpus.is_empty());
+        for (name, spec) in corpus {
+            let seed = spec.unwrap().seed;
+            assert!(
+                !fresh.contains(&seed),
+                "{name} is a fresh case of base {base}"
+            );
+        }
+    }
+
+    #[test]
     fn fresh_cases_pass_the_differential() {
         // A tiny always-on smoke: two fresh cases, serial.
         let results = run_fresh_cases(42, 2, &committed_variants().unwrap(), 1);
         for (spec, verdict) in results {
             match verdict {
-                CaseVerdict::Pass { commits } => assert!(commits > 0),
+                CaseVerdict::Pass { report } => {
+                    assert!(report.commits_compared > 0 && report.traces_judged > 0);
+                }
                 CaseVerdict::Skipped { .. } => {}
                 CaseVerdict::Fail { failure, shrunk } => {
                     panic!("case {spec:?} failed (shrunk to {shrunk:?}): {failure}")

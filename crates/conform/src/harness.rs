@@ -14,11 +14,16 @@
 //! * the static-DoD oracle records zero violations when bound tables
 //!   are installed.
 //!
+//! Last, the same trace of every two-level configuration goes through
+//! the protocol [`monitor`](crate::monitor), so each configuration is
+//! simulated once for both trace oracles.
+//!
 //! Failures carry the first divergent commit and, where a thread/tag is
 //! implicated, the enclosing L2-miss episode reconstructed from the
 //! same trace ([`EpisodeReconstructor`]).
 
 use crate::capture::{capture_streams, CaptureError};
+use crate::monitor::{check_stream, Conformance, Nonconformance};
 use crate::record::CommitRecord;
 use crate::reference::Reference;
 use smtsim_obs::{episode_line, Cycle, DodSource, EpisodeReconstructor, TraceEvent, TraceLog};
@@ -29,16 +34,20 @@ use smtsim_workload::Workload;
 use std::fmt;
 use std::sync::Arc;
 
-/// A passing differential: how much evidence was accumulated.
+/// A passing harness run: how much evidence was accumulated.
 #[derive(Clone, Debug)]
 pub struct ConformReport {
     /// Matrix names of the configurations compared.
     pub configs: Vec<String>,
     /// Total commit records compared against the reference.
     pub commits_compared: u64,
+    /// Two-level traces the protocol monitor judged.
+    pub traces_judged: usize,
+    /// Monitor tallies summed over those traces.
+    pub protocol: Conformance,
 }
 
-/// Why the differential failed. Every variant names the configuration
+/// Why the harness failed. Every variant names the configuration
 /// whose run surfaced the defect; variants about a specific commit or
 /// sample carry the enclosing L2-miss episode when one exists.
 #[derive(Clone, Debug)]
@@ -98,6 +107,13 @@ pub enum ConformFailure {
         /// Enclosing episode (JSON line), if reconstructable.
         episode: Option<String>,
     },
+    /// The trace broke the abstract transfer-protocol model.
+    Protocol {
+        /// Matrix name of the two-level configuration.
+        config: String,
+        /// The monitor's first violation.
+        violation: Nonconformance,
+    },
 }
 
 impl fmt::Display for ConformFailure {
@@ -148,6 +164,12 @@ impl fmt::Display for ConformFailure {
                  commit #{index} (tag {tag})\n  expected: {expected:?}\n  actual:   {actual:?}{}",
                 episode_suffix(episode)
             ),
+            ConformFailure::Protocol { config, violation } => {
+                write!(
+                    f,
+                    "[{config}] trace does not conform to the protocol model: {violation}"
+                )
+            }
         }
     }
 }
@@ -172,8 +194,8 @@ fn episode_context(events: &[(Cycle, TraceEvent)], thread: usize, tag: u64) -> O
 /// One traced run of `rob` over `wls` on the paper machine sized to
 /// the workload set, with the static DoD `bounds` installed: `warmup`
 /// untraced functional instructions per thread, then timed cycles until
-/// any thread commits `budget`. Every oracle (the differential, the
-/// protocol-monitor replay, skip equivalence) runs configurations here.
+/// any thread commits `budget`. The harness (the differential and the
+/// protocol monitor) and skip equivalence run configurations here.
 ///
 /// # Errors
 /// The [`SimError`] that stopped the build or the run.
@@ -203,7 +225,8 @@ pub fn traced_run(
 /// configuration of `matrix` (normally
 /// [`smtsim_rob2::committed_variants`]) on `wls`, all canonical commit
 /// streams equal to the in-order reference, DoD samples in range, zero
-/// oracle violations.
+/// oracle violations, and every two-level trace accepted by
+/// [`check_stream`].
 ///
 /// `seed` seeds the simulator (thread `t`'s executor derives
 /// `seed + t`, and the reference mirrors that); `budget` is the
@@ -239,6 +262,8 @@ pub fn check_workloads(
     let mut report = ConformReport {
         configs: Vec::new(),
         commits_compared: 0,
+        traces_judged: 0,
+        protocol: Conformance::default(),
     };
 
     for variant in matrix {
@@ -317,6 +342,17 @@ pub fn check_workloads(
             }
             report.commits_compared += stream.records.len() as u64;
         }
+        if let RobConfig::TwoLevel(cfg) = &variant.config {
+            match check_stream(cfg, &events) {
+                Ok(tally) => {
+                    report.traces_judged += 1;
+                    report.protocol += tally;
+                }
+                Err(violation) => {
+                    return Err(Box::new(ConformFailure::Protocol { config, violation }));
+                }
+            }
+        }
         report.configs.push(config);
     }
     Ok(report)
@@ -339,18 +375,25 @@ mod tests {
     #[test]
     fn differential_passes_on_a_memory_bound_mix() {
         // Mix 1 is the paper's most memory-bound pairing — the hardest
-        // case for second-level tenure bookkeeping.
+        // case for second-level tenure bookkeeping and the densest
+        // episode traffic for the protocol monitor.
         let wls = mix_workloads(1, 42);
         let matrix = committed_variants().unwrap();
         let report = check_workloads(&wls, &matrix, 42, 2_000, 0).unwrap();
         assert_eq!(report.configs.len(), matrix.len());
         assert!(report.commits_compared > 0);
+        assert_eq!(report.traces_judged, 23, "every two-level configuration");
+        assert!(report.protocol.grants > 0, "the transfer protocol ran");
     }
 
     #[test]
     fn differential_covers_warmup() {
+        // Warmup shifts cache and predictor state without emitting
+        // events; every episode must still open with its detection.
         let wls = mix_workloads(2, 7);
-        check_workloads(&wls, &committed_variants().unwrap(), 7, 1_500, 5_000).unwrap();
+        let report =
+            check_workloads(&wls, &committed_variants().unwrap(), 7, 1_500, 5_000).unwrap();
+        assert_eq!(report.traces_judged, 23);
     }
 
     #[test]

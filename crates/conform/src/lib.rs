@@ -1,11 +1,13 @@
 //! # smtsim-conform
 //!
-//! Differential conformance oracle for the two-level-ROB reproduction:
-//! proves that every second-level allocation scheme (R-ROB, Relaxed
-//! R-ROB, CDR-ROB, P-ROB) is *timing-only* — it changes when
-//! instructions commit, never what they compute.
+//! The trace oracles of the two-level-ROB reproduction. The
+//! differential proves that every second-level allocation scheme
+//! (R-ROB, Relaxed R-ROB, CDR-ROB, P-ROB) is *timing-only* — it changes
+//! when instructions commit, never what they compute — and the protocol
+//! monitor proves each traced run is a behaviour of the transfer
+//! protocol's abstract model. Both judge the same traced run.
 //!
-//! Three pieces (DESIGN.md §12):
+//! Four pieces (DESIGN.md §12):
 //!
 //! * [`reference`](mod@reference) — a small in-order functional executor over
 //!   `smtsim-isa` programs producing the canonical per-thread commit
@@ -25,6 +27,10 @@
 //!   timing-side invariants that commit streams cannot see: every
 //!   `CounterAtFill` DoD sample stays within the first-level window,
 //!   and the static-DoD oracle records zero violations.
+//! * [`monitor`] — checks each two-level configuration's
+//!   `(cycle, TraceEvent)` stream from the same run against the
+//!   abstract protocol model of `smtsim-check` (DESIGN.md §14): global
+//!   stream checks plus per-episode path acceptance.
 //!
 //! [`fuzz`] drives the harness with seeded, machine-generated
 //! multi-threaded workloads (pointer-chase, streaming, high/low-DoD
@@ -36,8 +42,11 @@
 pub mod capture;
 pub mod fuzz;
 pub mod harness;
+pub mod monitor;
 pub mod record;
 pub mod reference;
+#[cfg(test)]
+mod replay;
 
 pub use capture::{capture_streams, CaptureError, CapturedStream};
 pub use fuzz::{
@@ -45,5 +54,6 @@ pub use fuzz::{
     run_fresh_cases, shrink_once, CaseSpec, CaseVerdict, CorpusCase,
 };
 pub use harness::{check_workloads, traced_run, ConformFailure, ConformReport};
+pub use monitor::{check_episode_path, check_stream, Conformance, Nonconformance};
 pub use record::{ArchState, CommitRecord};
 pub use reference::Reference;

@@ -1,10 +1,10 @@
 //! Replays the committed fuzz corpus (`tests/corpus/*.case` at the
-//! workspace root) through the differential harness, over every
-//! configuration the committed specs render, fully offline.
+//! workspace root) through the harness — the differential and the
+//! protocol monitor — over every configuration the committed specs
+//! render, fully offline.
 //!
-//! Every committed case must either pass the differential or be
-//! deterministically skipped by the generator lints — a `Fail` verdict
-//! on a committed case is a regression.
+//! Every committed case must simulate and pass: a case the generator
+//! lints skip, or a `Fail` verdict, is a regression.
 
 use smtsim_conform::{committed_corpus, run_case, CaseVerdict};
 use smtsim_rob2::committed_variants;
@@ -17,8 +17,15 @@ fn committed_corpus_passes_the_differential() {
     for (name, spec) in corpus {
         let spec = spec.unwrap_or_else(|e| panic!("{name}: {e}"));
         match run_case(&spec, &matrix) {
-            CaseVerdict::Pass { commits } => {
-                assert!(commits > 0, "{name}: passed but compared nothing");
+            CaseVerdict::Pass { report } => {
+                assert!(
+                    report.commits_compared > 0,
+                    "{name}: passed but compared nothing"
+                );
+                assert!(
+                    report.traces_judged > 0,
+                    "{name}: passed but judged no trace"
+                );
             }
             CaseVerdict::Skipped { reason } => {
                 panic!(

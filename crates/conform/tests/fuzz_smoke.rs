@@ -17,8 +17,12 @@ fn fresh_cases_pass_and_are_job_count_invariant() {
     assert_eq!(serial.len(), CASES as usize);
     for (spec, verdict) in &serial {
         match verdict {
-            CaseVerdict::Pass { commits } => {
-                assert!(*commits > 0, "case seed={} compared no commits", spec.seed);
+            CaseVerdict::Pass { report } => {
+                assert!(
+                    report.commits_compared > 0,
+                    "case seed={} compared no commits",
+                    spec.seed
+                );
             }
             CaseVerdict::Skipped { reason } => {
                 panic!("case seed={} skipped: {reason}", spec.seed);

@@ -344,7 +344,9 @@ fn load_records(
         let attempts = rec
             .get("attempts")
             .and_then(Json::as_u64)
-            .ok_or_else(|| corrupt("record lacks attempts".into()))? as u32;
+            .ok_or_else(|| corrupt("record lacks attempts".into()))?;
+        let attempts = u32::try_from(attempts)
+            .map_err(|_| corrupt(format!("attempts {attempts} out of range")))?;
         let run_val = rec
             .get("run")
             .ok_or_else(|| corrupt("record lacks run".into()))?;
@@ -561,6 +563,12 @@ pub fn mix_run_from_json(v: &Json) -> Result<MixRun, String> {
         .iter()
         .map(|x| x.as_u64().ok_or_else(|| "non-u64 bin".to_string()))
         .collect::<Result<_, _>>()?;
+    // Histograms merge bin by bin, so every run must carry the
+    // simulator's binning.
+    let want = DodHistogram::default().bins().len();
+    if bins.len() != want {
+        return Err(format!("dod_at_fill has {} bins, not {want}", bins.len()));
+    }
     let dod_at_fill = DodHistogram::from_parts(bins, u(h_v, "samples")?, u(h_v, "sum")?);
     let o_v = stats_v
         .get("dod_oracle")
@@ -1051,6 +1059,44 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn well_formed_records_out_of_range_are_typed_corruption() {
+        let dir = std::env::temp_dir().join("smtsim-journal-test-range");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("j.jsonl");
+        let uni = fingerprint_str("universe-A");
+        let expect_corrupt = |want_line: usize, what: &str| match Journal::open(&path, &uni) {
+            Err(JournalError::Corrupt { line, detail }) => {
+                assert_eq!(line, want_line, "{detail}");
+                assert!(detail.contains(what), "{detail}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        };
+        // A 31-bin histogram would panic the first merge with a
+        // simulator histogram; its line and crc are well formed.
+        let mut short = sample_run(false);
+        short.stats.dod_at_fill = DodHistogram::new(30);
+        {
+            let j = Journal::open(&path, &uni).expect("create");
+            j.record("k1", &sample_run(false), 1).unwrap();
+            j.record("k2", &short, 1).unwrap();
+        }
+        expect_corrupt(3, "31 bins");
+        // An `attempts` past u32 whose crc covers its truncation.
+        fs::remove_file(&path).unwrap();
+        Journal::open(&path, &uni)
+            .expect("create")
+            .record("k1", &sample_run(false), 2)
+            .unwrap();
+        let text = fs::read_to_string(&path).unwrap();
+        let wide = text.replacen("\"attempts\":2,", "\"attempts\":4294967298,", 1);
+        assert_ne!(text, wide, "tamper site must exist");
+        fs::write(&path, wide).unwrap();
+        expect_corrupt(2, "attempts");
         let _ = fs::remove_dir_all(&dir);
     }
 

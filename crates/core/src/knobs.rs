@@ -117,7 +117,7 @@ pub const KNOBS: &[KnobRow] = &[
     row(Knob::Warmup,       "WARMUP",        Some("warmup"),        Value(60_000), ANY, true),
     row(Knob::Seed,         "SEED",          Some("seed"),          Value(42),     ANY, true),
     row(Knob::FuzzCases,    "FUZZ_CASES",    Some("fuzz_cases"),    Value(4),      ANY, false),
-    row(Knob::FuzzSeed,     "FUZZ_SEED",     Some("fuzz_seed"),     Value(2_026),  ANY, false),
+    row(Knob::FuzzSeed,     "FUZZ_SEED",     Some("fuzz_seed"),     Value(2_027),  ANY, false),
     row(Knob::CheckThreads, "CHECK_THREADS", Some("check_threads"), Value(3), CHECK_BOUND, false),
     row(Knob::CheckL2,      "CHECK_L2",      Some("check_l2"),      Value(2), CHECK_BOUND, false),
     // 0 = the machine's available parallelism.

@@ -151,9 +151,11 @@ pub enum SpecKind {
     Accuracy,
     /// The structured-trace episode summary (+ raw JSONL dump).
     Episodes,
-    /// The differential-conformance suite (mixes, corpus, fresh fuzz).
+    /// The trace oracles — the commit differential and the protocol
+    /// monitor, judging one traced run per configuration — over the
+    /// mixes, the corpus and fresh fuzz.
     Conform,
-    /// Bounded model checking + trace conformance.
+    /// Bounded model checking of the transfer protocol's abstract model.
     Check,
     /// A suite: renders each listed spec into `results/<id>.txt`.
     Suite,

@@ -4,11 +4,12 @@
 //! loop (metrics probes stay live throughout), and a client that
 //! disconnects mid-stream has its queued cells cancelled and counted.
 
+use smtsim_bench::serve_support as client;
 use smtsim_rob2::Knobs;
 use smtsim_serve::{ServeConfig, Server, SpecLowering};
 use std::io::{BufRead, BufReader, Write as _};
 use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// A one-cell figure spec small enough to finish in milliseconds.
@@ -76,38 +77,6 @@ impl SpecLowering for SlowLowering {
     }
 }
 
-fn submit_line(toml: &str) -> String {
-    format!(
-        "{{\"op\":\"submit\",\"spec_toml\":{}}}",
-        smtsim_rob2::journal::json_string(toml)
-    )
-}
-
-fn exchange(socket: &Path, request: &str) -> Vec<String> {
-    let mut stream = UnixStream::connect(socket).unwrap();
-    stream.write_all(request.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    BufReader::new(stream)
-        .lines()
-        .collect::<Result<_, _>>()
-        .unwrap()
-}
-
-fn field(line: &str, name: &str) -> Option<String> {
-    smtsim_rob2::journal::parse_json(line)
-        .ok()?
-        .get(name)
-        .and_then(smtsim_rob2::journal::Json::as_str)
-        .map(str::to_string)
-}
-
-fn field_u64(line: &str, name: &str) -> Option<u64> {
-    smtsim_rob2::journal::parse_json(line)
-        .ok()?
-        .get(name)
-        .and_then(smtsim_rob2::journal::Json::as_u64)
-}
-
 #[test]
 fn full_queue_rejects_retryable_while_the_accept_loop_stays_live() {
     let delay = Duration::from_millis(1_500);
@@ -124,11 +93,13 @@ fn full_queue_rejects_retryable_while_the_accept_loop_stays_live() {
     // Client 1 takes the single admission slot and sits in the slow
     // lowering stage.
     let slow_socket = socket.clone();
-    let slow = std::thread::spawn(move || exchange(&slow_socket, &submit_line(TINY_SPEC)));
+    let slow = std::thread::spawn(move || {
+        client::request_lines(&slow_socket, &client::submit_inline(TINY_SPEC)).unwrap()
+    });
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let metrics = exchange(&socket, "{\"op\":\"metrics\"}");
-        if field_u64(metrics.last().unwrap(), "active_requests") == Some(1) {
+        let metrics = client::request_lines(&socket, "{\"op\":\"metrics\"}").unwrap();
+        if client::line_u64(metrics.last().unwrap(), "active_requests") == Some(1) {
             break;
         }
         assert!(Instant::now() < deadline, "first request never admitted");
@@ -138,11 +109,19 @@ fn full_queue_rejects_retryable_while_the_accept_loop_stays_live() {
     // Client 2 must be bounced immediately — typed, retryable, and
     // far faster than the slow request it would otherwise wait on.
     let t0 = Instant::now();
-    let bounced = exchange(&socket, &submit_line(TINY_SPEC));
+    let bounced = client::request_lines(&socket, &client::submit_inline(TINY_SPEC)).unwrap();
     let elapsed = t0.elapsed();
     let last = bounced.last().expect("a rejection line");
-    assert_eq!(field(last, "type").as_deref(), Some("error"), "{last}");
-    assert_eq!(field(last, "kind").as_deref(), Some("queue-full"), "{last}");
+    assert_eq!(
+        client::line_str(last, "type").as_deref(),
+        Some("error"),
+        "{last}"
+    );
+    assert_eq!(
+        client::line_str(last, "kind").as_deref(),
+        Some("queue-full"),
+        "{last}"
+    );
     assert!(last.contains("\"retryable\":true"), "{last}");
     assert!(
         elapsed < delay,
@@ -152,9 +131,9 @@ fn full_queue_rejects_retryable_while_the_accept_loop_stays_live() {
     // The accept loop stays responsive under saturation: a metrics
     // probe answers while the slow request still holds the slot.
     let t0 = Instant::now();
-    let metrics = exchange(&socket, "{\"op\":\"metrics\"}");
+    let metrics = client::request_lines(&socket, "{\"op\":\"metrics\"}").unwrap();
     assert_eq!(
-        field(metrics.last().unwrap(), "type").as_deref(),
+        client::line_str(metrics.last().unwrap(), "type").as_deref(),
         Some("metrics")
     );
     assert!(t0.elapsed() < delay, "metrics must not queue either");
@@ -162,7 +141,7 @@ fn full_queue_rejects_retryable_while_the_accept_loop_stays_live() {
     // The admitted request still completes normally.
     let slow_lines = slow.join().unwrap();
     assert_eq!(
-        field(slow_lines.last().unwrap(), "type").as_deref(),
+        client::line_str(slow_lines.last().unwrap(), "type").as_deref(),
         Some("done"),
         "admitted request must finish: {:?}",
         slow_lines.last()
@@ -181,13 +160,13 @@ fn client_disconnect_cancels_its_queued_cells() {
     {
         let mut stream = UnixStream::connect(&socket).unwrap();
         stream
-            .write_all(format!("{}\n", submit_line(WIDE_SPEC)).as_bytes())
+            .write_all(format!("{}\n", client::submit_inline(WIDE_SPEC)).as_bytes())
             .unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut accepted = String::new();
         assert!(reader.read_line(&mut accepted).unwrap() > 0);
         assert_eq!(
-            field(&accepted, "type").as_deref(),
+            client::line_str(&accepted, "type").as_deref(),
             Some("accepted"),
             "{accepted}"
         );
@@ -215,9 +194,9 @@ fn client_disconnect_cancels_its_queued_cells() {
     );
 
     // The daemon is healthy afterwards: a fresh tiny request completes.
-    let lines = exchange(&socket, &submit_line(TINY_SPEC));
+    let lines = client::request_lines(&socket, &client::submit_inline(TINY_SPEC)).unwrap();
     assert_eq!(
-        field(lines.last().unwrap(), "type").as_deref(),
+        client::line_str(lines.last().unwrap(), "type").as_deref(),
         Some("done"),
         "{:?}",
         lines.last()

@@ -4,8 +4,9 @@
 //!
 //! * `lint` — source-level policy checks (below);
 //! * `determinism` — runs representative committed specs (figure,
-//!   histogram, accuracy table, the `trace` structured dump and the
-//!   model checker) through the `spec` bin at `SMTSIM_JOBS=1` and
+//!   histogram, accuracy table, the `trace` structured dump, the model
+//!   checker and the trace oracles of `conform` over the mixes and the
+//!   corpus) through the `spec` bin at `SMTSIM_JOBS=1` and
 //!   `SMTSIM_JOBS=4` and fails unless their stdout is byte-identical:
 //!   the parallel sweep engine is *defined* to produce the serial
 //!   output at any job count. Budget knobs (`BUDGET`/`WARMUP`/
@@ -25,8 +26,9 @@
 //!   `spec` bin against the committed malformed-spec fixture and
 //!   requires exit code 2 with an error naming the offending key —
 //!   the typed-spec-error contract, pinned end to end.
-//! * `conform` — runs the `conform` differential-conformance spec
-//!   (committed mixes + fuzz corpus replay + fresh-seed smoke) at
+//! * `conform` — runs the `conform` spec, whose harness judges every
+//!   traced run with the differential and the protocol monitor
+//!   (committed mixes + fuzz corpus replay + fresh-seed smoke), at
 //!   `SMTSIM_JOBS=1` and `SMTSIM_JOBS=4` and fails unless both runs
 //!   pass with byte-identical stdout: generated fuzz programs and
 //!   verdicts must be a pure function of `FUZZ_SEED`. It then runs the
@@ -35,9 +37,9 @@
 //!   pristine pipeline *and* catch the planted DoD-window off-by-one
 //!   (DESIGN.md §12).
 //! * `check` — runs the `check` bounded-model-checking spec (exhaustive
-//!   protocol exploration at CI bounds + live-trace conformance) at
-//!   `SMTSIM_JOBS=1` and `SMTSIM_JOBS=4` and fails unless both runs
-//!   pass with byte-identical stdout, then runs the `smtsim-check`
+//!   protocol exploration at CI bounds) at `SMTSIM_JOBS=1` and
+//!   `SMTSIM_JOBS=4` and fails unless both runs pass with
+//!   byte-identical stdout, then runs the `smtsim-check`
 //!   mutation self-test on both sides of the `seeded-release-bug`
 //!   feature: the explorer must be clean on the pristine model *and*
 //!   catch the planted bug with its minimal counterexample
@@ -416,6 +418,9 @@ const DETERMINISM_DEFAULTS: &[(&str, &str)] = &[
     // only that the report bytes are identical across runs.
     ("CHECK_THREADS", "2"),
     ("CHECK_L2", "2"),
+    // The `conform` leg judges the mixes and the corpus; fresh fuzz
+    // runs in `cargo xtask conform`.
+    ("FUZZ_CASES", "0"),
 ];
 
 /// Runs the committed spec `experiments/<id>.toml` through the `spec`
@@ -614,7 +619,8 @@ fn check_malformed_spec(root: &Path) -> Result<(), String> {
 /// The `determinism` subcommand: byte-compares serial vs. 4-way
 /// parallel output of one FT figure, one DoD histogram, the accuracy
 /// table and the structured-trace episode summary (the figure kinds
-/// the sweep engine feeds, plus the traced sweep variant). The
+/// the sweep engine feeds, plus the traced sweep variant), the model
+/// checker's report and the trace oracles' `conform` report. The
 /// [`GOLDEN_BINS`] outputs are additionally pinned against the
 /// committed golden files in `tests/golden/` (skipped when the budget
 /// knobs are overridden in the environment, since the goldens are
@@ -627,7 +633,7 @@ fn run_determinism(root: &Path, bless: bool) -> ExitCode {
         .iter()
         .chain([&("SEED", ""), &("ST_BUDGET", "")])
         .all(|(k, _)| std::env::var_os(k).is_none());
-    for id in ["fig2", "fig1", "accuracy", "trace", "check"] {
+    for id in ["fig2", "fig1", "accuracy", "trace", "check", "conform"] {
         let label = format!("determinism: {id}");
         let Some(serial) = jobs_1_and_4(root, &label, id, DETERMINISM_DEFAULTS) else {
             // The leg already fails; its golden and no-skip comparisons
@@ -691,19 +697,20 @@ fn run_determinism(root: &Path, bless: bool) -> ExitCode {
     }
 }
 
-/// Knob defaults for the `conform` subcommand: a reduced differential
-/// (two mixes, small budget) plus a bounded fresh-fuzz smoke, sized to
-/// keep both job-count runs under a minute together.
+/// Knob defaults for the `conform` subcommand: both trace oracles on
+/// three mixes at a small budget plus a bounded fresh-fuzz smoke (from
+/// the default `FUZZ_SEED`), sized to keep both job-count runs under a
+/// minute together.
 const CONFORM_DEFAULTS: &[(&str, &str)] = &[
     ("BUDGET", "4000"),
     ("WARMUP", "2000"),
-    ("MIXES", "1,2"),
+    ("MIXES", "1,2,9"),
     ("FUZZ_CASES", "2"),
-    ("FUZZ_SEED", "2026"),
 ];
 
-/// The `conform` subcommand: runs the differential conformance spec at
-/// `SMTSIM_JOBS=1` and `SMTSIM_JOBS=4` and fails unless (a) both runs
+/// The `conform` subcommand: runs the trace-oracle spec (differential
+/// and protocol monitor) at `SMTSIM_JOBS=1` and `SMTSIM_JOBS=4` and
+/// fails unless (a) both runs
 /// pass and (b) their stdout is byte-identical — the acceptance
 /// criterion that the fuzzer's generated programs and verdicts are a
 /// pure function of `FUZZ_SEED`, independent of worker count — then
@@ -718,16 +725,8 @@ fn run_conform(root: &Path) -> ExitCode {
 }
 
 /// Knob defaults for the `check` subcommand: the model checker at its
-/// CI bounds (every scheme family × release policy, exhaustively) plus
-/// a reduced live-trace conformance pass, sized to finish well under a
-/// minute.
-const CHECK_DEFAULTS: &[(&str, &str)] = &[
-    ("BUDGET", "4000"),
-    ("WARMUP", "2000"),
-    ("MIXES", "1,9"),
-    ("CHECK_THREADS", "3"),
-    ("CHECK_L2", "2"),
-];
+/// CI bounds (every scheme family × release policy, exhaustively).
+const CHECK_DEFAULTS: &[(&str, &str)] = &[("CHECK_THREADS", "3"), ("CHECK_L2", "2")];
 
 /// Runs `package`'s `mutation` test target on both sides of its
 /// seeded-bug `feature`. Both sides must pass as cargo tests: the
@@ -760,12 +759,12 @@ fn run_mutation_selftest(root: &Path, label: &str, package: &str, feature: &str)
     ExitCode::SUCCESS
 }
 
-/// The `check` subcommand: runs the bounded model checker + trace
-/// conformance spec at `SMTSIM_JOBS=1` and `4` and fails unless both
-/// runs pass with byte-identical stdout (the checker's report — state
-/// counts, counterexamples, conformance tallies — must be a pure
-/// function of its knobs), then runs the mutation self-test on both
-/// sides of the `seeded-release-bug` feature.
+/// The `check` subcommand: runs the bounded model checker spec at
+/// `SMTSIM_JOBS=1` and `4` and fails unless both runs pass with
+/// byte-identical stdout (the checker's report — state counts and
+/// counterexamples — must be a pure function of its knobs), then runs
+/// the mutation self-test on both sides of the `seeded-release-bug`
+/// feature.
 fn run_check(root: &Path) -> ExitCode {
     let Some(report) = jobs_1_and_4(root, "check", "check", CHECK_DEFAULTS) else {
         return ExitCode::FAILURE;
