@@ -16,6 +16,7 @@
 
 use crate::config::{FetchPolicyKind, MachineConfig};
 use crate::error::{DeadlockSnapshot, HeadSnapshot, SimError, ThreadSnapshot};
+use crate::event_queue::EventQueue;
 use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::fu::FuPool;
 use crate::regfile::RegFiles;
@@ -29,8 +30,7 @@ use smtsim_mem::{Cycle, Hierarchy};
 use smtsim_obs::{NoopTracer, TraceEvent, Tracer};
 use smtsim_predict::{Btb, Gshare, LoadHitPredictor};
 use smtsim_workload::{Executor, Workload};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A fetched, not-yet-dispatched instruction in a thread's front end.
@@ -85,7 +85,9 @@ impl Thread {
         let entry_pc = wl.program.pc_of(wl.program.entry(), 0);
         Thread {
             exec: Executor::new(wl, seed),
-            rob: RobSoa::with_capacity(512),
+            // The smallest ring: enough for every baseline-32 thread;
+            // larger ROB configurations grow it on demand.
+            rob: RobSoa::with_capacity(64),
             next_tag: 0,
             lsq: LsqSoa::with_capacity(64),
             fetch_q: VecDeque::with_capacity(32),
@@ -221,6 +223,8 @@ pub(crate) struct Scratch {
     pub rob_replay: Vec<DynInst>,
     /// Per-thread dispatch classification for the cycle-skip engine.
     pub classes: Vec<DispatchClass>,
+    /// The events due this cycle, in processing order.
+    pub events: Vec<Event>,
 }
 
 /// The cycle-level SMT simulator.
@@ -244,7 +248,7 @@ pub struct Simulator<T: Tracer = NoopTracer> {
     pub(crate) btb: Btb,
     pub(crate) loadhit: LoadHitPredictor,
     pub(crate) alloc: Box<dyn RobAllocator>,
-    pub(crate) events: BinaryHeap<Reverse<Event>>,
+    pub(crate) events: EventQueue,
     pub(crate) now: Cycle,
     pub(crate) global_seq: u64,
     pub(crate) commit_rr: usize,
@@ -346,7 +350,7 @@ impl<T: Tracer> Simulator<T> {
             btb: Btb::icpp08(),
             loadhit: LoadHitPredictor::icpp08(),
             alloc,
-            events: BinaryHeap::new(),
+            events: EventQueue::new(),
             now: 0,
             global_seq: 0,
             commit_rr: 0,
@@ -395,20 +399,17 @@ impl<T: Tracer> Simulator<T> {
     }
 
     /// Cross-checks one correct-path L2 fill against the static DoD
-    /// bound for the load's PC. `counted` is the hardware counter value
-    /// over the same first-level window, *before* fault injection.
-    pub(crate) fn oracle_check(&mut self, r: InstRef, pc: u64, counted: u32) {
+    /// bound for the load's PC. `idx` is the load's ROB index; `counted`
+    /// is the hardware counter value over the same first-level window,
+    /// *before* fault injection.
+    pub(crate) fn oracle_check(&mut self, r: InstRef, idx: usize, pc: u64, counted: u32) {
         if self.dod_bounds.is_empty() {
             return;
         }
         let Some(max) = self.dod_bounds[r.thread].lookup(pc) else {
             return;
         };
-        let th = &self.threads[r.thread];
-        let Some(idx) = th.rob.index_of(r.tag) else {
-            return;
-        };
-        let exact = th.exact_dependents(idx, DOD_WINDOW);
+        let exact = self.threads[r.thread].exact_dependents(idx, DOD_WINDOW);
         let o = &mut self.stats.dod_oracle;
         o.checked += 1;
         o.exact_sum += exact as u64;
@@ -495,7 +496,7 @@ impl<T: Tracer> Simulator<T> {
     #[inline]
     pub(crate) fn push_event(&mut self, ev: Event) {
         debug_assert!(ev.at >= self.now);
-        self.events.push(Reverse(ev));
+        self.events.push(ev);
     }
 
     /// Functionally warms caches and predictors
@@ -714,8 +715,8 @@ impl<T: Tracer> Simulator<T> {
         if let StopCondition::Cycles(n) = stop {
             target = target.min(n);
         }
-        if let Some(&Reverse(ev)) = self.events.peek() {
-            target = target.min(ev.at);
+        if let Some(at) = self.events.next_at() {
+            target = target.min(at);
         }
         if let Some(max) = self.budget.max_cycles {
             target = target.min(max);
@@ -1211,7 +1212,6 @@ mod tests {
         for (tag, (dst, srcs, wrong_path)) in entries.into_iter().enumerate() {
             th.rob.push_back(InstState {
                 tag: tag as u64,
-                seq: tag as u64,
                 di: DynInst {
                     pc: 0x1_0000 + tag as u64 * 4,
                     seq: tag as u64,
@@ -1225,10 +1225,8 @@ mod tests {
                 wrong_path,
                 dst_phys: None,
                 old_phys: None,
-                src_phys: [None, None],
                 issued: false,
                 executed: false,
-                dispatched_at: 0,
                 branch: None,
                 mem: None,
                 dod_hist: 0,

@@ -40,6 +40,7 @@ pub mod builder;
 pub mod config;
 pub mod core;
 pub mod error;
+pub(crate) mod event_queue;
 pub mod fault;
 pub mod fu;
 pub mod regfile;

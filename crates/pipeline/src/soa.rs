@@ -11,7 +11,8 @@
 //! readiness polling entirely):
 //!
 //! * `tags` — a dense ring of per-thread tags (strictly increasing,
-//!   non-contiguous), binary-searched for tag→index lookups;
+//!   non-contiguous), checked at a cached physical slot or
+//!   binary-searched for tag→index lookups;
 //! * `issued`/`executed` (ROB) and `store`/`resolved` (LSQ) — bitsets
 //!   indexed by *physical* ring slot, so the paper's DoD scan
 //!   ("count the result-invalid entries in the 31-entry window behind
@@ -29,7 +30,6 @@
 use crate::regfile::PhysReg;
 use crate::types::{BranchState, InstState, LsqEntry, MemState};
 use smtsim_isa::{DynInst, OpClass, ThreadId};
-use smtsim_mem::Cycle;
 
 #[inline]
 fn bit_get(words: &[u64], i: usize) -> bool {
@@ -73,13 +73,10 @@ fn count_ones_range(words: &[u64], from: usize, to: usize) -> u32 {
 #[derive(Clone, Debug)]
 pub(crate) struct RobSlot {
     pub tag: u64,
-    pub seq: u64,
     pub di: DynInst,
     pub wrong_path: bool,
     pub dst_phys: Option<PhysReg>,
     pub old_phys: Option<PhysReg>,
-    pub src_phys: [Option<PhysReg>; 2],
-    pub dispatched_at: Cycle,
     pub branch: Option<BranchState>,
     pub mem: Option<MemState>,
     pub dod_hist: u16,
@@ -88,7 +85,6 @@ pub(crate) struct RobSlot {
 fn placeholder_slot() -> RobSlot {
     RobSlot {
         tag: 0,
-        seq: 0,
         di: DynInst {
             pc: 0,
             seq: 0,
@@ -102,8 +98,6 @@ fn placeholder_slot() -> RobSlot {
         wrong_path: false,
         dst_phys: None,
         old_phys: None,
-        src_phys: [None, None],
-        dispatched_at: 0,
         branch: None,
         mem: None,
         dod_hist: 0,
@@ -114,7 +108,7 @@ fn placeholder_slot() -> RobSlot {
 /// physical slots. Logical index 0 is the oldest entry; tag order and
 /// logical order coincide (tags are strictly increasing).
 pub(crate) struct RobSoa {
-    /// Per-slot tags (hot: binary-searched by every event lookup).
+    /// Per-slot tags (hot: every tag→index lookup reads them).
     tags: Box<[u64]>,
     /// "Result valid" bits — the column the DoD scan popcounts.
     executed: Box<[u64]>,
@@ -159,14 +153,17 @@ impl RobSoa {
         self.mask + 1
     }
 
+    /// Physical slot of logical index `idx`.
     #[inline]
-    fn phys(&self, idx: usize) -> usize {
+    pub fn phys(&self, idx: usize) -> usize {
         debug_assert!(idx < self.len);
         (self.head + idx) & self.mask
     }
 
-    /// Doubles the ring (cold: the paper machines top out at 416
-    /// entries, under the default 512 slots).
+    /// Doubles the ring. Cold: a ring starts at 64 slots, enough for
+    /// every baseline-32 thread, and only larger configurations grow
+    /// it, a few times per run (the paper machines top out at 416
+    /// entries, 512 slots).
     #[cold]
     fn grow(&mut self) {
         let mut next = RobSoa::with_capacity(self.cap() * 2);
@@ -191,13 +188,10 @@ impl RobSoa {
         bit_set(&mut self.issued, p, e.issued);
         self.slots[p] = RobSlot {
             tag: e.tag,
-            seq: e.seq,
             di: e.di,
             wrong_path: e.wrong_path,
             dst_phys: e.dst_phys,
             old_phys: e.old_phys,
-            src_phys: e.src_phys,
-            dispatched_at: e.dispatched_at,
             branch: e.branch,
             mem: e.mem,
             dod_hist: e.dod_hist,
@@ -211,15 +205,12 @@ impl RobSoa {
         let s = &self.slots[p];
         InstState {
             tag: s.tag,
-            seq: s.seq,
             di: s.di,
             wrong_path: s.wrong_path,
             dst_phys: s.dst_phys,
             old_phys: s.old_phys,
-            src_phys: s.src_phys,
             issued: bit_get(&self.issued, p),
             executed: bit_get(&self.executed, p),
-            dispatched_at: s.dispatched_at,
             branch: s.branch,
             mem: s.mem,
             dod_hist: s.dod_hist,
@@ -334,11 +325,22 @@ impl RobSoa {
     /// *inside the live window* is conclusive. (A popped entry's slot
     /// may still hold the matching tag bytes until reuse, hence the
     /// window test; `None` also covers slots relocated by a ring
-    /// `grow`, where the caller falls back to [`RobSoa::index_of`].)
+    /// `grow`, where [`RobSoa::locate`] falls back to
+    /// [`RobSoa::index_of`].)
     #[inline]
     pub fn live_at(&self, p: usize, tag: u64) -> Option<usize> {
         let idx = p.wrapping_sub(self.head) & self.mask;
         (idx < self.len && self.tags[p] == tag).then_some(idx)
+    }
+
+    /// Logical index of `tag`, given the physical slot `p` a caller
+    /// cached for it ([`RobSoa::back_phys`] at dispatch,
+    /// [`RobSoa::phys`] at issue): O(1) while the cache holds, a binary
+    /// search after a ring `grow` relocated the entry or once the entry
+    /// has left the ring (`None`).
+    #[inline]
+    pub fn locate(&self, p: usize, tag: u64) -> Option<usize> {
+        self.live_at(p, tag).or_else(|| self.index_of(tag))
     }
 
     #[inline]
@@ -857,7 +859,6 @@ mod tests {
     fn inst(tag: u64, executed: bool, issued: bool) -> InstState {
         InstState {
             tag,
-            seq: tag,
             di: DynInst {
                 pc: 0x1000 + tag * 4,
                 seq: tag,
@@ -871,10 +872,8 @@ mod tests {
             wrong_path: false,
             dst_phys: None,
             old_phys: None,
-            src_phys: [None, None],
             issued,
             executed,
-            dispatched_at: 7,
             branch: None,
             mem: None,
             dod_hist: 3,
@@ -891,7 +890,7 @@ mod tests {
         let a = rob.pop_front().unwrap();
         assert!(a.executed && a.issued);
         assert_eq!(a.tag, 10);
-        assert_eq!(a.dispatched_at, 7);
+        assert_eq!(a.dod_hist, 3);
         let b = rob.pop_back().unwrap();
         assert!(!b.executed && b.issued);
         assert_eq!(b.tag, 12);
@@ -993,6 +992,46 @@ mod tests {
             assert_eq!(rob.executed(i), i % 2 == 0);
         }
         assert_eq!(rob.count_unexecuted(0, usize::MAX), 100);
+    }
+
+    #[test]
+    fn cached_slots_survive_grow_through_the_tag_fallback() {
+        let mut rob = RobSoa::with_capacity(64);
+        // Wrap the head, then cache each entry's physical slot the way
+        // the IQ and the event queue do.
+        for t in 0..50 {
+            rob.push_back(inst(t, true, true));
+        }
+        for _ in 0..50 {
+            rob.pop_front();
+        }
+        let mut cached = Vec::new();
+        for t in 100..160u64 {
+            rob.push_back(inst(t, false, false));
+            cached.push((t, rob.back_phys()));
+        }
+        // Retire the oldest ten, then overflow the 64 slots: `grow`
+        // relocates every live entry.
+        for _ in 0..10 {
+            rob.pop_front();
+        }
+        for t in 160..200u64 {
+            rob.push_back(inst(t, false, false));
+        }
+        assert_eq!(rob.len(), 90);
+        let mut fallbacks = 0;
+        for &(tag, p) in &cached {
+            let found = rob.locate(p, tag);
+            if tag < 110 {
+                assert_eq!(found, None, "popped tag {tag} found at cached slot {p}");
+                continue;
+            }
+            let idx = found.unwrap_or_else(|| panic!("live tag {tag} lost after grow"));
+            assert_eq!(rob.tag_at(idx), tag);
+            assert_eq!(idx, (tag - 110) as usize);
+            fallbacks += usize::from(rob.live_at(p, tag).is_none());
+        }
+        assert!(fallbacks > 0, "grow relocated no cached slot");
     }
 
     #[test]

@@ -4,11 +4,10 @@
 use crate::config::FetchPolicyKind;
 use crate::core::{Fetched, RobView, Simulator};
 use crate::fault::FillFault;
-use crate::rob_policy::{MissEvent, RobQuery};
+use crate::rob_policy::MissEvent;
 use crate::types::{BranchState, Event, EventKind, InstRef, InstState, LsqEntry, MemState};
 use smtsim_isa::{OpClass, ThreadId, INST_BYTES};
 use smtsim_obs::{DodSource, StallKind, TraceEvent, Tracer};
-use std::cmp::Reverse;
 
 /// Outcome of the dispatch gate for one thread this cycle, shared by
 /// [`Simulator::try_dispatch_one`] and the cycle-skip engine (which
@@ -32,26 +31,34 @@ impl<T: Tracer> Simulator<T> {
     // ------------------------------------------------------------------
 
     pub(crate) fn process_events(&mut self) {
-        while let Some(&Reverse(ev)) = self.events.peek() {
-            if ev.at > self.now {
-                break;
-            }
-            self.events.pop();
+        let mut due = std::mem::take(&mut self.scratch.events);
+        self.events.drain_due(self.now, &mut due);
+        if !due.is_empty() {
             // Even a stale event (squashed target) counts as activity:
             // it changed the event queue the skip decision peeks at.
             self.cycle_activity = true;
+        }
+        for &ev in &due {
             match ev.kind {
-                EventKind::Complete => self.handle_complete(ev.inst),
-                EventKind::L2MissDetected => self.handle_miss_detected(ev.inst),
-                EventKind::L2Fill => self.handle_fill(ev.inst),
+                EventKind::Complete => self.handle_complete(ev.inst, ev.slot),
+                EventKind::L2MissDetected => self.handle_miss_detected(ev.inst, ev.slot),
+                EventKind::L2Fill => self.handle_fill(ev.inst, ev.slot),
             }
         }
+        // Handling the sorted batch equals a min-heap's pop loop only
+        // while no handler schedules an event (see `event_queue`).
+        debug_assert!(
+            self.events.next_at().is_none_or(|at| at > self.now),
+            "an event handler scheduled an event due at cycle {}",
+            self.now
+        );
+        self.scratch.events = due;
     }
 
     /// Writeback: the instruction's result becomes valid.
-    fn handle_complete(&mut self, r: InstRef) {
+    fn handle_complete(&mut self, r: InstRef, slot: u32) {
         // Squashed instructions leave stale events behind; drop them.
-        let Some(idx) = self.threads[r.thread].rob.index_of(r.tag) else {
+        let Some(idx) = self.threads[r.thread].rob.locate(slot as usize, r.tag) else {
             return;
         };
         let th = &mut self.threads[r.thread];
@@ -117,8 +124,8 @@ impl<T: Tracer> Simulator<T> {
     }
 
     /// The core notices an L2 miss (L1 probe + L2 probe have completed).
-    fn handle_miss_detected(&mut self, r: InstRef) {
-        let Some(idx) = self.threads[r.thread].rob.index_of(r.tag) else {
+    fn handle_miss_detected(&mut self, r: InstRef, slot: u32) {
+        let Some(idx) = self.threads[r.thread].rob.locate(slot as usize, r.tag) else {
             return;
         };
         if self.threads[r.thread].rob.executed(idx) {
@@ -167,8 +174,8 @@ impl<T: Tracer> Simulator<T> {
 
     /// The fill for an L2-missing load arrives: sample the DoD
     /// histogram (Figures 1/3/7) and notify the policy.
-    fn handle_fill(&mut self, r: InstRef) {
-        let Some(idx) = self.threads[r.thread].rob.index_of(r.tag) else {
+    fn handle_fill(&mut self, r: InstRef, slot: u32) {
+        let Some(idx) = self.threads[r.thread].rob.locate(slot as usize, r.tag) else {
             return;
         };
         let s = self.threads[r.thread].rob.slot_mut(idx);
@@ -198,15 +205,10 @@ impl<T: Tracer> Simulator<T> {
         //   grows as deeper windows capture more of the dependence
         //   shadow.
         let (counted_policy, counted_full) = {
-            let view = RobView {
-                threads: &self.threads,
-            };
+            let rob = &self.threads[r.thread].rob;
             (
-                view.count_unexecuted_younger(r.thread, r.tag, self.cfg_dod_window())
-                    .unwrap_or(0),
-                view.count_unexecuted_younger(r.thread, r.tag, usize::MAX)
-                    .unwrap_or(0)
-                    .min(31),
+                rob.count_unexecuted(idx + 1, self.cfg_dod_window()),
+                rob.count_unexecuted(idx + 1, usize::MAX).min(31),
             )
         };
         if T::ENABLED {
@@ -225,7 +227,7 @@ impl<T: Tracer> Simulator<T> {
             // (fault injection may corrupt the copy handed to the
             // policy below, but the oracle audits the machine, not the
             // fault plan).
-            self.oracle_check(r, ev.pc, counted_policy);
+            self.oracle_check(r, idx, ev.pc, counted_policy);
             if T::ENABLED {
                 // The same pre-fault counter value the oracle audits,
                 // so episode DoD agrees with `SimStats::dod_oracle`.
@@ -398,26 +400,19 @@ impl<T: Tracer> Simulator<T> {
                 continue;
             }
             let (t, tag) = (self.iq.thread(slot), self.iq.tag(slot));
-            let p = self.iq.robp(slot);
             // Cached physical ROB slot, binary-search fallback when a
             // ring `grow` relocated it. An IQ entry whose instruction
             // is no longer in flight means squash cleanup missed it —
             // an integrity violation, not a panic.
-            let idx = match self.threads[t].rob.live_at(p, tag) {
-                Some(idx) => idx,
-                None => match self.threads[t].rob.index_of(tag) {
-                    Some(idx) => idx,
-                    None => {
-                        self.report_integrity(format!(
-                            "IQ entry not in flight: now={} t{t} tag {tag} rob=[{:?}..{:?}] len={}",
-                            self.now,
-                            self.threads[t].rob.front_tag(),
-                            self.threads[t].rob.back_tag(),
-                            self.threads[t].rob.len()
-                        ));
-                        continue;
-                    }
-                },
+            let Some(idx) = self.threads[t].rob.locate(self.iq.robp(slot), tag) else {
+                self.report_integrity(format!(
+                    "IQ entry not in flight: now={} t{t} tag {tag} rob=[{:?}..{:?}] len={}",
+                    self.now,
+                    self.threads[t].rob.front_tag(),
+                    self.threads[t].rob.back_tag(),
+                    self.threads[t].rob.len()
+                ));
+                continue;
             };
             let op = self.threads[t].rob.slot(idx).di.op;
             if !self.fu.can_issue(op, self.now) {
@@ -445,8 +440,15 @@ impl<T: Tracer> Simulator<T> {
             let s = self.threads[t].rob.slot(idx);
             (s.di.op, s.di.mem_addr, s.di.pc, s.wrong_path)
         };
-        let r = InstRef { thread: t, tag };
-        let mut mem_state: Option<MemState> = None;
+        // Every event carries the entry's physical ROB slot, so its
+        // handler finds the entry without a search.
+        let slot = self.threads[t].rob.phys(idx) as u32;
+        let event = |at, kind| Event {
+            at,
+            kind,
+            inst: InstRef { thread: t, tag },
+            slot,
+        };
         let mut fill_fault = FillFault::None;
         let complete_at;
         match op {
@@ -461,10 +463,6 @@ impl<T: Tracer> Simulator<T> {
                 };
                 if fwd {
                     complete_at = agen + 1;
-                    mem_state = Some(MemState {
-                        forwarded: true,
-                        ..Default::default()
-                    });
                     if !wrong_path {
                         self.stats.threads[t].forwarded_loads += 1;
                     }
@@ -472,15 +470,13 @@ impl<T: Tracer> Simulator<T> {
                     let res = self.mem.load(addr, agen);
                     let _pred = self.loadhit.predict(t, pc);
                     self.loadhit.update(t, pc, !res.l1_miss);
-                    mem_state = Some(MemState {
-                        l1_miss: res.l1_miss,
-                        l2_miss: res.l2_miss,
-                        miss_visible: false,
-                        miss_detected_at: res.l2_miss_detected_at,
-                        forwarded: false,
-                    });
                     if res.l1_miss {
-                        self.threads[t].pending_l1d += 1;
+                        let th = &mut self.threads[t];
+                        th.pending_l1d += 1;
+                        // Loads carry memory state from dispatch.
+                        if let Some(m) = th.rob.slot_mut(idx).mem.as_mut() {
+                            m.l1_miss = true;
+                        }
                     }
                     if res.l2_miss {
                         // Fault injection: an L2-missing load's fill may
@@ -493,17 +489,12 @@ impl<T: Tracer> Simulator<T> {
                             _ => 0,
                         };
                         complete_at = res.complete_at + delay;
-                        self.push_event(Event {
-                            at: res.l2_miss_detected_at.max(self.now),
-                            kind: EventKind::L2MissDetected,
-                            inst: r,
-                        });
+                        self.push_event(event(
+                            res.l2_miss_detected_at.max(self.now),
+                            EventKind::L2MissDetected,
+                        ));
                         if fill_fault != FillFault::Drop {
-                            self.push_event(Event {
-                                at: complete_at.max(self.now),
-                                kind: EventKind::L2Fill,
-                                inst: r,
-                            });
+                            self.push_event(event(complete_at.max(self.now), EventKind::L2Fill));
                         }
                     } else {
                         complete_at = res.complete_at;
@@ -519,22 +510,14 @@ impl<T: Tracer> Simulator<T> {
                 complete_at = self.fu.issue(op, self.now);
             }
         }
-        let th = &mut self.threads[t];
-        th.rob.set_issued(idx, true);
-        if let Some(m) = mem_state {
-            th.rob.slot_mut(idx).mem = Some(m);
-        }
+        self.threads[t].rob.set_issued(idx, true);
         if !wrong_path {
             self.stats.threads[t].issued += 1;
         }
         // A dropped fill never completes: the load hangs until the
         // watchdog notices the starved thread.
         if fill_fault != FillFault::Drop {
-            self.push_event(Event {
-                at: complete_at.max(self.now + 1),
-                kind: EventKind::Complete,
-                inst: r,
-            });
+            self.push_event(event(complete_at.max(self.now + 1), EventKind::Complete));
         }
     }
 
@@ -629,7 +612,6 @@ impl<T: Tracer> Simulator<T> {
             }
             DispatchClass::Pass => {}
         }
-        let now = self.now;
 
         // Commit to dispatching.
         let Some(f) = self.threads[t].fetch_q.pop_front() else {
@@ -658,15 +640,12 @@ impl<T: Tracer> Simulator<T> {
         self.global_seq += 1;
         let inst = InstState {
             tag,
-            seq,
             di: f.di,
             wrong_path: f.wrong_path,
             dst_phys,
             old_phys,
-            src_phys,
             issued: !needs_iq,
             executed: !needs_iq, // NOPs complete at dispatch
-            dispatched_at: now,
             branch: f.branch,
             mem: f.di.op.is_mem().then(MemState::default),
             dod_hist: self.gshare.history(t),
@@ -828,12 +807,7 @@ impl<T: Tracer> Simulator<T> {
                     self.gshare.spec_update(t, dir);
                 }
                 let mispredicted = !wrong && predicted_next != di.next_pc;
-                branch_state = Some(BranchState {
-                    pred_taken: dir,
-                    pred_target: target,
-                    hist,
-                    mispredicted,
-                });
+                branch_state = Some(BranchState { hist, mispredicted });
                 if mispredicted {
                     let th = &mut self.threads[t];
                     th.in_wrong_path = true;

@@ -19,10 +19,6 @@ pub struct InstRef {
 /// Branch-specific in-flight state.
 #[derive(Clone, Copy, Debug)]
 pub struct BranchState {
-    /// Predicted direction at fetch.
-    pub pred_taken: bool,
-    /// Predicted target (`None` = BTB miss; treated as fall-through).
-    pub pred_target: Option<u64>,
     /// gshare history snapshot at prediction.
     pub hist: u16,
     /// Set at fetch when the front end already knows the prediction
@@ -35,18 +31,11 @@ pub struct BranchState {
 pub struct MemState {
     /// This load missed the L1 D-cache.
     pub l1_miss: bool,
-    /// This load missed the L2 (set at issue once the hierarchy is
-    /// consulted).
-    pub l2_miss: bool,
     /// The L2 miss has been *detected* by the core (the
     /// `L2MissDetected` event fired) and not yet filled. Drives the
     /// per-thread pending-miss counter, so squash must decrement it
     /// when set.
     pub miss_visible: bool,
-    /// Cycle the L2 miss becomes known to the core.
-    pub miss_detected_at: Cycle,
-    /// The load was satisfied by store-to-load forwarding.
-    pub forwarded: bool,
 }
 
 /// One reorder-buffer entry: a dynamic instruction plus all its pipeline
@@ -56,8 +45,6 @@ pub struct MemState {
 pub struct InstState {
     /// Per-thread tag (== position in dispatch order).
     pub tag: u64,
-    /// Global dispatch sequence number (for oldest-first issue).
-    pub seq: u64,
     /// The dynamic instruction.
     pub di: DynInst,
     /// Fetched down a mispredicted path; will be squashed.
@@ -66,14 +53,10 @@ pub struct InstState {
     pub dst_phys: Option<PhysReg>,
     /// Previous mapping of the destination architectural register.
     pub old_phys: Option<PhysReg>,
-    /// Renamed sources.
-    pub src_phys: [Option<PhysReg>; 2],
     /// Issued to a functional unit.
     pub issued: bool,
     /// Result valid (execution complete).
     pub executed: bool,
-    /// Cycle the instruction entered the ROB.
-    pub dispatched_at: Cycle,
     /// Branch state, if a branch.
     pub branch: Option<BranchState>,
     /// Memory state, if a load/store.
@@ -81,23 +64,6 @@ pub struct InstState {
     /// Thread's global branch history when this instruction was
     /// dispatched; feeds the path-qualified DoD predictor (§4.2).
     pub dod_hist: u16,
-}
-
-impl InstState {
-    /// True when the entry is an L2-missing load whose data has not yet
-    /// returned (i.e. `executed` still false).
-    pub fn pending_l2_miss(&self) -> bool {
-        !self.executed && self.mem.is_some_and(|m| m.l2_miss)
-    }
-}
-
-/// Shared issue-queue entry.
-#[derive(Clone, Copy, Debug)]
-pub struct IqEntry {
-    /// The instruction.
-    pub inst: InstRef,
-    /// Global dispatch sequence (issue priority: lower = older).
-    pub seq: u64,
 }
 
 /// Per-thread load/store queue entry.
@@ -114,7 +80,7 @@ pub struct LsqEntry {
     pub resolved: bool,
 }
 
-/// Timed pipeline events processed from a priority queue.
+/// Timed pipeline events, processed in [`Event`] order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// Functional-unit / memory completion: mark executed, wake
@@ -128,7 +94,7 @@ pub enum EventKind {
 }
 
 /// An entry in the event queue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Eq)]
 pub struct Event {
     /// When the event fires.
     pub at: Cycle,
@@ -136,19 +102,29 @@ pub struct Event {
     pub kind: EventKind,
     /// The instruction it concerns.
     pub inst: InstRef,
+    /// Physical ROB slot of `inst` when it issued: the handler's O(1)
+    /// lookup, validated by tag (a squash frees the slot, a ring grow
+    /// relocates it; both fall back to a search by tag). Not part of
+    /// the ordering key.
+    pub slot: u32,
 }
 
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by time via reversed comparison at the BinaryHeap
-        // call site; here: order by (at, seq-ish identity) for
-        // determinism.
+        // Time-major, then instruction identity and kind: a total,
+        // deterministic processing order.
         (self.at, self.inst.thread, self.inst.tag, self.kind as u8).cmp(&(
             other.at,
             other.inst.thread,
             other.inst.tag,
             other.kind as u8,
         ))
+    }
+}
+
+impl PartialEq for Event {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
     }
 }
 
@@ -161,48 +137,6 @@ impl PartialOrd for Event {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smtsim_isa::OpClass;
-
-    fn dummy_inst(tag: u64) -> InstState {
-        InstState {
-            tag,
-            seq: tag,
-            di: DynInst {
-                pc: 0,
-                seq: tag,
-                op: OpClass::IntAlu,
-                dst: None,
-                srcs: [None, None],
-                mem_addr: 0,
-                taken: false,
-                next_pc: 4,
-            },
-            wrong_path: false,
-            dst_phys: None,
-            old_phys: None,
-            src_phys: [None, None],
-            issued: false,
-            executed: false,
-            dispatched_at: 0,
-            branch: None,
-            mem: None,
-            dod_hist: 0,
-        }
-    }
-
-    #[test]
-    fn pending_l2_miss_logic() {
-        let mut i = dummy_inst(0);
-        assert!(!i.pending_l2_miss());
-        i.mem = Some(MemState {
-            l2_miss: true,
-            miss_detected_at: 10,
-            ..Default::default()
-        });
-        assert!(i.pending_l2_miss());
-        i.executed = true;
-        assert!(!i.pending_l2_miss());
-    }
 
     #[test]
     fn event_ordering_is_total_and_time_major() {
@@ -210,17 +144,20 @@ mod tests {
             at: 5,
             kind: EventKind::Complete,
             inst: InstRef { thread: 1, tag: 9 },
+            slot: 0,
         };
         let e2 = Event {
             at: 6,
             kind: EventKind::Complete,
             inst: InstRef { thread: 0, tag: 1 },
+            slot: 0,
         };
         assert!(e1 < e2);
         let e3 = Event {
             at: 5,
             kind: EventKind::Complete,
             inst: InstRef { thread: 0, tag: 2 },
+            slot: 0,
         };
         assert!(e3 < e1, "same time orders by thread/tag");
     }
