@@ -372,6 +372,13 @@ pub struct CellOutcome {
     pub attempts: u32,
     /// True when the result was loaded from the cache instead of run.
     pub from_journal: bool,
+    /// The canonical JSON of an `Ok` result
+    /// ([`journal::mix_run_to_json`]) as the result cache holds it: the
+    /// text a hit's record was checked against, or the text a run's
+    /// append wrote. Shared with the shard, never rendered twice.
+    /// `None` for a failed cell, a failed append and a lab with no
+    /// cache armed.
+    pub run_json: Option<Arc<str>>,
 }
 
 /// Per-sweep health summary: cells ok / retried-then-ok / timed out /
@@ -511,16 +518,23 @@ impl SweepPlan {
         &self.cells
     }
 
-    /// Cell `i` as the result cache holds it: the stored run and the
-    /// attempts it took, marked `from_journal`. `None` when the cell
-    /// must run.
+    /// Cell `i` as the result cache holds it: the stored run, its
+    /// stored text and the attempts it took, marked `from_journal`.
+    /// `None` when the cell must run.
     pub fn cached(&self, i: usize) -> Option<CellOutcome> {
         let hit = self.shard.as_ref()?.lookup(&self.cells[i].1)?;
         Some(CellOutcome {
             result: Ok(hit.run),
             attempts: hit.attempts,
             from_journal: true,
+            run_json: Some(hit.run_json),
         })
+    }
+
+    /// The universe ([`Lab::journal_universe`]) the plan's shard was
+    /// opened under; `None` with no cache armed.
+    pub fn universe(&self) -> Option<&str> {
+        self.shard.as_deref().map(Journal::universe)
     }
 
     /// Solo runs the plan's phase 1 performed ([`NormTable::runs`]).
@@ -1067,22 +1081,27 @@ impl Lab {
 
     /// Runs cell `i` of `plan` through [`Lab::run_cell_with_retries`]
     /// against the plan's normalization table and appends a success to
-    /// the plan's shard. `plan` must come from this lab's
+    /// the plan's shard, keeping the appended text as the outcome's
+    /// [`CellOutcome::run_json`]. `plan` must come from this lab's
     /// [`Lab::plan`], with no field changed since. A failed append
-    /// leaves the outcome as it is — only its durability is lost — and
-    /// comes back beside it for the caller to report.
+    /// leaves the outcome without its text — only its durability is
+    /// lost — and comes back beside it for the caller to report.
     pub fn run_planned(&self, plan: &SweepPlan, i: usize) -> (CellOutcome, Option<JournalError>) {
         let ((m, cfg), key) = &plan.cells[i];
         let (result, attempts) = self.run_cell_with_retries::<NoopTracer>(*m, *cfg, &plan.norm);
         let result = result.map(|(run, _)| run);
-        let append_error = match (&plan.shard, &result) {
-            (Some(j), Ok(run)) => j.record(key, run, attempts).err(),
-            _ => None,
+        let (run_json, append_error) = match (&plan.shard, &result) {
+            (Some(j), Ok(run)) => match j.record(key, run, attempts) {
+                Ok(text) => (Some(text), None),
+                Err(e) => (None, Some(e)),
+            },
+            _ => (None, None),
         };
         let outcome = CellOutcome {
             result,
             attempts,
             from_journal: false,
+            run_json,
         };
         (outcome, append_error)
     }
@@ -1717,6 +1736,7 @@ mod tests {
             }),
             attempts,
             from_journal,
+            run_json: None,
         };
         let timeout = CellOutcome {
             result: Err(SimError::CellTimeout {
@@ -1725,6 +1745,7 @@ mod tests {
             }),
             attempts: 3,
             from_journal: false,
+            run_json: None,
         };
         let failed = CellOutcome {
             result: Err(SimError::InvalidConfig {
@@ -1732,6 +1753,7 @@ mod tests {
             }),
             attempts: 1,
             from_journal: false,
+            run_json: None,
         };
         let outcomes = [ok(1, false), ok(2, true), timeout, failed];
         let h = SweepHealth::from_outcomes(&outcomes);
@@ -1929,18 +1951,24 @@ mod tests {
         assert_eq!(lab.cached_norm_runs(), 0);
         let plan = lab.plan(&[(1, b32), (2, b32)]).expect("shard opens");
         assert_eq!(plan.norm_runs(), 4, "only Mix 2's programs run alone");
+        assert_eq!(plan.universe(), Some(lab.journal_universe().as_str()));
         let hit = plan.cached(0).expect("Mix 1's cell is on file");
         assert!(hit.from_journal);
         assert_eq!(
             format!("{:?}", hit.result),
             format!("{:?}", filled.outcomes[0].result)
         );
+        // The hit carries the text the filling run appended.
+        assert_eq!(hit.run_json, filled.outcomes[0].run_json);
         assert!(plan.cached(1).is_none());
-        // Running the missing cell appends it, so the plan serves it.
+        // Running the missing cell appends it, so the plan serves it,
+        // with the very text the run carries.
         let (ran, append_error) = lab.run_planned(&plan, 1);
         assert!(append_error.is_none());
         assert!(ran.result.is_ok() && !ran.from_journal);
-        assert!(plan.cached(1).is_some());
+        let text = ran.run_json.as_deref().expect("an appended run's text");
+        assert_eq!(text, journal::mix_run_to_json(ran.result.as_ref().unwrap()));
+        assert_eq!(plan.cached(1).unwrap().run_json.as_deref(), Some(text));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

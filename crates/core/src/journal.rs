@@ -48,7 +48,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Journal format version (header field `smtsim_journal`).
 pub const JOURNAL_VERSION: u64 = 1;
@@ -103,10 +103,11 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// FNV-1a 64-bit — the workspace's dependency-free content hash.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit — the workspace's dependency-free content hash — of
+/// the concatenation of `parts`.
+fn fnv1a64(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for &b in parts.iter().copied().flatten() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -115,7 +116,15 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Hex fingerprint of an arbitrary canonical description string.
 pub fn fingerprint_str(s: &str) -> String {
-    format!("{:016x}", fnv1a64(s.as_bytes()))
+    format!("{:016x}", fnv1a64(&[s.as_bytes()]))
+}
+
+/// A record's crc: the [`fingerprint_str`] of `key|attempts|run_json`,
+/// hashed part by part instead of through a copy of the run text.
+fn record_crc(key: &str, attempts: u32, run_json: &str) -> String {
+    let attempts = attempts.to_string();
+    let parts = [key, "|", &attempts, "|", run_json].map(str::as_bytes);
+    format!("{:016x}", fnv1a64(&parts))
 }
 
 /// The journal key of one sweep cell: mix index plus the config's
@@ -131,6 +140,11 @@ pub struct JournalEntry {
     pub run: MixRun,
     /// Attempts the cell took when first completed (1 = first try).
     pub attempts: u32,
+    /// The run's canonical JSON ([`mix_run_to_json`]) as the record
+    /// holds it: the text its crc was checked against at open, or the
+    /// text [`Journal::record`] wrote. Shared, so a hit is served
+    /// without rendering the run again.
+    pub run_json: Arc<str>,
 }
 
 /// An open sweep journal: a snapshot of previously completed cells
@@ -231,9 +245,11 @@ impl Journal {
     }
 
     /// Appends one completed cell as a single atomic line write, then
-    /// folds it into the live in-memory view.
-    pub fn record(&self, key: &str, run: &MixRun, attempts: u32) -> Result<(), JournalError> {
-        let line = record_line(key, run, attempts);
+    /// folds it into the live in-memory view. Returns the run's
+    /// canonical JSON the line holds, shared with the new entry.
+    pub fn record(&self, key: &str, run: &MixRun, attempts: u32) -> Result<Arc<str>, JournalError> {
+        let run_json: Arc<str> = mix_run_to_json(run).into();
+        let line = record_line(key, &run_json, attempts);
         {
             let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
             let io = |e: std::io::Error| JournalError::Io {
@@ -251,16 +267,17 @@ impl Journal {
                 JournalEntry {
                     run: run.clone(),
                     attempts,
+                    run_json: run_json.clone(),
                 },
             );
-        Ok(())
+        Ok(run_json)
     }
 }
 
-/// Serializes one record line (with trailing newline).
-fn record_line(key: &str, run: &MixRun, attempts: u32) -> String {
-    let run_json = mix_run_to_json(run);
-    let crc = fingerprint_str(&format!("{key}|{attempts}|{run_json}"));
+/// Serializes one record line (with trailing newline) around a run's
+/// canonical JSON.
+fn record_line(key: &str, run_json: &str, attempts: u32) -> String {
+    let crc = record_crc(key, attempts, run_json);
     format!(
         "{{\"key\":{},\"attempts\":{attempts},\"run\":{run_json},\"crc\":\"{crc}\"}}\n",
         json_string(key)
@@ -356,14 +373,23 @@ fn load_records(
             .and_then(Json::as_str)
             .ok_or_else(|| corrupt("record lacks crc".into()))?;
         // Re-serialize through the canonical writer: the crc only
-        // matches if the payload round-trips bit-exactly.
-        let expect = fingerprint_str(&format!("{key}|{attempts}|{}", mix_run_to_json(&run)));
+        // matches if the payload round-trips bit-exactly, and the text
+        // it matches is the one the entry serves.
+        let run_json = mix_run_to_json(&run);
+        let expect = record_crc(&key, attempts, &run_json);
         if crc != expect {
             return Err(corrupt(format!(
                 "crc mismatch for key {key}: stored {crc}, recomputed {expect}"
             )));
         }
-        entries.insert(key, JournalEntry { run, attempts });
+        entries.insert(
+            key,
+            JournalEntry {
+                run,
+                attempts,
+                run_json: run_json.into(),
+            },
+        );
     }
     Ok(entries)
 }
@@ -691,12 +717,18 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse_json`] accepts.
+/// Journal records nest five levels and protocol lines fewer; the
+/// bound keeps a hostile line from recursing the parser off its
+/// thread's stack.
+pub const MAX_JSON_DEPTH: usize = 16;
+
 /// Parses one JSON document from `text` (must consume all non-space
-/// input).
+/// input). Nesting deeper than [`MAX_JSON_DEPTH`] is an error.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing bytes at offset {pos}"));
@@ -719,12 +751,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which `depth` arrays or objects enclose.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_JSON_DEPTH => Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at offset {pos}"
+        )),
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -801,17 +837,20 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character (multi-byte safe).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("empty remainder")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // A run of plain characters up to the next quote or
+                // escape. Both are ASCII, so the run ends on a character
+                // boundary and decodes from its own bytes alone.
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -820,7 +859,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -833,7 +872,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -846,7 +885,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         map.insert(key, val);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -956,6 +995,36 @@ mod tests {
     }
 
     #[test]
+    fn parser_bounds_nesting_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = parse_json(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        // A hostile line: far more levels than any thread stack holds
+        // frames for, never closed. It fails typed, not by overflow.
+        let hostile = format!("{{\"op\":{}", "[".repeat(200_000));
+        let err = parse_json(&hostile).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+    }
+
+    #[test]
+    fn strings_decode_in_linear_time() {
+        // About 1 MB of mixed one- to three-byte characters with an
+        // escape every 64 bytes. Decoding it once per character over
+        // the rest of the input took tens of seconds; one pass takes
+        // milliseconds.
+        let chunk = "spec = \"x\"\u{e9}\u{2603}".repeat(2) + &"a".repeat(36) + "\n";
+        let body = chunk.repeat(1 << 14);
+        assert!(body.len() > 1_000_000);
+        let line = format!("{{\"spec_toml\":{}}}", json_string(&body));
+        let t0 = std::time::Instant::now();
+        let v = parse_json(&line).expect("parses");
+        let took = t0.elapsed();
+        assert_eq!(v.get("spec_toml").and_then(Json::as_str), Some(&*body));
+        assert!(took.as_secs_f64() < 2.0, "1 MB string took {took:?}");
+    }
+
+    #[test]
     fn parser_rejects_garbage() {
         assert!(parse_json("{").is_err());
         assert!(parse_json("nope").is_err());
@@ -982,6 +1051,7 @@ mod tests {
         let e = j.lookup("1|Baseline(32)").expect("recorded entry");
         assert_eq!(e.attempts, 2);
         assert_eq!(format!("{:?}", e.run), format!("{run:?}"));
+        assert_eq!(*e.run_json, mix_run_to_json(&run), "the text a hit serves");
         assert!(j.lookup("2|Baseline(32)").is_none());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1023,7 +1093,7 @@ mod tests {
         text.push_str("!!not json!!\n");
         // Append a valid record *after* the garbage so the garbage is
         // mid-file, not a truncated tail.
-        text.push_str(&record_line("k2", &sample_run(true), 1));
+        text.push_str(&record_line("k2", &mix_run_to_json(&sample_run(true)), 1));
         fs::write(&path, &text).unwrap();
         match Journal::open(&path, &uni) {
             Err(JournalError::Corrupt { line, detail }) => {
@@ -1150,6 +1220,70 @@ mod tests {
         // The original universe still opens fine.
         assert_eq!(Journal::open(&path, &a).expect("same universe").len(), 1);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn damaged_shards_load_typed_and_serve_their_own_bytes(
+            records in 2usize..6,
+            damage in proptest::collection::vec(
+                (0u8..2, proptest::arbitrary::any::<u64>(), 0u8..8),
+                1..4,
+            ),
+        ) {
+            // A shard of a few records, then random truncations and
+            // single-bit flips anywhere in it, header included.
+            let dir = std::env::temp_dir().join(format!(
+                "smtsim-journal-test-damage-{}",
+                std::process::id()
+            ));
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("j.jsonl");
+            let uni = fingerprint_str("universe-A");
+            let mut written = BTreeMap::new();
+            {
+                let j = Journal::open(&path, &uni).expect("create");
+                for i in 0..records {
+                    let mut run = sample_run(i % 2 == 0);
+                    run.stats.cycles += i as u64;
+                    run.ft += i as f64 / 7.0;
+                    let key = format!("{i}|cfg");
+                    j.record(&key, &run, 1 + i as u32).unwrap();
+                    written.insert(key, mix_run_to_json(&run));
+                }
+            }
+            let mut bytes = fs::read(&path).unwrap();
+            for &(kind, at, bit) in &damage {
+                if bytes.is_empty() {
+                    break;
+                }
+                let at = (at % bytes.len() as u64) as usize;
+                if kind == 0 {
+                    bytes.truncate(at);
+                } else {
+                    bytes[at] ^= 1 << bit;
+                }
+            }
+            fs::write(&path, &bytes).unwrap();
+            // Ok or a typed error, never a panic; and every entry that
+            // loads serves exactly the canonical text of its own run,
+            // which is the text first written under its key.
+            if let Ok(j) = Journal::open(&path, &uni) {
+                let mut found = 0;
+                for (key, text) in &written {
+                    if let Some(e) = j.lookup(key) {
+                        found += 1;
+                        proptest::prop_assert_eq!(&*e.run_json, mix_run_to_json(&e.run).as_str());
+                        proptest::prop_assert_eq!(&*e.run_json, text.as_str());
+                    }
+                }
+                proptest::prop_assert_eq!(found, j.len());
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

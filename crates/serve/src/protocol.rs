@@ -10,7 +10,8 @@
 //! ← {"type":"accepted","request":3,"cells":12,"universe":"<fnv64>"}
 //! ← {"type":"cell","index":0,"mix":1,"config":"Baseline_32","key":"1|…",
 //!    "cached":false,"attempts":1,"status":"ok","run":{…}}
-//! ← …one cell line per matrix cell, completion order…
+//! ← …one cell line per matrix cell: cached cells first, in matrix
+//!    order, then computed cells in completion order…
 //! ← {"type":"done","request":3,"cells":12,"cache_hits":4,"cache_misses":8,
 //!    "failed":0,"cancelled":0,"figure":"…rendered figure text…"}
 //!
@@ -25,11 +26,22 @@
 //! ← {"type":"bye"}
 //! ```
 //!
+//! A cell the cache holds when the request is admitted streams right
+//! after `accepted`, its `run` the exact text its cache record stores
+//! (the same bytes a computed cell's line carried). Cells that must
+//! run follow as workers finish them, so their order depends on the
+//! pool; the `index` field places each in the matrix.
+//!
 //! Any failure is a typed single-line error and ends the exchange:
 //!
 //! ```text
 //! ← {"type":"error","kind":"queue-full","retryable":true,"reason":"…"}
 //! ```
+//!
+//! A request line longer than [`MAX_REQUEST_LINE`], one that is not
+//! UTF-8 and one that nests JSON deeper than
+//! [`smtsim_rob2::journal::MAX_JSON_DEPTH`] are all answered
+//! `invalid-request`; the daemon reads at most one byte past the bound.
 //!
 //! `retryable:true` (kinds `queue-full`, `shutting-down`) means the
 //! request was well-formed and may simply be resubmitted later; every
@@ -41,11 +53,13 @@
 //! the cache is keyed for. Composite kinds (suites, tables) are
 //! client-side iterations over figure submissions.
 
-use smtsim_rob2::journal::json_string;
+use smtsim_rob2::journal::{json_string, mix_run_to_json};
+use smtsim_rob2::CellOutcome;
+use std::sync::Arc;
 
-/// Maximum accepted request-line length, a hygiene bound so a
-/// misbehaving client cannot grow the daemon's read buffer without
-/// limit (inline spec TOML fits comfortably).
+/// Maximum accepted request-line length, newline included: a
+/// misbehaving client cannot grow the daemon's read buffer past it
+/// (inline spec TOML fits comfortably).
 pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Where a submitted spec's TOML comes from.
@@ -158,7 +172,7 @@ pub enum CellStatus {
     /// Completed; carries the canonical run JSON.
     Ok {
         /// `journal::mix_run_to_json` output for the cell's run.
-        run_json: String,
+        run_json: Arc<str>,
     },
     /// Failed after its retry budget; carries the error display text.
     Failed {
@@ -167,6 +181,25 @@ pub enum CellStatus {
     },
     /// Cancelled before (or while) running.
     Cancelled,
+}
+
+impl CellStatus {
+    /// How a resolved `outcome` streams. An `Ok` run splices the text
+    /// the result cache holds for it ([`CellOutcome::run_json`]); only
+    /// a run whose cache append failed is rendered here.
+    pub(crate) fn of(outcome: &CellOutcome) -> CellStatus {
+        match &outcome.result {
+            Ok(run) => CellStatus::Ok {
+                run_json: outcome
+                    .run_json
+                    .clone()
+                    .unwrap_or_else(|| mix_run_to_json(run).into()),
+            },
+            Err(e) => CellStatus::Failed {
+                error: e.to_string(),
+            },
+        }
+    }
 }
 
 /// Renders one `cell` line.

@@ -8,19 +8,25 @@
 //! * **accept loop** (1 thread) — accepts connections and hands each
 //!   to its own connection thread; never blocks on request work, so a
 //!   full admission queue still answers `queue-full` immediately.
-//! * **connection threads** (1 per live client) — parse the request,
-//!   run admission + spec lowering + the *serial* phase 1
-//!   ([`Lab::plan`], the offline sweep's own), enqueue the request's
-//!   cells, then stream completions back in completion order and
-//!   finish with the figure rendered from those outcomes.
-//! * **worker pool** (N threads) — pull one cell at a time, round-
-//!   robin across admitted requests (fair multi-client progress).
-//!   Cache hits ([`SweepPlan::cached`]) resolve under the scheduler
-//!   lock; misses run through [`Lab::run_planned`] outside any lock —
-//!   full watchdog/panic-isolation/retry semantics plus the cache
-//!   append. A cell another request is *already computing* is
-//!   deferred (single-flight) and re-armed as a cache hit when the
-//!   computation lands.
+//! * **connection threads** (1 per live client) — read one bounded
+//!   request line, run admission + spec lowering + the *serial* phase
+//!   1 ([`Lab::plan`], the offline sweep's own), then answer every
+//!   cell the cache already holds ([`SweepPlan::cached`]) themselves,
+//!   in matrix order, through one buffered writer: each hit's line
+//!   splices the run text its shard record holds, and no hit waits
+//!   for the pool. Only the misses are enqueued; their completions
+//!   stream back in completion order, and the figure is rendered from
+//!   all the outcomes.
+//! * **disconnect watchers** (1 per request with enqueued misses) —
+//!   park on a read of the client's socket; EOF cancels the request.
+//! * **worker pool** (N threads) — pull one miss at a time, round-
+//!   robin across admitted requests (fair multi-client progress), and
+//!   run it through [`Lab::run_planned`] outside any lock — full
+//!   watchdog/panic-isolation/retry semantics plus the cache append,
+//!   whose text the cell's line reuses. A cell another request is
+//!   *already computing* is deferred (single-flight) and re-armed when
+//!   the computation lands; a worker resolves such a late hit from
+//!   the cache under the scheduler lock.
 //!
 //! Lock order is `sched` before `metrics`; journal internals are leaf
 //! locks. Cancellation is cooperative end to end: client EOF trips the
@@ -30,11 +36,10 @@
 use crate::protocol::{self, error_kind, CellStatus, DoneStats, Request, SpecSource};
 use smtsim_obs::MetricsRegistry;
 use smtsim_pipeline::CancelToken;
-use smtsim_rob2::journal::mix_run_to_json;
 use smtsim_rob2::{figures, CellOutcome, ExperimentSpec, JournalError, Knobs, Lab};
 use smtsim_rob2::{ResultCache, SpecKind, SweepPlan};
 use std::collections::{BTreeSet, VecDeque};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -120,9 +125,34 @@ struct RequestRun {
     /// Each cell's series label (client display; the cache key is
     /// value-based).
     labels: Vec<String>,
+    /// The universe the plan's shard was opened under: the `accepted`
+    /// line's and the single-flight keys'.
     universe: String,
     cancel: CancelToken,
     tx: mpsc::Sender<CellMsg>,
+}
+
+impl RequestRun {
+    /// The `cell` line of matrix cell `idx`.
+    fn cell_line(&self, idx: usize, cached: bool, attempts: u32, status: &CellStatus) -> String {
+        let ((mix, _), key) = &self.plan.cells()[idx];
+        protocol::cell_line(idx, *mix, &self.labels[idx], key, cached, attempts, status)
+    }
+
+    /// The `cell` line of cell `idx` resolved as `outcome`, tallied
+    /// into `stats`.
+    fn outcome_line(&self, idx: usize, outcome: &CellOutcome, stats: &mut DoneStats) -> String {
+        if outcome.from_journal {
+            stats.cache_hits += 1;
+        } else {
+            stats.cache_misses += 1;
+        }
+        if outcome.result.is_err() {
+            stats.failed += 1;
+        }
+        let status = CellStatus::of(outcome);
+        self.cell_line(idx, outcome.from_journal, outcome.attempts, &status)
+    }
 }
 
 /// A request's position in the scheduler: cells not yet claimed.
@@ -322,26 +352,40 @@ fn accept_loop(shared: &Arc<Shared>, listener: &UnixListener) {
     }
 }
 
-/// Writes one response line; returns false when the client is gone.
-fn send_line(stream: &mut UnixStream, line: &str) -> bool {
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .is_ok()
+/// Writes one response line and its newline in one call; returns
+/// false when the client is gone.
+fn send_line(out: &mut impl Write, line: &str) -> bool {
+    let mut bytes = Vec::with_capacity(line.len() + 1);
+    bytes.extend_from_slice(line.as_bytes());
+    bytes.push(b'\n');
+    out.write_all(&bytes).is_ok()
+}
+
+/// Reads the request line: at most one byte past
+/// [`protocol::MAX_REQUEST_LINE`], however much more the client sends,
+/// so an over-long line is told apart without buffering it. `None`
+/// when the client sent nothing.
+fn read_request(stream: &UnixStream) -> Option<Result<Request, String>> {
+    let limit = protocol::MAX_REQUEST_LINE as u64 + 1;
+    let mut line = Vec::new();
+    match BufReader::new(stream)
+        .take(limit)
+        .read_until(b'\n', &mut line)
+    {
+        Ok(0) | Err(_) => None,
+        Ok(_) => Some(
+            String::from_utf8(line)
+                .map_err(|e| format!("request line is not UTF-8: {e}"))
+                .and_then(|line| protocol::parse_request(&line)),
+        ),
+    }
 }
 
 fn handle_connection(shared: &Arc<Shared>, mut stream: UnixStream) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
-    if reader.read_line(&mut line).unwrap_or(0) == 0 {
-        return;
-    }
-    let request = match protocol::parse_request(&line) {
-        Ok(r) => r,
-        Err(reason) => {
+    let request = match read_request(&stream) {
+        None => return,
+        Some(Ok(r)) => r,
+        Some(Err(reason)) => {
             send_line(
                 &mut stream,
                 &protocol::error_line(error_kind::INVALID_REQUEST, &reason),
@@ -421,8 +465,9 @@ fn handle_submit(shared: &Arc<Shared>, mut stream: UnixStream, source: &SpecSour
     shared.drain_cv.notify_all();
 }
 
-/// The admitted-request body: resolve → lower → normalize → enqueue →
-/// stream → render. Any early error is answered as a typed line.
+/// The admitted-request body: resolve → lower → normalize → answer
+/// hits → enqueue misses → stream → render. Any early error is
+/// answered as a typed line.
 fn run_admitted(shared: &Arc<Shared>, stream: &mut UnixStream, source: &SpecSource) {
     let spec = match resolve_spec(shared, source) {
         Ok(s) => s,
@@ -447,48 +492,42 @@ fn run_admitted(shared: &Arc<Shared>, stream: &mut UnixStream, source: &SpecSour
         return;
     }
 
-    enqueue(shared, &req);
-    spawn_disconnect_watch(shared, stream, &req);
-
-    // Stream completions. Exactly one message arrives per cell, from
-    // either a worker or the cancellation path.
     let mut stats = DoneStats::default();
     let mut outcomes: Vec<Option<CellOutcome>> = (0..cells_n).map(|_| None).collect();
+    let answered = answer_hits(&req, stream, &mut outcomes, &mut stats);
+    shared.bump_by("serve.cache_hits", stats.cache_hits as u64);
+    let Some(misses) = answered else {
+        // The client vanished while its hits streamed: every cell it
+        // was not answered, its never-enqueued misses among them,
+        // counts as cancelled, as queued cells do.
+        shared.bump_by("serve.cells_cancelled", (cells_n - stats.cache_hits) as u64);
+        shared.bump("serve.requests_cancelled");
+        return;
+    };
+
+    let pending = misses.len();
+    if pending > 0 {
+        enqueue(shared, &req, misses);
+        spawn_disconnect_watch(shared, stream, &req);
+    }
+    // Stream the misses' completions. Exactly one message arrives per
+    // enqueued cell, from either a worker or the cancellation path.
     let mut client_gone = false;
-    for _ in 0..cells_n {
+    for _ in 0..pending {
         let Ok(msg) = rx.recv() else {
             break;
         };
-        let (idx, cached, attempts, status) = match msg {
+        let line = match msg {
             CellMsg::Cancelled { idx } => {
                 stats.cancelled += 1;
-                (idx, false, 0, CellStatus::Cancelled)
+                req.cell_line(idx, false, 0, &CellStatus::Cancelled)
             }
             CellMsg::Done { idx, outcome } => {
-                if outcome.from_journal {
-                    stats.cache_hits += 1;
-                } else {
-                    stats.cache_misses += 1;
-                }
-                let status = match &outcome.result {
-                    Ok(run) => CellStatus::Ok {
-                        run_json: mix_run_to_json(run),
-                    },
-                    Err(e) => {
-                        stats.failed += 1;
-                        CellStatus::Failed {
-                            error: e.to_string(),
-                        }
-                    }
-                };
-                let (cached, attempts) = (outcome.from_journal, outcome.attempts);
+                let line = req.outcome_line(idx, &outcome, &mut stats);
                 outcomes[idx] = Some(*outcome);
-                (idx, cached, attempts, status)
+                line
             }
         };
-        let ((mix, _), key) = &req.plan.cells()[idx];
-        let label = &req.labels[idx];
-        let line = protocol::cell_line(idx, *mix, label, key, cached, attempts, &status);
         if !client_gone && !send_line(stream, &line) {
             // Broken pipe: cancel the rest, but keep draining our
             // channel so the per-cell accounting stays complete.
@@ -509,11 +548,38 @@ fn run_admitted(shared: &Arc<Shared>, stream: &mut UnixStream, source: &SpecSour
     let (figure, _) = figures::render_artifact(&req.lab, &spec, &req.mixes, outcomes);
     send_line(stream, &protocol::done_line(id, cells_n, &stats, &figure));
     shared.bump("serve.requests_completed");
-    // Release the disconnect watcher's read so read-to-EOF clients see
-    // the stream end right after the terminal line (the watcher holds
-    // a duplicate of this socket that would otherwise stay open until
-    // the client hangs up first).
+    // Release the disconnect watcher's read, if there is one, so
+    // read-to-EOF clients see the stream end right after the terminal
+    // line (the watcher holds a duplicate of this socket that would
+    // otherwise stay open until the client hangs up first).
     let _ = stream.shutdown(std::net::Shutdown::Both);
+}
+
+/// Answers every cell of `req` the cache already holds, in matrix
+/// order, through one buffered writer: each line splices the run text
+/// the cell's shard record holds. Fills those cells' `outcomes`,
+/// tallies them into `stats` and returns the cells that must run, or
+/// `None` once the client is gone.
+fn answer_hits(
+    req: &RequestRun,
+    stream: &UnixStream,
+    outcomes: &mut [Option<CellOutcome>],
+    stats: &mut DoneStats,
+) -> Option<VecDeque<usize>> {
+    let mut out = BufWriter::new(stream);
+    let mut misses = VecDeque::new();
+    for (idx, slot) in outcomes.iter_mut().enumerate() {
+        let Some(hit) = req.plan.cached(idx) else {
+            misses.push_back(idx);
+            continue;
+        };
+        if !send_line(&mut out, &req.outcome_line(idx, &hit, stats)) {
+            return None;
+        }
+        *slot = Some(hit);
+    }
+    out.flush().ok()?;
+    Some(misses)
 }
 
 /// Resolves the submitted spec source to a parsed, figure-kind spec.
@@ -580,6 +646,10 @@ fn prepare_request(
             reason: e.to_string(),
         })?;
     shared.bump_by("serve.norm_runs", plan.norm_runs() as u64);
+    let universe = plan
+        .universe()
+        .expect("a plan of a cache-armed lab has a shard")
+        .to_owned();
     // A figure spec's cells are scheme-major, which pairs each with
     // its series label.
     let labels = spec
@@ -589,7 +659,7 @@ fn prepare_request(
         .collect();
     Ok(Arc::new(RequestRun {
         id: shared.next_request.fetch_add(1, Ordering::SeqCst),
-        universe: lab.journal_universe(),
+        universe,
         lab,
         mixes,
         plan,
@@ -599,13 +669,14 @@ fn prepare_request(
     }))
 }
 
-/// Queues the request's cells for the worker pool.
-fn enqueue(shared: &Shared, req: &Arc<RequestRun>) {
+/// Queues the request's `misses` (matrix indices, at least one) for
+/// the worker pool.
+fn enqueue(shared: &Shared, req: &Arc<RequestRun>, misses: VecDeque<usize>) {
     {
         let mut sched = lock(&shared.sched);
         sched.queue.push_back(Entry {
             req: req.clone(),
-            pending: (0..req.plan.cells().len()).collect(),
+            pending: misses,
             deferred: Vec::new(),
         });
     }
@@ -700,7 +771,8 @@ fn worker_loop(shared: &Shared) {
                 .pop_front()
                 .expect("queued entries have pending cells");
             if let Some(hit) = entry.req.plan.cached(idx) {
-                // Cache hit: resolved under the lock (a map lookup).
+                // A cell that became a hit after admission (another
+                // request computed it): resolved under the lock.
                 let _ = entry.req.tx.send(CellMsg::Done {
                     idx,
                     outcome: Box::new(hit),

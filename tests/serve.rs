@@ -12,6 +12,9 @@
 //! process's environment.
 
 use smtsim_bench::serve_support as client;
+use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Write as _};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -352,6 +355,108 @@ fn malformed_submissions_answer_typed_errors() {
             client::line_str(last, "kind").as_deref(),
             Some(kind),
             "request {req:?} answered {last}"
+        );
+    }
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+/// Each `cell` line's raw `run` text by matrix index, in stream order,
+/// asserting every cell's `cached` flag is `cached`.
+fn run_texts(lines: &[String], cached: bool) -> Vec<(u64, String)> {
+    lines
+        .iter()
+        .filter(|l| client::line_str(l, "type").as_deref() == Some("cell"))
+        .map(|l| {
+            assert!(l.contains(&format!("\"cached\":{cached}")), "{l}");
+            // The run object is the line's last field.
+            let (_, run) = l
+                .split_once(",\"run\":")
+                .expect("an ok cell carries its run");
+            let run = run
+                .strip_suffix('}')
+                .expect("the line closes after the run");
+            (client::line_u64(l, "index").unwrap(), run.to_string())
+        })
+        .collect()
+}
+
+#[test]
+fn warm_hit_lines_carry_the_cold_run_bytes_in_matrix_order() {
+    let cache = scratch("splice-cache");
+    let _ = std::fs::remove_dir_all(&cache);
+    let daemon = Daemon::spawn("splice", 2, &cache, &[]);
+    let submit =
+        || client::request_lines(&daemon.socket, &client::submit_registry("fig2")).unwrap();
+    let cold: BTreeMap<u64, String> = run_texts(&submit(), false).into_iter().collect();
+    let warm = run_texts(&submit(), true);
+    assert_eq!(cold.len(), 6);
+    // Cached cells stream first, in matrix order.
+    let order: Vec<u64> = warm.iter().map(|(i, _)| *i).collect();
+    assert_eq!(order, (0..6).collect::<Vec<_>>());
+    // A hit's run is the computed cell's text, byte for byte.
+    for (index, run) in &warm {
+        assert_eq!(run, &cold[index], "cell {index}");
+    }
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+/// Sends raw request bytes and collects the response lines until the
+/// daemon closes the stream (or resets it, having stopped reading
+/// early). The bytes go out from their own thread because the daemon
+/// may stop reading before the client stops writing; a read timeout
+/// bounds a daemon that never answers.
+fn raw_exchange(socket: &Path, bytes: Vec<u8>) -> Vec<String> {
+    let stream = UnixStream::connect(socket).expect("daemon is listening");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        let _ = writer.write_all(&bytes);
+    });
+    let lines = BufReader::new(&stream)
+        .lines()
+        .map_while(Result::ok)
+        .collect();
+    let _ = stream.shutdown(std::net::Shutdown::Both);
+    let _ = sender.join();
+    lines
+}
+
+#[test]
+fn hostile_request_lines_fail_typed_and_the_daemon_keeps_serving() {
+    let cache = scratch("hostile-cache");
+    let _ = std::fs::remove_dir_all(&cache);
+    let daemon = Daemon::spawn("hostile", 1, &cache, &[]);
+    let deep = format!("{{\"op\":{}\n", "[".repeat(200_000)).into_bytes();
+    let endless = vec![b' '; 2 << 20];
+    let not_utf8 = b"{\"op\":\"ping\xff\"}\n".to_vec();
+    for (what, bytes, reason) in [
+        ("200 000 nested arrays", deep, "nesting deeper"),
+        ("2 MB without a newline", endless, "exceeds"),
+        ("a byte that is not UTF-8", not_utf8, "UTF-8"),
+    ] {
+        let lines = raw_exchange(&daemon.socket, bytes);
+        let last = lines
+            .last()
+            .unwrap_or_else(|| panic!("{what}: the daemon answered nothing"));
+        assert_eq!(
+            client::line_str(last, "kind").as_deref(),
+            Some("invalid-request"),
+            "{what}: {last}"
+        );
+        assert!(
+            client::line_str(last, "reason").is_some_and(|r| r.contains(reason)),
+            "{what}: {last}"
+        );
+        let pong = client::request_lines(&daemon.socket, "{\"op\":\"ping\"}")
+            .unwrap_or_else(|e| panic!("{what}: the daemon is gone: {e}"));
+        assert_eq!(
+            pong.last().map(String::as_str),
+            Some("{\"type\":\"pong\"}"),
+            "{what}"
         );
     }
     daemon.shutdown();

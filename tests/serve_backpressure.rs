@@ -1,8 +1,10 @@
 //! Backpressure and cancellation semantics of the serve daemon
 //! (DESIGN.md §17), exercised in-process: a full admission queue
 //! answers a typed *retryable* rejection without blocking the accept
-//! loop (metrics probes stay live throughout), and a client that
-//! disconnects mid-stream has its queued cells cancelled and counted.
+//! loop (metrics probes stay live throughout), a client that
+//! disconnects mid-stream has its queued cells cancelled and counted,
+//! and a request the cache can answer whole never waits for a busy
+//! worker pool.
 
 use smtsim_bench::serve_support as client;
 use smtsim_rob2::Knobs;
@@ -24,6 +26,25 @@ mixes = [1]
 
 [knobs]
 budget = 2000
+warmup = 500
+";
+
+/// A one-cell spec whose multithreaded run takes far longer than any
+/// test waits, so it holds a worker until it is cancelled. Its solo
+/// runs share [`TINY_SPEC`]'s normalization state (`st_budget` and
+/// `warmup`), so its admission runs none.
+const LONG_SPEC: &str = "\
+[experiment]
+id = \"long\"
+title = \"Long\"
+kind = \"figure\"
+norm = \"baseline-32\"
+schemes = [\"baseline-32\"]
+mixes = [1]
+
+[knobs]
+budget = 1000000000
+st_budget = 2000
 warmup = 500
 ";
 
@@ -200,6 +221,81 @@ fn client_disconnect_cancels_its_queued_cells() {
         Some("done"),
         "{:?}",
         lines.last()
+    );
+    server.shutdown();
+}
+
+#[test]
+fn warm_requests_are_not_queued_behind_a_busy_pool() {
+    let server = Server::start(config("busy", 4), Box::new(Knobs::default())).unwrap();
+    let socket = server.socket().to_path_buf();
+    let metric = |field: &str| {
+        let lines = client::request_lines(&socket, "{\"op\":\"metrics\"}").unwrap();
+        client::line_u64(lines.last().unwrap(), field)
+    };
+
+    // The cache holds the tiny spec's one cell.
+    let cold = client::request_lines(&socket, &client::submit_inline(TINY_SPEC)).unwrap();
+    assert_eq!(
+        client::line_str(cold.last().unwrap(), "type").as_deref(),
+        Some("done"),
+        "{cold:?}"
+    );
+
+    // The long request's cell takes the pool's only worker.
+    let mut long = UnixStream::connect(&socket).unwrap();
+    long.write_all(format!("{}\n", client::submit_inline(LONG_SPEC)).as_bytes())
+        .unwrap();
+    let mut accepted = String::new();
+    assert!(
+        BufReader::new(long.try_clone().unwrap())
+            .read_line(&mut accepted)
+            .unwrap()
+            > 0
+    );
+    assert_eq!(
+        client::line_str(&accepted, "type").as_deref(),
+        Some("accepted"),
+        "{accepted}"
+    );
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while metric("inflight_cells") != Some(1) {
+        assert!(Instant::now() < deadline, "the long cell never started");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // An all-hit request is answered while that cell still runs.
+    let warm = UnixStream::connect(&socket).unwrap();
+    warm.set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    (&warm)
+        .write_all(format!("{}\n", client::submit_inline(TINY_SPEC)).as_bytes())
+        .unwrap();
+    let lines: Vec<String> = BufReader::new(&warm)
+        .lines()
+        .map_while(Result::ok)
+        .collect();
+    let running_after = metric("inflight_cells");
+
+    // Disconnecting the long request cancels its cell and frees the
+    // worker, whatever the assertions below find.
+    let _ = long.shutdown(std::net::Shutdown::Both);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while server.counter("serve.requests_cancelled") == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the long request never cancelled"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let done = client::terminal_line(&lines, "done")
+        .unwrap_or_else(|e| panic!("the warm request did not finish: {e} {lines:?}"));
+    assert_eq!(client::line_u64(done, "cache_hits"), Some(1), "{done}");
+    assert_eq!(
+        running_after,
+        Some(1),
+        "the long cell must still have been running"
     );
     server.shutdown();
 }
