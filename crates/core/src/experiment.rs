@@ -30,9 +30,7 @@ use crate::journal::{self, cell_key, Journal, JournalError};
 use crate::metrics::{fair_throughput, weighted_ipc};
 use crate::twolevel::{TwoLevelConfig, TwoLevelRob, TwoLevelStats};
 use smtsim_analysis::{DodAnalysis, L1_WINDOW};
-use smtsim_obs::{
-    Episode, EpisodeReconstructor, MetricsRegistry, NoopTracer, TraceEvent, TraceLog, Tracer,
-};
+use smtsim_obs::{Episode, EpisodeReconstructor, NoopTracer, TraceEvent, TraceLog, Tracer};
 use smtsim_pipeline::{
     CancelToken, DodBounds, FaultPlan, FaultStats, FixedRob, MachineConfig, RobAllocator,
     RunBudget, SimError, SimStats, Simulator, StopCondition,
@@ -72,9 +70,13 @@ impl RobConfig {
         }
     }
 
-    /// Display label (matches the paper's legends).
+    /// Display label (matches the paper's legends): the name of the
+    /// allocator [`RobConfig::build`] makes, without making it.
     pub fn label(&self) -> String {
-        self.build().name()
+        match self {
+            RobConfig::Baseline(n) => format!("Baseline_{n}"),
+            RobConfig::TwoLevel(cfg) => cfg.name(),
+        }
     }
 
     /// Canonical value fingerprint: a string derived from every
@@ -439,16 +441,6 @@ impl SweepHealth {
             self.ok, self.retried, self.timed_out, self.failed
         )
     }
-
-    /// Folds the summary into an observability registry under the
-    /// `sweep.*` counter keys.
-    pub fn record_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.bump_by("sweep.cells_ok", self.ok as u64);
-        reg.bump_by("sweep.cells_retried", self.retried as u64);
-        reg.bump_by("sweep.cells_timed_out", self.timed_out as u64);
-        reg.bump_by("sweep.cells_failed", self.failed as u64);
-        reg.bump_by("sweep.retry_attempts", self.extra_attempts as u64);
-    }
 }
 
 /// Everything a resilient sweep produces: per-cell outcomes in input
@@ -487,13 +479,6 @@ impl SweepReport {
     /// [`SweepHealth`] and never rendered into figures.)
     pub fn journal_hits(&self) -> usize {
         self.outcomes.iter().filter(|o| o.from_journal).count()
-    }
-
-    /// Folds health counters plus the journal-hit count into an
-    /// observability registry.
-    pub fn record_metrics(&self, reg: &mut MetricsRegistry) {
-        self.health.record_metrics(reg);
-        reg.bump_by("sweep.journal_hits", self.journal_hits() as u64);
     }
 }
 
@@ -1328,6 +1313,11 @@ mod tests {
             RobConfig::TwoLevel(TwoLevelConfig::p_rob(5)).label(),
             "2-Level P-ROB5"
         );
+        // A label names the allocator `build` makes, without making it.
+        let committed = crate::committed_variants().expect("committed specs parse");
+        for rob in committed.into_iter().map(|v| v.config) {
+            assert_eq!(rob.label(), rob.build().name(), "{rob:?}");
+        }
     }
 
     #[test]
@@ -1773,13 +1763,6 @@ mod tests {
             h.summary_line(),
             "sweep health: 2 ok (1 retried), 1 timed out, 1 failed"
         );
-        let mut reg = MetricsRegistry::new();
-        h.record_metrics(&mut reg);
-        assert_eq!(reg.counter("sweep.cells_ok"), 2);
-        assert_eq!(reg.counter("sweep.cells_retried"), 1);
-        assert_eq!(reg.counter("sweep.cells_timed_out"), 1);
-        assert_eq!(reg.counter("sweep.cells_failed"), 1);
-        assert_eq!(reg.counter("sweep.retry_attempts"), 3);
     }
 
     #[test]

@@ -59,6 +59,5 @@ pub use spec::{
     committed_specs, committed_variants, spec_dir, ExperimentSpec, SpecError, SpecKind, SpecVariant,
 };
 pub use twolevel::{
-    DodPredictorKind, ReleasePolicy, Scheme, SchemeKind, TenureView, TwoLevelConfig, TwoLevelRob,
-    TwoLevelStats,
+    DodPredictorKind, ReleasePolicy, Scheme, SchemeKind, TwoLevelConfig, TwoLevelRob, TwoLevelStats,
 };

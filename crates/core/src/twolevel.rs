@@ -10,7 +10,12 @@
 //! shared issue queue, which is what lets memory-bound threads be
 //! accelerated *without* hurting their co-runners.
 //!
-//! All four of the paper's allocation schemes are implemented:
+//! All four of the paper's allocation schemes share one protocol. A
+//! detected L2 miss becomes a *candidate*; the candidate is granted the
+//! partition, denied (partition busy, DoD at or above the threshold,
+//! cold predictor) or rechecked every `recheck_interval` cycles; and the
+//! holder gives the partition back under its [`ReleasePolicy`]. The
+//! schemes differ only in when the DoD is read:
 //!
 //! * **2-Level R-ROB** (§5.2) — reactive; allocate when the missing
 //!   load is the oldest instruction, the first-level ROB is full, and
@@ -20,7 +25,10 @@
 //!   condition, trading count accuracy for allocation latency.
 //! * **2-Level CDR-ROB** — takes the DoD count snapshot a fixed delay
 //!   (32 cycles) after miss detection, with the oldest/full conditions
-//!   relaxed.
+//!   relaxed. A snapshot cycle that finds the partition held denies the
+//!   candidate as busy and rechecks it like any other; its DoD is read
+//!   at the recheck that finds the partition free, not kept from the
+//!   snapshot cycle (the paper takes the count at detection + 32).
 //! * **2-Level P-ROB** (§4.2/§5.3) — predictive; a PC-indexed DoD
 //!   predictor is consulted the moment the miss is detected, and
 //!   verified/trained by an actual count when the miss is serviced.
@@ -88,23 +96,6 @@ impl Scheme {
             Scheme::Reactive { .. } => SchemeKind::Reactive,
             Scheme::CountDelayed { .. } => SchemeKind::CountDelayed,
             Scheme::Predictive { .. } => SchemeKind::Predictive,
-        }
-    }
-
-    /// Whether this scheme can ever emit `reason` — the deny-reason
-    /// soundness table the protocol model checks traces against. The
-    /// match is deliberately exhaustive over [`DenyReason`]: adding a
-    /// reason fails compilation here until its reachability per scheme
-    /// is stated.
-    #[must_use]
-    pub fn may_deny(self, reason: DenyReason) -> bool {
-        match reason {
-            // Any scheme can find the partition taken.
-            DenyReason::Busy => true,
-            // Any scheme can count/predict a too-high DoD.
-            DenyReason::HighDod => true,
-            // Only a predictor can be cold.
-            DenyReason::ColdPredictor => matches!(self, Scheme::Predictive { .. }),
         }
     }
 }
@@ -193,6 +184,24 @@ impl TwoLevelConfig {
             ..TwoLevelConfig::r_rob(threshold)
         }
     }
+
+    /// The paper's legend name (`2-Level R-ROB16`): the scheme and the
+    /// threshold, nothing else.
+    #[must_use]
+    pub fn name(&self) -> String {
+        let scheme = match self.scheme {
+            Scheme::Reactive {
+                require_full: true, ..
+            } => "R-ROB",
+            Scheme::Reactive {
+                require_full: false,
+                ..
+            } => "Relaxed R-ROB",
+            Scheme::CountDelayed { .. } => "CDR-ROB",
+            Scheme::Predictive { .. } => "P-ROB",
+        };
+        format!("2-Level {scheme}{}", self.dod_threshold)
+    }
 }
 
 /// Aggregate statistics of a two-level allocator.
@@ -246,22 +255,22 @@ impl TwoLevelStats {
     }
 }
 
-/// A pending allocation candidate (a detected L2 miss awaiting its
-/// conditions).
+/// A pending allocation candidate: a detected L2 miss that is neither
+/// granted nor denied for good. Reactive candidates wait for the
+/// oldest/full conditions, CDR candidates for their snapshot cycle, and
+/// a candidate of any scheme that found the partition held waits for
+/// its recheck. A candidate keeps no DoD reading: a CDR candidate whose
+/// snapshot cycle finds the partition held is rechecked, and its DoD is
+/// read again at the recheck that finds the partition free.
 #[derive(Clone, Copy, Debug)]
 struct Candidate {
     thread: ThreadId,
     tag: u64,
     /// Earliest cycle to (re)evaluate.
     check_at: Cycle,
-    /// CDR: a count snapshot already taken (candidate passed the DoD
-    /// test and is only waiting for the partition).
-    counted_ok: bool,
-    /// P-ROB: prediction outcome recorded for verification.
-    predicted_below: Option<bool>,
 }
 
-/// The current tenure of the second-level partition.
+/// A tenure: one thread's hold on the second-level partition.
 #[derive(Clone, Copy, Debug)]
 struct Tenure {
     thread: ThreadId,
@@ -277,19 +286,6 @@ impl Tenure {
     fn draining(&self) -> bool {
         self.draining_since.is_some()
     }
-}
-
-/// A read-only snapshot of the live tenure, for external checkers
-/// (`smtsim-check`) and tests. Mirrors the internal `Tenure` record.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TenureView {
-    /// Thread holding the second-level partition.
-    pub thread: ThreadId,
-    /// ROB tag of the load whose miss opened the tenure.
-    pub trigger_tag: u64,
-    /// Cycle the tenure stopped extending (trigger serviced or
-    /// squashed), when that has happened.
-    pub draining_since: Option<Cycle>,
 }
 
 /// The two-level ROB allocator. Plugs into the pipeline through
@@ -346,57 +342,9 @@ impl TwoLevelRob {
         }
     }
 
-    /// Traces the DoD count taken for an allocation decision.
-    fn sample_count(&mut self, c: Candidate, count: u32, now: Cycle) {
-        if count != u32::MAX {
-            self.emit(
-                now,
-                TraceEvent::DodSampled {
-                    thread: c.thread,
-                    tag: c.tag,
-                    value: count,
-                    source: DodSource::CounterAtDecision,
-                },
-            );
-        }
-    }
-
-    /// Records a DoD-threshold rejection (stat + trace event).
-    fn reject_dod(&mut self, c: Candidate, now: Cycle) {
-        self.stats.rejected_dod += 1;
-        self.emit(
-            now,
-            TraceEvent::L2RobDenied {
-                thread: c.thread,
-                tag: c.tag,
-                reason: DenyReason::HighDod,
-            },
-        );
-    }
-
     /// Current holder of the second-level partition.
     pub fn owner(&self) -> Option<ThreadId> {
         self.tenure.map(|t| t.thread)
-    }
-
-    /// Snapshot of the live tenure, if any (state exposure for the
-    /// protocol model checker).
-    pub fn tenure_view(&self) -> Option<TenureView> {
-        self.tenure.map(|t| TenureView {
-            thread: t.thread,
-            trigger_tag: t.trigger_tag,
-            draining_since: t.draining_since,
-        })
-    }
-
-    /// Writes the `(thread, tag)` of every pending allocation
-    /// candidate into `out` (cleared first), sorted for deterministic
-    /// inspection. Caller-provided storage so per-cycle inspectors can
-    /// reuse one buffer instead of allocating on every call.
-    pub fn candidate_tags_into(&self, out: &mut Vec<(ThreadId, u64)>) {
-        out.clear();
-        out.extend(self.candidates.iter().map(|c| (c.thread, c.tag)));
-        out.sort_unstable();
     }
 
     /// Statistics so far. Coverage counters are read out of the
@@ -409,15 +357,26 @@ impl TwoLevelRob {
         s
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &TwoLevelConfig {
-        &self.cfg
-    }
-
-    /// The DoD-counter scan window: the first-level entries behind the
-    /// load (the paper's 5-bit counter for a 32-entry first level).
-    fn count_window(&self) -> usize {
-        self.cfg.l1_entries - 1
+    /// The release rule: what a `tick` does to tenure `t` in the
+    /// current machine state, as *(start the drain, release)*. `tick`
+    /// applies it; `skip_quiesce` ends the skip horizon where it says
+    /// `tick` would act.
+    fn release_step(&self, t: Tenure, view: &dyn RobQuery) -> (bool, bool) {
+        let drained = view.occupancy(t.thread) <= self.cfg.l1_entries;
+        match self.cfg.release {
+            ReleasePolicy::TriggerServiced => {
+                // The trigger may also leave flight by committing or
+                // squashing without this allocator seeing the fill
+                // (e.g. store-forwarded edge cases); treat that as
+                // serviced.
+                let over = t.draining() || !view.in_flight(t.thread, t.trigger_tag);
+                (over && !t.draining(), over && drained)
+            }
+            ReleasePolicy::DrainAndNoMiss => {
+                (false, drained && !view.has_pending_l2_miss(t.thread))
+            }
+            ReleasePolicy::DrainOnly => (false, drained),
+        }
     }
 
     fn allocate(&mut self, thread: ThreadId, trigger_tag: u64, now: Cycle) {
@@ -440,96 +399,107 @@ impl TwoLevelRob {
         self.candidates.retain(|c| c.thread != thread);
     }
 
-    /// Evaluates one candidate. Returns `true` when the candidate is
-    /// finished (allocated or rejected) and should be removed.
-    fn evaluate(
-        &mut self,
-        c: Candidate,
-        view: &dyn RobQuery,
-        now: Cycle,
-    ) -> (bool, Option<Candidate>) {
-        if !view.in_flight(c.thread, c.tag) {
-            return (true, None);
+    /// Denies the candidate `(thread, tag)` for `reason`: bumps the
+    /// reason's counter and traces the `L2RobDenied` event.
+    fn deny(&mut self, thread: ThreadId, tag: u64, reason: DenyReason, now: Cycle) {
+        let counter = match reason {
+            DenyReason::Busy => &mut self.stats.rejected_busy,
+            DenyReason::HighDod => &mut self.stats.rejected_dod,
+            DenyReason::ColdPredictor => &mut self.stats.pred_cold,
+        };
+        *counter += 1;
+        self.emit(
+            now,
+            TraceEvent::L2RobDenied {
+                thread,
+                tag,
+                reason,
+            },
+        );
+    }
+
+    /// The count decision of the counting schemes: reads the DoD
+    /// counter over the first-level entries behind the load (the
+    /// paper's 5-bit counter for a 32-entry first level), traces the
+    /// sample, and allocates below the threshold or denies `HighDod`.
+    fn decide_by_count(&mut self, c: Candidate, view: &dyn RobQuery, now: Cycle) {
+        let count = view.count_unexecuted_younger(c.thread, c.tag, self.cfg.l1_entries - 1);
+        if let Some(value) = count {
+            self.emit(
+                now,
+                TraceEvent::DodSampled {
+                    thread: c.thread,
+                    tag: c.tag,
+                    value,
+                    source: DodSource::CounterAtDecision,
+                },
+            );
         }
+        if count.is_some_and(|n| n < self.cfg.dod_threshold) {
+            self.allocate(c.thread, c.tag, now);
+        } else {
+            self.deny(c.thread, c.tag, DenyReason::HighDod, now);
+        }
+    }
+
+    /// Evaluates one due candidate: allocates, denies or drops it, or
+    /// returns it to be kept for a recheck.
+    fn evaluate(&mut self, c: Candidate, view: &dyn RobQuery, now: Cycle) -> Option<Candidate> {
+        if !view.in_flight(c.thread, c.tag) {
+            return None;
+        }
+        let recheck = Some(Candidate {
+            check_at: now + self.cfg.recheck_interval,
+            ..c
+        });
         if self.tenure.is_some() {
             // Partition busy: keep the candidacy alive (it may free
             // before the miss is serviced).
-            self.stats.rejected_busy += 1;
-            self.emit(
-                now,
-                TraceEvent::L2RobDenied {
-                    thread: c.thread,
-                    tag: c.tag,
-                    reason: DenyReason::Busy,
-                },
-            );
-            return (
-                false,
-                Some(Candidate {
-                    check_at: now + self.cfg.recheck_interval,
-                    ..c
-                }),
-            );
+            self.deny(c.thread, c.tag, DenyReason::Busy, now);
+            return recheck;
         }
         match self.cfg.scheme {
             Scheme::Reactive {
                 require_oldest,
                 require_full,
             } => {
-                if require_oldest && view.oldest_tag(c.thread) != Some(c.tag) {
-                    return (
-                        false,
-                        Some(Candidate {
-                            check_at: now + self.cfg.recheck_interval,
-                            ..c
-                        }),
-                    );
+                if (require_oldest && view.oldest_tag(c.thread) != Some(c.tag))
+                    || (require_full && view.occupancy(c.thread) < self.cfg.l1_entries)
+                {
+                    return recheck;
                 }
-                if require_full && view.occupancy(c.thread) < self.cfg.l1_entries {
-                    return (
-                        false,
-                        Some(Candidate {
-                            check_at: now + self.cfg.recheck_interval,
-                            ..c
-                        }),
-                    );
-                }
-                let count = view
-                    .count_unexecuted_younger(c.thread, c.tag, self.count_window())
-                    .unwrap_or(u32::MAX);
-                self.sample_count(c, count, now);
-                if count < self.cfg.dod_threshold {
-                    self.allocate(c.thread, c.tag, now);
-                } else {
-                    self.reject_dod(c, now);
-                }
-                (true, None)
+                self.decide_by_count(c, view, now);
             }
-            Scheme::CountDelayed { .. } => {
-                if c.counted_ok {
-                    self.allocate(c.thread, c.tag, now);
-                    return (true, None);
+            Scheme::CountDelayed { .. } => self.decide_by_count(c, view, now),
+            // Predictive candidates passed the prediction at miss
+            // detection and were only waiting for the partition.
+            Scheme::Predictive { .. } => self.allocate(c.thread, c.tag, now),
+        }
+        None
+    }
+
+    /// Due-candidate sweep, used by `tick` every cycle and by the
+    /// reactive scheme immediately at miss-detection time. Evaluation
+    /// may re-insert a deferred candidate, so the due set is staged
+    /// through the reusable scratch buffer first.
+    fn tick_candidates_now(&mut self, view: &dyn RobQuery, now: Cycle) {
+        let mut due = std::mem::take(&mut self.scratch_due);
+        due.clear();
+        due.extend(
+            self.candidates
+                .iter()
+                .copied()
+                .filter(|c| c.check_at <= now),
+        );
+        if !due.is_empty() {
+            self.candidates.retain(|c| c.check_at > now);
+            for &c in &due {
+                if let Some(keep) = self.evaluate(c, view, now) {
+                    self.candidates.push(keep);
                 }
-                let count = view
-                    .count_unexecuted_younger(c.thread, c.tag, self.count_window())
-                    .unwrap_or(u32::MAX);
-                self.sample_count(c, count, now);
-                if count < self.cfg.dod_threshold {
-                    self.allocate(c.thread, c.tag, now);
-                } else {
-                    self.reject_dod(c, now);
-                }
-                (true, None)
-            }
-            Scheme::Predictive { .. } => {
-                // Predictive candidates are resolved at miss detection;
-                // anything still pending passed the prediction and was
-                // only waiting for the partition.
-                debug_assert_eq!(c.predicted_below, Some(true));
-                self.allocate(c.thread, c.tag, now);
-                (true, None)
             }
         }
+        self.scratch_due = due;
     }
 }
 
@@ -544,27 +514,9 @@ impl RobAllocator for TwoLevelRob {
     }
 
     fn tick(&mut self, view: &dyn RobQuery, now: Cycle) {
-        // Release check.
         if let Some(t) = self.tenure {
             self.stats.held_cycles += 1;
-            let drained = view.occupancy(t.thread) <= self.cfg.l1_entries;
-            let release = match self.cfg.release {
-                ReleasePolicy::TriggerServiced => {
-                    // The trigger may also leave flight by committing or
-                    // squashing without this allocator seeing the fill
-                    // (e.g. store-forwarded edge cases); treat that as
-                    // serviced.
-                    let over = t.draining() || !view.in_flight(t.thread, t.trigger_tag);
-                    if over {
-                        if let Some(ten) = self.tenure.as_mut() {
-                            ten.draining_since.get_or_insert(now);
-                        }
-                    }
-                    over && drained
-                }
-                ReleasePolicy::DrainAndNoMiss => drained && !view.has_pending_l2_miss(t.thread),
-                ReleasePolicy::DrainOnly => drained,
-            };
+            let (start_drain, release) = self.release_step(t, view);
             if release {
                 self.tenure = None;
                 self.stats.releases += 1;
@@ -575,13 +527,16 @@ impl RobAllocator for TwoLevelRob {
                         trigger_tag: t.trigger_tag,
                     },
                 );
+            } else if start_drain {
+                self.tenure = Some(Tenure {
+                    draining_since: Some(now),
+                    ..t
+                });
             }
         }
-        // Candidate evaluation.
-        if self.candidates.is_empty() {
-            return;
+        if !self.candidates.is_empty() {
+            self.tick_candidates_now(view, now);
         }
-        self.tick_candidates_now(view, now);
     }
 
     fn on_l2_miss(&mut self, view: &dyn RobQuery, ev: MissEvent, now: Cycle) {
@@ -591,93 +546,57 @@ impl RobAllocator for TwoLevelRob {
         if ev.wrong_path {
             return;
         }
+        let (thread, tag) = (ev.thread, ev.tag);
         match self.cfg.scheme {
             Scheme::Reactive { .. } => {
-                self.candidates.push(Candidate {
-                    thread: ev.thread,
-                    tag: ev.tag,
-                    check_at: now, // conditions checked the first cycle
-                    counted_ok: false,
-                    predicted_below: None,
-                });
                 // Evaluate immediately ("checked the first cycle the L2
                 // miss is detected").
+                self.candidates.push(Candidate {
+                    thread,
+                    tag,
+                    check_at: now,
+                });
                 self.tick_candidates_now(view, now);
             }
-            Scheme::CountDelayed { delay } => {
-                self.candidates.push(Candidate {
-                    thread: ev.thread,
-                    tag: ev.tag,
-                    check_at: now + delay,
-                    counted_ok: false,
-                    predicted_below: None,
-                });
-            }
+            Scheme::CountDelayed { delay } => self.candidates.push(Candidate {
+                thread,
+                tag,
+                check_at: now + delay,
+            }),
             Scheme::Predictive { .. } => {
-                let pred = self
+                let predicted = self
                     .predictor
                     .as_mut()
                     .expect("predictive scheme has predictor")
                     .predict_below(ev.pc, ev.hist, self.cfg.dod_threshold);
-                match pred {
-                    None => {
-                        self.stats.pred_cold += 1;
-                        self.emit(
-                            now,
-                            TraceEvent::L2RobDenied {
-                                thread: ev.thread,
-                                tag: ev.tag,
-                                reason: DenyReason::ColdPredictor,
-                            },
-                        );
-                    }
-                    Some(below) => {
-                        self.stats.pred_hits += 1;
-                        // The predictor yields a below-threshold verdict,
-                        // not a numeric DoD; trace it as 0/1.
-                        self.emit(
-                            now,
-                            TraceEvent::DodSampled {
-                                thread: ev.thread,
-                                tag: ev.tag,
-                                value: u32::from(below),
-                                source: DodSource::Predictor,
-                            },
-                        );
-                        if below {
-                            if self.tenure.is_none() {
-                                self.allocate(ev.thread, ev.tag, now);
-                            } else {
-                                self.stats.rejected_busy += 1;
-                                self.emit(
-                                    now,
-                                    TraceEvent::L2RobDenied {
-                                        thread: ev.thread,
-                                        tag: ev.tag,
-                                        reason: DenyReason::Busy,
-                                    },
-                                );
-                                // Keep waiting for the partition.
-                                self.candidates.push(Candidate {
-                                    thread: ev.thread,
-                                    tag: ev.tag,
-                                    check_at: now + self.cfg.recheck_interval,
-                                    counted_ok: true,
-                                    predicted_below: Some(true),
-                                });
-                            }
-                        } else {
-                            self.stats.rejected_dod += 1;
-                            self.emit(
-                                now,
-                                TraceEvent::L2RobDenied {
-                                    thread: ev.thread,
-                                    tag: ev.tag,
-                                    reason: DenyReason::HighDod,
-                                },
-                            );
-                        }
-                    }
+                let Some(below) = predicted else {
+                    self.deny(thread, tag, DenyReason::ColdPredictor, now);
+                    return;
+                };
+                self.stats.pred_hits += 1;
+                // The predictor yields a below-threshold verdict, not a
+                // numeric DoD; trace it as 0/1.
+                self.emit(
+                    now,
+                    TraceEvent::DodSampled {
+                        thread,
+                        tag,
+                        value: u32::from(below),
+                        source: DodSource::Predictor,
+                    },
+                );
+                if !below {
+                    self.deny(thread, tag, DenyReason::HighDod, now);
+                } else if self.tenure.is_none() {
+                    self.allocate(thread, tag, now);
+                } else {
+                    // Keep waiting for the partition.
+                    self.deny(thread, tag, DenyReason::Busy, now);
+                    self.candidates.push(Candidate {
+                        thread,
+                        tag,
+                        check_at: now + self.cfg.recheck_interval,
+                    });
                 }
             }
         }
@@ -700,16 +619,14 @@ impl RobAllocator for TwoLevelRob {
             // of the miss service" (we take it at service completion —
             // the same window in this model). Train, and score the
             // prediction made at detection time.
-            if let Scheme::Predictive { .. } = self.cfg.scheme {
-                let predicted = p.predict_below(ev.pc, ev.hist, self.cfg.dod_threshold);
-                if let Some(below) = predicted {
-                    self.stats.pred_verified += 1;
-                    if below == (counted_dod < self.cfg.dod_threshold) {
-                        self.stats.pred_correct += 1;
-                    }
+            let predicted = p.predict_below(ev.pc, ev.hist, self.cfg.dod_threshold);
+            if let Some(below) = predicted {
+                self.stats.pred_verified += 1;
+                if below == (counted_dod < self.cfg.dod_threshold) {
+                    self.stats.pred_correct += 1;
                 }
-                p.update(ev.pc, ev.hist, counted_dod);
             }
+            p.update(ev.pc, ev.hist, counted_dod);
         }
     }
 
@@ -726,17 +643,7 @@ impl RobAllocator for TwoLevelRob {
     }
 
     fn name(&self) -> String {
-        match self.cfg.scheme {
-            Scheme::Reactive {
-                require_full: true, ..
-            } => format!("2-Level R-ROB{}", self.cfg.dod_threshold),
-            Scheme::Reactive {
-                require_full: false,
-                ..
-            } => format!("2-Level Relaxed R-ROB{}", self.cfg.dod_threshold),
-            Scheme::CountDelayed { .. } => format!("2-Level CDR-ROB{}", self.cfg.dod_threshold),
-            Scheme::Predictive { .. } => format!("2-Level P-ROB{}", self.cfg.dod_threshold),
-        }
+        self.cfg.name()
     }
 
     fn max_capacity(&self) -> usize {
@@ -797,45 +704,30 @@ impl RobAllocator for TwoLevelRob {
         std::mem::take(&mut self.trace)
     }
 
-    /// Quiescence horizon for the cycle-skip engine: a non-mutating
-    /// mirror of [`TwoLevelRob::tick`]. On a machine with no events,
-    /// commits, dispatches, fetches or squashes, every `tick` input
-    /// read here (occupancy, trigger in-flight status, pending-miss
-    /// flag) is frozen, so:
+    /// Quiescence horizon for the cycle-skip engine. On a machine with
+    /// no events, commits, dispatches, fetches or squashes, every input
+    /// of the release rule (occupancy, trigger in-flight status,
+    /// pending-miss flag) is frozen, so:
     ///
-    /// - a tick that would release the partition, or record the start
-    ///   of a drain (`draining_since`), acts *immediately* — report a
-    ///   horizon of 0 so the skip aborts and steps it normally;
-    /// - otherwise the release verdict stays `false` for every skipped
-    ///   cycle and the only per-cycle effect is the `held_cycles`
-    ///   accumulator, replicated by
-    ///   [`RobAllocator::on_cycles_skipped`];
+    /// - a tick that would start a drain or release the partition acts
+    ///   *immediately* — report a horizon of 0 so the skip aborts and
+    ///   steps it normally;
+    /// - otherwise every skipped tick would do neither, and the only
+    ///   per-cycle effect is the `held_cycles` accumulator, replicated
+    ///   by [`RobAllocator::on_cycles_skipped`];
     /// - pending candidates are untouchable until their earliest
     ///   `check_at`, which bounds the horizon.
-    fn skip_quiesce(&self, view: &dyn RobQuery) -> Option<Cycle> {
+    fn skip_quiesce(&self, view: &dyn RobQuery) -> Cycle {
         if let Some(t) = self.tenure {
-            let drained = view.occupancy(t.thread) <= self.cfg.l1_entries;
-            let acts_now = match self.cfg.release {
-                ReleasePolicy::TriggerServiced => {
-                    let over = t.draining() || !view.in_flight(t.thread, t.trigger_tag);
-                    // `over` with no drain start recorded writes
-                    // `draining_since`; `over && drained` releases.
-                    over && (t.draining_since.is_none() || drained)
-                }
-                ReleasePolicy::DrainAndNoMiss => drained && !view.has_pending_l2_miss(t.thread),
-                ReleasePolicy::DrainOnly => drained,
-            };
-            if acts_now {
-                return Some(0);
+            if self.release_step(t, view) != (false, false) {
+                return 0;
             }
         }
-        Some(
-            self.candidates
-                .iter()
-                .map(|c| c.check_at)
-                .min()
-                .unwrap_or(Cycle::MAX),
-        )
+        self.candidates
+            .iter()
+            .map(|c| c.check_at)
+            .min()
+            .unwrap_or(Cycle::MAX)
     }
 
     fn on_cycles_skipped(&mut self, skipped: u64) {
@@ -844,33 +736,6 @@ impl RobAllocator for TwoLevelRob {
         if self.tenure.is_some() {
             self.stats.held_cycles += skipped;
         }
-    }
-}
-
-impl TwoLevelRob {
-    /// Due-candidate sweep, used by `tick` every cycle and by the
-    /// reactive scheme immediately at miss-detection time. Evaluation
-    /// may re-insert a deferred candidate, so the due set is staged
-    /// through the reusable scratch buffer first.
-    fn tick_candidates_now(&mut self, view: &dyn RobQuery, now: Cycle) {
-        let mut due = std::mem::take(&mut self.scratch_due);
-        due.clear();
-        due.extend(
-            self.candidates
-                .iter()
-                .copied()
-                .filter(|c| c.check_at <= now),
-        );
-        if !due.is_empty() {
-            self.candidates.retain(|c| c.check_at > now);
-            for &c in &due {
-                let (_done, keep) = self.evaluate(c, view, now);
-                if let Some(k) = keep {
-                    self.candidates.push(k);
-                }
-            }
-        }
-        self.scratch_due = due;
     }
 }
 
@@ -1004,6 +869,87 @@ mod tests {
         v.counts[0] = 4; // ...but low at snapshot time
         a.tick(&v, 232);
         assert_eq!(a.owner(), Some(0));
+    }
+
+    #[test]
+    fn cdr_snapshot_finding_the_partition_held_counts_when_it_frees() {
+        // Thread 1's snapshot cycle (detection 40 + delay 32 = 72) finds
+        // thread 0's tenure in place: a busy denial, then a recheck
+        // every 10 cycles. The partition frees at 87, so the DoD is
+        // read at the next recheck (92) and the verdict follows that
+        // read, whatever the count was at 72.
+        for (dod_at_72, dod_at_92, granted) in [(20, 4, true), (4, 20, false)] {
+            let mut a = TwoLevelRob::new(TwoLevelConfig::cdr_rob(15));
+            a.set_tracing(true);
+            let mut v = FakeView::new(2);
+            v.in_flight = vec![vec![1], vec![5]];
+            v.occupancy[0] = 40;
+            v.counts[0] = 1;
+            a.on_l2_miss(&v, miss(0, 1), 0);
+            a.tick(&v, 32);
+            assert_eq!(a.owner(), Some(0));
+            a.on_l2_miss(&v, miss(1, 5), 40);
+            v.counts[1] = dod_at_72;
+            for now in 33..=92 {
+                if now == 87 {
+                    // Thread 0's trigger is serviced with its extension
+                    // already drained: released this cycle.
+                    a.on_l2_fill(&v, miss(0, 1), 1, now);
+                    v.occupancy[0] = 20;
+                }
+                if now == 92 {
+                    v.counts[1] = dod_at_92;
+                }
+                a.tick(&v, now);
+                let busy = u64::from(now >= 72) + u64::from(now >= 82);
+                assert_eq!(a.stats().rejected_busy, busy, "cycle {now}");
+                assert_eq!(a.owner().is_some(), now < 87 || granted && now == 92);
+            }
+            let verdict = if granted {
+                TraceEvent::L2RobAllocated { thread: 1, tag: 5 }
+            } else {
+                TraceEvent::L2RobDenied {
+                    thread: 1,
+                    tag: 5,
+                    reason: DenyReason::HighDod,
+                }
+            };
+            let busy = TraceEvent::L2RobDenied {
+                thread: 1,
+                tag: 5,
+                reason: DenyReason::Busy,
+            };
+            let thread1: Vec<_> = a
+                .drain_trace()
+                .into_iter()
+                .filter(|(_, ev)| {
+                    matches!(
+                        ev,
+                        TraceEvent::DodSampled { thread: 1, .. }
+                            | TraceEvent::L2RobAllocated { thread: 1, .. }
+                            | TraceEvent::L2RobDenied { thread: 1, .. }
+                    )
+                })
+                .collect();
+            assert_eq!(
+                thread1,
+                vec![
+                    (72, busy),
+                    (82, busy),
+                    (
+                        92,
+                        TraceEvent::DodSampled {
+                            thread: 1,
+                            tag: 5,
+                            value: dod_at_92,
+                            source: DodSource::CounterAtDecision,
+                        }
+                    ),
+                    (92, verdict),
+                ]
+            );
+            assert_eq!(a.stats().rejected_dod, u64::from(!granted));
+        }
     }
 
     #[test]
@@ -1239,14 +1185,14 @@ mod tests {
         v.oldest[0] = Some(1);
         v.occupancy[0] = 40;
         a.on_l2_miss(&v, miss(0, 1), 10);
-        let t = a.tenure_view().expect("tenure live after allocation");
+        let t = a.tenure.expect("tenure live after allocation");
         assert_eq!((t.thread, t.trigger_tag, t.draining_since), (0, 1, None));
         // The squash of the trigger stamps the start of the drain.
         a.on_squash(0, 1, 25);
-        assert_eq!(a.tenure_view().unwrap().draining_since, Some(25));
+        assert_eq!(a.tenure.unwrap().draining_since, Some(25));
         v.occupancy[0] = 4;
         a.tick(&v, 30);
-        assert_eq!(a.tenure_view(), None, "released after drain");
+        assert!(a.tenure.is_none(), "released after drain");
     }
 
     #[test]
@@ -1257,12 +1203,14 @@ mod tests {
         v.in_flight[0] = vec![5];
         a.on_l2_miss(&v, miss(2, 9), 0);
         a.on_l2_miss(&v, miss(0, 5), 0);
-        let mut tags = Vec::new();
-        a.candidate_tags_into(&mut tags);
-        assert_eq!(tags, vec![(0, 5), (2, 9)]);
+        let tags = |a: &TwoLevelRob| {
+            let mut tags: Vec<_> = a.candidates.iter().map(|c| (c.thread, c.tag)).collect();
+            tags.sort_unstable();
+            tags
+        };
+        assert_eq!(tags(&a), vec![(0, 5), (2, 9)]);
         a.on_squash(0, 5, 1);
-        a.candidate_tags_into(&mut tags);
-        assert_eq!(tags, vec![(2, 9)]);
+        assert_eq!(tags(&a), vec![(2, 9)]);
     }
 
     #[test]
@@ -1270,14 +1218,14 @@ mod tests {
         // No tenure, no candidates: quiescent forever.
         let a = TwoLevelRob::new(TwoLevelConfig::r_rob(16));
         let v = FakeView::new(2);
-        assert_eq!(a.skip_quiesce(&v), Some(Cycle::MAX));
+        assert_eq!(a.skip_quiesce(&v), Cycle::MAX);
 
         // A pending CDR candidate bounds the horizon at its check_at.
         let mut a = TwoLevelRob::new(TwoLevelConfig::cdr_rob(15));
         let mut v = FakeView::new(2);
         v.in_flight[0] = vec![5];
         a.on_l2_miss(&v, miss(0, 5), 100);
-        assert_eq!(a.skip_quiesce(&v), Some(132), "check_at = now + delay");
+        assert_eq!(a.skip_quiesce(&v), 132, "check_at = now + delay");
 
         // A held tenure whose trigger is still in flight (not drained,
         // not serviced) only accumulates held_cycles: horizon open, and
@@ -1289,30 +1237,22 @@ mod tests {
         v.occupancy[0] = 40;
         a.on_l2_miss(&v, miss(0, 1), 10);
         assert_eq!(a.owner(), Some(0));
-        assert_eq!(a.skip_quiesce(&v), Some(Cycle::MAX));
+        assert_eq!(a.skip_quiesce(&v), Cycle::MAX);
         let before = a.stats().held_cycles;
         a.on_cycles_skipped(7);
         assert_eq!(a.stats().held_cycles, before + 7);
 
         // Once the trigger leaves flight the very next tick stamps the
-        // drain start: the allocator acts now, vetoing any skip.
+        // drain start: the allocator acts now, so no cycle is skipped.
         v.in_flight[0] = vec![];
-        assert_eq!(a.skip_quiesce(&v), Some(0));
+        assert_eq!(a.skip_quiesce(&v), 0);
     }
 
     #[test]
-    fn deny_reason_soundness_table() {
+    fn scheme_kind_is_the_family() {
         let predictive = TwoLevelConfig::p_rob(5).scheme;
         let reactive = TwoLevelConfig::r_rob(16).scheme;
         let cdr = TwoLevelConfig::cdr_rob(15).scheme;
-        for r in DenyReason::ALL {
-            assert!(predictive.may_deny(r), "{r:?} reachable under P-ROB");
-        }
-        for s in [reactive, cdr] {
-            assert!(s.may_deny(DenyReason::Busy));
-            assert!(s.may_deny(DenyReason::HighDod));
-            assert!(!s.may_deny(DenyReason::ColdPredictor));
-        }
         assert_eq!(reactive.kind(), SchemeKind::Reactive);
         assert_eq!(cdr.kind(), SchemeKind::CountDelayed);
         assert_eq!(predictive.kind(), SchemeKind::Predictive);

@@ -11,7 +11,7 @@
 //! which is what lets multiple outstanding misses overlap — the
 //! memory-level parallelism the paper's second-level ROB exploits.
 
-use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::cache::{Cache, CacheConfig};
 use crate::mshr::Mshr;
 use crate::Cycle;
 use smtsim_obs::TraceEvent;
@@ -157,21 +157,6 @@ impl Hierarchy {
     /// Statistics.
     pub fn stats(&self) -> HierarchyStats {
         self.stats
-    }
-
-    /// L1 I-cache statistics.
-    pub fn l1i_stats(&self) -> CacheStats {
-        self.l1i.stats()
-    }
-
-    /// L1 D-cache statistics.
-    pub fn l1d_stats(&self) -> CacheStats {
-        self.l1d.stats()
-    }
-
-    /// L2 statistics.
-    pub fn l2_stats(&self) -> CacheStats {
-        self.l2.stats()
     }
 
     /// Outstanding L2 miss fills at `now`.

@@ -81,7 +81,7 @@ pub(crate) struct Thread {
 }
 
 impl Thread {
-    fn new(wl: Arc<Workload>, seed: u64) -> Self {
+    fn new(wl: Arc<Workload>, seed: u64, lsq_size: usize) -> Self {
         let entry_pc = wl.program.pc_of(wl.program.entry(), 0);
         Thread {
             exec: Executor::new(wl, seed),
@@ -89,7 +89,9 @@ impl Thread {
             // larger ROB configurations grow it on demand.
             rob: RobSoa::with_capacity(64),
             next_tag: 0,
-            lsq: LsqSoa::with_capacity(64),
+            // Dispatch stalls a thread at `lsq_size`, so the LSQ ring
+            // never outgrows it.
+            lsq: LsqSoa::with_capacity(lsq_size),
             fetch_q: VecDeque::with_capacity(32),
             replay_q: VecDeque::new(),
             fetch_pc: entry_pc,
@@ -321,7 +323,7 @@ impl<T: Tracer> Simulator<T> {
         let threads: Vec<Thread> = workloads
             .into_iter()
             .enumerate()
-            .map(|(t, wl)| Thread::new(wl, seed.wrapping_add(t as u64)))
+            .map(|(t, wl)| Thread::new(wl, seed.wrapping_add(t as u64), cfg.lsq_size))
             .collect();
         let stats = SimStats::new(cfg.num_threads);
         let regs = RegFiles::new(
@@ -706,12 +708,8 @@ impl<T: Tracer> Simulator<T> {
             threads: &self.threads,
         };
         // The allocation policy's quiescence horizon: the earliest
-        // future cycle at which its `tick` may act (None = opaque
-        // policy or pending release work — do not skip).
-        let Some(alloc_quiet) = self.alloc.skip_quiesce(&view) else {
-            return;
-        };
-        let mut target = alloc_quiet;
+        // future cycle at which its `tick` may act (0 when it acts now).
+        let mut target = self.alloc.skip_quiesce(&view);
         if let StopCondition::Cycles(n) = stop {
             target = target.min(n);
         }
@@ -1208,7 +1206,7 @@ mod tests {
     /// the pipeline (only the taint walk is under test).
     fn thread_with(entries: Vec<(Option<ArchReg>, [Option<ArchReg>; 2], bool)>) -> Thread {
         let wl = Arc::new(Workload::spec("gzip", 1, 0x1_0000, 0x1000_0000));
-        let mut th = Thread::new(wl, 0);
+        let mut th = Thread::new(wl, 0, 48);
         for (tag, (dst, srcs, wrong_path)) in entries.into_iter().enumerate() {
             th.rob.push_back(InstState {
                 tag: tag as u64,

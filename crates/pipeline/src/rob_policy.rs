@@ -176,15 +176,11 @@ pub trait RobAllocator {
     /// release, emit a trace event, mutate statistics other than
     /// through [`RobAllocator::on_cycles_skipped`]) given the current
     /// machine state, assuming no event, commit, dispatch, fetch or
-    /// squash happens in the meantime. Returning `Some(c)` promises
-    /// every tick strictly before `c` is a no-op on a quiescent
-    /// machine, licensing the simulator to skip those cycles; return
-    /// [`Cycle::MAX`] when tick never acts. The default `None` vetoes
-    /// skipping entirely — the conservative answer for policies written
-    /// before this hook existed.
-    fn skip_quiesce(&self, _view: &dyn RobQuery) -> Option<Cycle> {
-        None
-    }
+    /// squash happens in the meantime. Returning `c` promises every
+    /// tick strictly before `c` is a no-op on a quiescent machine,
+    /// licensing the simulator to skip those cycles; return `0` when
+    /// tick acts now and [`Cycle::MAX`] when it never acts.
+    fn skip_quiesce(&self, view: &dyn RobQuery) -> Cycle;
 
     /// The simulator skipped `skipped` quiescent cycles in one jump;
     /// policies with per-cycle accumulators (e.g. a held-extension
@@ -234,8 +230,8 @@ impl RobAllocator for FixedRob {
     }
 
     /// The baseline's tick never acts: quiescent forever.
-    fn skip_quiesce(&self, _view: &dyn RobQuery) -> Option<Cycle> {
-        Some(Cycle::MAX)
+    fn skip_quiesce(&self, _view: &dyn RobQuery) -> Cycle {
+        Cycle::MAX
     }
 }
 

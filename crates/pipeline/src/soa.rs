@@ -420,24 +420,10 @@ impl LsqSoa {
         (self.head + idx) & self.mask
     }
 
-    #[cold]
-    fn grow(&mut self) {
-        let mut next = LsqSoa::with_capacity(self.cap() * 2);
-        for i in 0..self.len {
-            let p = (self.head + i) & self.mask;
-            next.tags[i] = self.tags[p];
-            next.addrs[i] = self.addrs[p];
-            bit_set(&mut next.store, i, bit_get(&self.store, p));
-            bit_set(&mut next.resolved, i, bit_get(&self.resolved, p));
-        }
-        next.len = self.len;
-        *self = next;
-    }
-
+    /// Appends `e`. The ring never grows: dispatch stalls a thread at
+    /// `lsq_size`, the capacity the ring was built for.
     pub fn push_back(&mut self, e: LsqEntry) {
-        if self.len == self.cap() {
-            self.grow();
-        }
+        assert!(self.len < self.cap(), "LSQ ring overflow");
         let p = (self.head + self.len) & self.mask;
         self.tags[p] = e.tag;
         self.addrs[p] = e.addr;
@@ -1090,6 +1076,37 @@ mod tests {
             assert!(mid.is_store);
             assert_eq!(lsq.len(), 0);
         }
+    }
+
+    #[test]
+    fn lsq_ring_built_for_96_holds_96_in_order_across_a_wrap() {
+        let entry = |tag: u64| LsqEntry {
+            tag,
+            is_store: tag.is_multiple_of(3),
+            addr: tag * 8,
+            resolved: tag.is_multiple_of(2),
+        };
+        let mut lsq = LsqSoa::with_capacity(96);
+        // Move the head near the end of the (128-slot) ring so the 96
+        // entries wrap around it.
+        for tag in 0..100 {
+            lsq.push_back(entry(tag));
+            lsq.pop_front();
+        }
+        for tag in 0..96 {
+            lsq.push_back(entry(tag));
+        }
+        assert_eq!(lsq.len(), 96);
+        assert_eq!(lsq.back_tag(), Some(95));
+        for tag in 0..96 {
+            let e = lsq.pop_front().expect("96 entries held");
+            let want = entry(tag);
+            assert_eq!(
+                (e.tag, e.is_store, e.addr, e.resolved),
+                (want.tag, want.is_store, want.addr, want.resolved)
+            );
+        }
+        assert_eq!(lsq.len(), 0);
     }
 
     #[test]

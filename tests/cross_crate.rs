@@ -118,3 +118,25 @@ fn weighted_ipc_is_internally_consistent() {
     let hm = smtsim_rob2::harmonic_mean(&r.weighted);
     assert!((hm - r.ft).abs() < 1e-12);
 }
+
+#[test]
+fn larger_lsq_machine_passes_the_deep_scan() {
+    // A machine variant whose LSQ outgrows the 64-slot minimum ring:
+    // each thread's ring is built for `lsq_size`, and the periodic deep
+    // scan, which checks every LSQ against its ROB, stays clean. (At the
+    // Table 1 size of 48 this run stalls threads on a full LSQ; at 96
+    // none do.)
+    let mut cfg = MachineConfig::icpp08();
+    cfg.lsq_size = 96;
+    cfg.invariant_interval = 100;
+    let wls = mix(1).instantiate(7).into_iter().map(Arc::new).collect();
+    let alloc = Box::new(TwoLevelRob::new(TwoLevelConfig::r_rob(16)));
+    let mut sim = Simulator::builder(cfg, wls, alloc, 7)
+        .warmup(10_000)
+        .build()
+        .expect("valid config");
+    let stats = sim
+        .try_run(StopCondition::AnyThreadCommitted(20_000))
+        .expect("the deep scan finds every LSQ in sync with its ROB");
+    assert!(stats.threads.iter().any(|t| t.committed >= 20_000));
+}
