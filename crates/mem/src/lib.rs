@@ -15,8 +15,8 @@ pub mod cache;
 pub mod hierarchy;
 pub mod mshr;
 
-pub use cache::{Cache, CacheConfig, CacheStats, Evicted};
-pub use hierarchy::{AccessResult, Hierarchy, HierarchyStats, MemConfig};
+pub use cache::{Cache, CacheConfig, Evicted};
+pub use hierarchy::{AccessResult, Hierarchy, MemConfig};
 pub use mshr::Mshr;
 
 /// Simulation time in core clock cycles.

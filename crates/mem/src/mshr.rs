@@ -20,12 +20,6 @@ struct Entry {
 pub struct Mshr {
     entries: Vec<Entry>,
     capacity: usize,
-    /// Peak simultaneous occupancy observed (for statistics).
-    peak: usize,
-    /// Total primary misses registered.
-    pub primary: u64,
-    /// Total secondary (coalesced) misses.
-    pub secondary: u64,
 }
 
 impl Mshr {
@@ -35,9 +29,6 @@ impl Mshr {
         Mshr {
             entries: Vec::with_capacity(capacity),
             capacity,
-            peak: 0,
-            primary: 0,
-            secondary: 0,
         }
     }
 
@@ -50,15 +41,10 @@ impl Mshr {
     /// completion time (a secondary miss).
     pub fn lookup(&mut self, line_addr: u64, now: Cycle) -> Option<Cycle> {
         self.expire(now);
-        let hit = self
-            .entries
+        self.entries
             .iter()
             .find(|e| e.line_addr == line_addr)
-            .map(|e| e.fill_done);
-        if hit.is_some() {
-            self.secondary += 1;
-        }
-        hit
+            .map(|e| e.fill_done)
     }
 
     /// Earliest time at or after `now` when a new entry can be
@@ -89,24 +75,6 @@ impl Mshr {
             line_addr,
             fill_done,
         });
-        self.primary += 1;
-        self.peak = self.peak.max(self.entries.len());
-    }
-
-    /// Number of fills outstanding at `now`.
-    pub fn occupancy(&mut self, now: Cycle) -> usize {
-        self.expire(now);
-        self.entries.len()
-    }
-
-    /// Peak simultaneous occupancy observed.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -120,8 +88,12 @@ mod tests {
         m.insert(0x100, 530, 0);
         assert_eq!(m.lookup(0x100, 10), Some(530));
         assert_eq!(m.lookup(0x200, 10), None);
-        assert_eq!(m.primary, 1);
-        assert_eq!(m.secondary, 1);
+        // The coalesced lookup took no entry: three more fills fit.
+        for line in [0x200, 0x300, 0x400] {
+            assert_eq!(m.earliest_slot(10), 10);
+            m.insert(line, 600, 10);
+        }
+        assert_eq!(m.earliest_slot(10), 530, "full");
     }
 
     #[test]
@@ -140,7 +112,7 @@ mod tests {
         assert_eq!(m.earliest_slot(10), 500, "must wait for earliest fill");
         assert_eq!(m.earliest_slot(500), 500, "slot free once expired");
         m.insert(0x300, 900, 500);
-        assert_eq!(m.occupancy(500), 2);
+        assert_eq!(m.earliest_slot(500), 600, "full again");
     }
 
     #[test]
@@ -149,9 +121,14 @@ mod tests {
         m.insert(0x0, 100, 0);
         m.insert(0x80, 120, 0);
         m.insert(0x100, 140, 0);
-        assert_eq!(m.occupancy(0), 3);
-        assert_eq!(m.occupancy(130), 1);
-        assert_eq!(m.peak(), 3);
+        let held = |m: &mut Mshr, now| {
+            [0x0, 0x80, 0x100]
+                .into_iter()
+                .filter(|&line| m.lookup(line, now).is_some())
+                .count()
+        };
+        assert_eq!(held(&mut m, 0), 3);
+        assert_eq!(held(&mut m, 130), 1);
     }
 
     #[test]

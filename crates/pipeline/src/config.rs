@@ -11,7 +11,8 @@ use smtsim_mem::{CacheConfig, MemConfig};
 pub struct DcraConfig {
     /// Share multiplier for memory-demanding ("slow") threads: a slow
     /// thread may occupy `slow_share` times the base share of a fast
-    /// thread for each controlled resource (IQ, registers).
+    /// thread in the shared issue queue, the one resource DCRA caps
+    /// here (registers are renamed without a cap).
     pub slow_share: u32,
 }
 

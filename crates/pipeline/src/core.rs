@@ -28,7 +28,7 @@ use crate::types::{BranchState, Event, InstRef};
 use smtsim_isa::{DynInst, ThreadId};
 use smtsim_mem::{Cycle, Hierarchy};
 use smtsim_obs::{NoopTracer, TraceEvent, Tracer};
-use smtsim_predict::{Btb, Gshare, LoadHitPredictor};
+use smtsim_predict::{Btb, Gshare};
 use smtsim_workload::{Executor, Workload};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -248,7 +248,6 @@ pub struct Simulator<T: Tracer = NoopTracer> {
     pub(crate) mem: Hierarchy,
     pub(crate) gshare: Gshare,
     pub(crate) btb: Btb,
-    pub(crate) loadhit: LoadHitPredictor,
     pub(crate) alloc: Box<dyn RobAllocator>,
     pub(crate) events: EventQueue,
     pub(crate) now: Cycle,
@@ -350,7 +349,6 @@ impl<T: Tracer> Simulator<T> {
             mem: Hierarchy::new(cfg.l1i, cfg.l1d, cfg.l2, cfg.mem),
             gshare: Gshare::icpp08(),
             btb: Btb::icpp08(),
-            loadhit: LoadHitPredictor::icpp08(),
             alloc,
             events: EventQueue::new(),
             now: 0,
@@ -466,21 +464,6 @@ impl<T: Tracer> Simulator<T> {
         &self.cfg
     }
 
-    /// The memory hierarchy (for cache statistics).
-    pub fn memory(&self) -> &Hierarchy {
-        &self.mem
-    }
-
-    /// Branch predictor accuracy observed so far.
-    pub fn branch_accuracy(&self) -> f64 {
-        self.gshare.accuracy()
-    }
-
-    /// Load-hit predictor accuracy observed so far.
-    pub fn loadhit_accuracy(&self) -> f64 {
-        self.loadhit.accuracy()
-    }
-
     /// The ROB allocation policy (downcast with
     /// [`RobAllocator::as_any`] to read policy-specific statistics).
     pub fn allocator(&self) -> &dyn RobAllocator {
@@ -520,12 +503,8 @@ impl<T: Tracer> Simulator<T> {
                     last_line = line;
                 }
                 if di.op.is_mem() {
-                    let hit = self.mem.peek_l1d(di.mem_addr);
                     self.mem
                         .warm_data(di.mem_addr, di.op == smtsim_isa::OpClass::Store);
-                    if di.op == smtsim_isa::OpClass::Load {
-                        self.loadhit.update(t, di.pc, hit);
-                    }
                 }
                 if di.op == smtsim_isa::OpClass::BranchCond {
                     let h = self.gshare.history(t);
@@ -987,8 +966,8 @@ impl<T: Tracer> Simulator<T> {
     }
 
     /// Per-thread shared-IQ dispatch caps under DCRA; `usize::MAX` when
-    /// DCRA is not active. Register files are per-thread partitions in
-    /// this model, so the issue queue is the resource DCRA arbitrates.
+    /// DCRA is not active. The issue queue is the only resource capped:
+    /// threads rename from the register pool without a DCRA share.
     pub(crate) fn dcra_caps_into(&self, caps: &mut Vec<usize>) {
         let n = self.cfg.num_threads;
         caps.clear();

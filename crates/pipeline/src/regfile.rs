@@ -1,16 +1,14 @@
 //! Physical register files, free lists and per-thread rename tables.
 //!
-//! Each hardware thread owns private physical register files (Table 1:
-//! 224 integer + 224 floating point per thread). The paper's analysis
-//! singles out the *shared issue queue* as the critical resource and
-//! explicitly argues register files can be scaled ("no associative
-//! addressing ... easier to implement larger register files"), and its
-//! 416-entry two-level windows would be unrealizable against a shared
-//! 224-entry pool (4 threads × 32-entry ROBs already hold ~90 renames);
-//! we therefore model the register files as per-thread partitions. Each
-//! thread pins one physical register per architectural register; the
-//! remaining 192 per class bound that thread's in-flight register
-//! writers.
+//! Table 1's 224 integer + 224 floating-point registers are the whole
+//! core's (`MachineConfig::int_regs` / `fp_regs`). Each thread pins one
+//! physical register per architectural register (32 per class), so the
+//! Table 1 machine's four threads pin 128 of each class. By default
+//! (`MachineConfig::shared_regs`) the remaining 96 per class form one
+//! core-wide rename pool that every thread's in-flight register writers
+//! draw from, which is what makes Baseline_128 collapse (DESIGN.md §3).
+//! With `shared_regs = false` (the ablation) each thread renames from
+//! its own partition of `int_regs / num_threads` registers instead.
 
 use smtsim_isa::{ArchReg, RegClass, ThreadId};
 
@@ -24,8 +22,9 @@ pub struct PhysReg {
     pub idx: u16,
 }
 
-/// One class's physical register storage: per-thread partitions laid
-/// out contiguously (thread `t` owns indices `[t*per_thread, (t+1)*per_thread)`).
+/// One class's physical register storage, `per_thread_total` registers
+/// per thread, renamed from one shared free list or from per-thread
+/// partitions (thread `t` owns indices `[t*per_thread, (t+1)*per_thread)`).
 #[derive(Clone, Debug)]
 struct File {
     ready: Vec<bool>,
@@ -78,9 +77,10 @@ pub struct RegFiles {
 impl RegFiles {
     /// Builds the register files (`int_regs`/`fp_regs` per thread) and
     /// initializes each thread's map table with freshly pinned, ready
-    /// physical registers. With `shared`, the rename pools of all
-    /// threads are merged into one core-wide pool of
-    /// `int_regs × threads` (ablation of the register-sharing model).
+    /// physical registers. With `shared` (the Table 1 machine), the
+    /// rename pools of all threads are merged into one core-wide pool
+    /// of `int_regs × threads`; without it each thread keeps its own
+    /// partition (the ablation).
     ///
     /// # Panics
     /// Panics if the files cannot cover the architectural state.

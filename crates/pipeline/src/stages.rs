@@ -436,9 +436,9 @@ impl<T: Tracer> Simulator<T> {
     /// caller's ROB index for `(t, tag)`; nothing between the lookup
     /// and the flag writes below mutates the ROB, so it stays valid.
     fn do_issue(&mut self, t: ThreadId, tag: u64, idx: usize) {
-        let (op, addr, pc, wrong_path) = {
+        let (op, addr, wrong_path) = {
             let s = self.threads[t].rob.slot(idx);
-            (s.di.op, s.di.mem_addr, s.di.pc, s.wrong_path)
+            (s.di.op, s.di.mem_addr, s.wrong_path)
         };
         // Every event carries the entry's physical ROB slot, so its
         // handler finds the entry without a search.
@@ -468,8 +468,6 @@ impl<T: Tracer> Simulator<T> {
                     }
                 } else {
                     let res = self.mem.load(addr, agen);
-                    let _pred = self.loadhit.predict(t, pc);
-                    self.loadhit.update(t, pc, !res.l1_miss);
                     if res.l1_miss {
                         let th = &mut self.threads[t];
                         th.pending_l1d += 1;

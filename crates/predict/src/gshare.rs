@@ -17,12 +17,6 @@ pub struct Gshare {
     hist: [u16; MAX_THREADS],
     hist_bits: u32,
     index_mask: u64,
-    /// Predictions made.
-    pub lookups: u64,
-    /// Training updates that found the prediction correct.
-    pub correct: u64,
-    /// Training updates total.
-    pub updates: u64,
 }
 
 impl Gshare {
@@ -37,9 +31,6 @@ impl Gshare {
             hist: [0; MAX_THREADS],
             hist_bits,
             index_mask: entries as u64 - 1,
-            lookups: 0,
-            correct: 0,
-            updates: 0,
         }
     }
 
@@ -64,7 +55,6 @@ impl Gshare {
     /// and the history snapshot to carry with the branch for training
     /// and recovery.
     pub fn predict(&mut self, thread: usize, pc: u64) -> (bool, u16) {
-        self.lookups += 1;
         let hist = self.hist[thread];
         let taken = self.table[self.index(pc, hist)] >= 2;
         (taken, hist)
@@ -79,13 +69,8 @@ impl Gshare {
 
     /// Trains the counter the prediction was made with.
     pub fn train(&mut self, pc: u64, hist: u16, taken: bool) {
-        self.updates += 1;
         let idx = self.index(pc, hist);
         let c = &mut self.table[idx];
-        let predicted = *c >= 2;
-        if predicted == taken {
-            self.correct += 1;
-        }
         if taken {
             *c = (*c + 1).min(3);
         } else {
@@ -108,15 +93,6 @@ impl Gshare {
     pub fn set_history(&mut self, thread: usize, hist: u16) {
         let mask = ((1u32 << self.hist_bits) - 1) as u16;
         self.hist[thread] = hist & mask;
-    }
-
-    /// Prediction accuracy over trained branches, in `[0, 1]`.
-    pub fn accuracy(&self) -> f64 {
-        if self.updates == 0 {
-            0.0
-        } else {
-            self.correct as f64 / self.updates as f64
-        }
     }
 }
 
@@ -190,13 +166,16 @@ mod tests {
 
     #[test]
     fn accuracy_accounting() {
+        // Without history shifts every lookup reads the same counter.
         let mut g = Gshare::icpp08();
-        let (_, h) = g.predict(0, 0x10);
-        g.train(0x10, h, true); // init weakly-taken ⇒ correct
-        assert!((g.accuracy() - 1.0).abs() < 1e-12);
-        let (_, h) = g.predict(0, 0x10);
-        g.train(0x10, h, false); // now predicts taken ⇒ wrong
-        assert!((g.accuracy() - 0.5).abs() < 1e-12);
+        let (p, h) = g.predict(0, 0x10);
+        assert!(p, "init weakly-taken ⇒ a taken outcome is predicted");
+        g.train(0x10, h, true);
+        let (p, h) = g.predict(0, 0x10);
+        assert!(p, "strongly taken ⇒ a not-taken outcome is mispredicted");
+        g.train(0x10, h, false);
+        g.train(0x10, h, false);
+        assert!(!g.predict(0, 0x10).0, "two not-taken outcomes flip it");
     }
 
     #[test]

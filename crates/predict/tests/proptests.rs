@@ -2,9 +2,7 @@
 //! masking, and training semantics under arbitrary stimulus.
 
 use proptest::prelude::*;
-use smtsim_predict::{
-    Btb, DodPredictor, Gshare, LastValueDod, LoadHitPredictor, PathDod, ThresholdBitDod,
-};
+use smtsim_predict::{Btb, DodPredictor, Gshare, LastValueDod, PathDod, ThresholdBitDod};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -90,27 +88,5 @@ proptest! {
             prop_assert_eq!(p.predict_below(pc, h1, 16), Some(c1 < 16));
             prop_assert_eq!(p.predict_below(pc, h2, 16), Some(c2 < 16));
         }
-    }
-
-    #[test]
-    fn loadhit_accuracy_bounded(outcomes in proptest::collection::vec(any::<bool>(), 1..200)) {
-        let mut p = LoadHitPredictor::icpp08();
-        for (i, &hit) in outcomes.iter().enumerate() {
-            p.predict(0, (i as u64 % 37) << 2);
-            p.update(0, (i as u64 % 37) << 2, hit);
-        }
-        let acc = p.accuracy();
-        prop_assert!((0.0..=1.0).contains(&acc));
-        prop_assert_eq!(p.updates, outcomes.len() as u64);
-    }
-
-    #[test]
-    fn constant_behaviour_is_learned_perfectly(hit in any::<bool>(), n in 32usize..128) {
-        let mut p = LoadHitPredictor::new(1024);
-        let pc = 0x4000;
-        for _ in 0..n {
-            p.update(0, pc, hit);
-        }
-        prop_assert_eq!(p.predict(0, pc), hit);
     }
 }

@@ -140,3 +140,11 @@ fn larger_lsq_machine_passes_the_deep_scan() {
         .expect("the deep scan finds every LSQ in sync with its ROB");
     assert!(stats.threads.iter().any(|t| t.committed >= 20_000));
 }
+
+#[test]
+fn static_bounds_cover_the_counted_window() {
+    // The DoD oracle compares the pipeline's exact dependent count over
+    // `DOD_WINDOW` entries against static bounds computed over
+    // `L1_WINDOW` entries; the comparison is sound only if they agree.
+    assert_eq!(smtsim_pipeline::DOD_WINDOW, smtsim_analysis::L1_WINDOW);
+}
